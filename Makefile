@@ -31,7 +31,8 @@ fuzz:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Benchmark-regression gate: microbenchmarks + T1-T6 vs
-# bench_baseline.json, writing BENCH_2.json (see scripts/bench_gate.sh).
+# Benchmark-regression gate: microbenchmarks (wall time included) + table
+# benchmarks vs bench_baseline.json, writing BENCH_<pr>.json (see
+# scripts/bench_gate.sh for how <pr> is derived).
 bench-gate:
 	./scripts/bench_gate.sh

@@ -10,29 +10,46 @@
 // — the raptorcast shape. Only the manifest (object ID, size, geometry,
 // per-generation hashes) rides the ordered reliable channel.
 //
-// Receivers reconstruct each generation from ANY k of its k+r symbols;
-// whatever the scatter and loss leave missing is pulled with unicast
-// symbol requests that rotate over the symbol's designated relay, the
-// origin and the remaining members, so one crashed relay never strands a
-// transfer. Under Config.RelayPlan the re-fan follows the hierarchical
-// overlay: a relay fans to its own cluster plus the remote cluster
-// coordinators (FlagBulkFan), and each coordinator re-fans locally,
-// bounding relay depth at two hops.
+// A publisher announces the manifest first and scatters second, so on an
+// ordered path symbols find their object waiting; symbols that still beat
+// the manifest wait in a small bounded stash and are replayed when it
+// arrives. A relay's duty does not depend on its own progress: a flagged
+// symbol is re-fanned exactly once whether or not the relay still needs
+// it. The scatter itself leaves through a token bucket — a burst that the
+// receivers' socket buffers can hold, then a fixed rate — so a large
+// object neither floods the group nor stalls the publisher's event loop.
+//
+// Receivers reconstruct each generation from ANY k of its k+r symbols —
+// as soon as its k data symbols are in, or on the next tick when repair
+// symbols have to stand in for one that is not coming; whatever the
+// scatter and loss leave missing is pulled with unicast symbol requests. The pull is self-clocked: Config.MaxRequests requests
+// are kept outstanding, every reply or decoded generation tops the window
+// up at once, and Config.RequestEvery is only the timeout after which an
+// unanswered request moves to its next target — the designated relay if
+// it was seen sourcing the object, the origin, then the remaining peers
+// — so one crashed relay never strands a transfer. A peer that does not
+// hold a requested symbol says so (a body-less symbol), which moves the
+// request on after one round trip instead of one timeout. Under Config.RelayPlan
+// the re-fan follows the hierarchical overlay: a relay fans to its own
+// cluster plus the remote cluster coordinators (FlagBulkFan), and each
+// coordinator re-fans locally, bounding relay depth at two hops.
 //
 // The engine is a proto.Handler like every other layer: synchronous,
-// deterministic (no randomness; request targets rotate by counter), and
-// identical under netsim and live UDP.
+// deterministic (no randomness; request targets rotate by symbol and
+// requester), and identical under netsim and live UDP.
 package bulk
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"time"
 
 	"scalamedia/internal/fec"
 	"scalamedia/internal/id"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/stats"
 	"scalamedia/internal/wire"
 )
 
@@ -44,15 +61,44 @@ const (
 	DefaultDataShards = 16
 	// DefaultRepairShards is r, the repair symbols per generation.
 	DefaultRepairShards = 4
-	// DefaultRequestEvery is the repair-request cadence.
+	// DefaultRequestEvery is the symbol-request timeout.
 	DefaultRequestEvery = 100 * time.Millisecond
-	// DefaultMaxRequests bounds symbol requests per object per round.
+	// DefaultMaxRequests is the window of outstanding symbol requests per
+	// object.
 	DefaultMaxRequests = 64
 	// DefaultMaxObjects bounds retained objects; beyond it the oldest
 	// completed object is evicted.
 	DefaultMaxObjects = 8
 	// MaxObjectSize bounds a published object.
 	MaxObjectSize = 1 << 28
+)
+
+// Pre-manifest stash bounds. Symbols that arrive before their manifest
+// (two decode workers, a total-order wait, a lost manifest under repair)
+// are kept instead of re-pulled, but never without bound: the cap holds
+// one whole scatter of a 1 MiB object at the default geometry, and
+// nothing outlives stashMaxAge.
+const (
+	stashCapBytes = 2 << 20
+	// stashEntryCost is charged per stashed symbol on top of its payload
+	// for the retained message header, so a flood of tiny symbols cannot
+	// evade the byte cap.
+	stashEntryCost = 128
+	stashMaxAge    = 2 * time.Second
+)
+
+// Scatter budget. What a publisher scatters in one go has to fit the
+// receivers' socket buffers (every receiver sees each scattered symbol
+// once, straight or relayed; the transport asks the kernel for 4 MiB), and
+// a scatter is background traffic on a node that also runs membership,
+// ordering and media. So symbols leave through a token bucket:
+// scatterBurstBytes of symbol payload at once — a 1 MiB object and its
+// repair symbols go out in a single pass — and scatterRateBytes per second
+// (100 Mbit/s) once that is spent. The pace of back-to-back publishes is
+// then set by the clock, not by how much CPU happens to be spare.
+const (
+	scatterBurstBytes = 4 << 20
+	scatterRateBytes  = 12_500_000
 )
 
 // Errors.
@@ -88,8 +134,11 @@ type Config struct {
 	SymbolSize   int
 	DataShards   int
 	RepairShards int
-	// RequestEvery is the repair-request cadence; MaxRequests bounds the
-	// unicast symbol requests per object per round.
+	// MaxRequests is the window of symbol requests a transfer keeps
+	// outstanding; a reply or a decoded generation refills it at once.
+	// RequestEvery is the timeout after which an unanswered request is
+	// re-sent to its next target, and the quiet period after which a
+	// scattered object starts pulling what the scatter left missing.
 	RequestEvery time.Duration
 	MaxRequests  int
 	// MaxObjects bounds retained objects.
@@ -100,10 +149,11 @@ type Config struct {
 	// formed yet) fall back to the flat everyone fan.
 	RelayPlan func() (local, remote []id.Node)
 	// Distance, when non-nil, estimates the one-way delay to a peer
-	// (AutoHier stacks wire it to the overlay's RTT matrix). Repair
-	// requests then prefer the nearest peers instead of rotating blindly
-	// over the membership; peers with no estimate yet (a zero return)
-	// and a nil Distance keep the pure-rotation fallback.
+	// (AutoHier stacks wire it to the overlay's RTT matrix). Beyond the
+	// designated relay and the origin, repair requests then go to the
+	// nearest peers instead of rotating over the whole membership; peers
+	// with no estimate yet (a zero return) and a nil Distance keep the
+	// rotation fallback.
 	Distance func(id.Node) time.Duration
 	// OnObject receives completed objects.
 	OnObject func(Object)
@@ -111,11 +161,33 @@ type Config struct {
 	OnProgress func(Progress)
 }
 
+// symSet is a set of symbol indices within one generation; a manifest
+// admits at most 255 symbols per generation.
+type symSet [4]uint64
+
+func (s *symSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s *symSet) add(i int)      { s[i>>6] |= 1 << (i & 63) }
+func (s *symSet) del(i int)      { s[i>>6] &^= 1 << (i & 63) }
+func (s *symSet) len() int {
+	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+}
+
 // generation tracks one generation's symbols at a receiver.
 type generation struct {
 	shards [][]byte // k+r slots; nil = missing
 	have   int
+	data   int // of have, how many are data symbols (index < k)
 	done   bool
+	fanned symSet // flagged symbols already re-fanned (relay duty, once each)
+	asked  symSet // symbols with a request outstanding
+}
+
+// request is one outstanding symbol request.
+type request struct {
+	gen, idx int
+	target   id.Node
+	attempt  int // how many targets have been tried before this one
+	deadline time.Time
 }
 
 // object is one transfer, publishing or receiving.
@@ -126,20 +198,92 @@ type object struct {
 	doneGens int
 	complete bool
 	data     []byte // assembled object once complete
-	nextReq  time.Time
-	round    uint64 // request-target rotation counter
+
+	// Receive side.
+	began   time.Time        // manifest arrival, for bulk.transfer_ms
+	sources map[id.Node]bool // peers a symbol of this object has come from
+	// ripe is set while some generation holds k symbols but not all k data
+	// symbols and waits for the next tick to be decoded (see onSymbol).
+	ripe bool
+	// Pull state: once pulling, out holds at most MaxRequests outstanding
+	// requests and cursor is the first generation that may still need one.
+	// A scattered object starts pulling when nothing unsolicited has
+	// arrived by quiet.
+	pulling bool
+	quiet   time.Time
+	cursor  int
+	out     []request
+}
+
+// scatter is one published object's progress through Scatter: next counts
+// the symbols already sent, in generation-then-index order.
+type scatter struct {
+	obj  uint64
+	next int
+}
+
+// stashed is one symbol that arrived before its manifest.
+type stashed struct {
+	from id.Node
+	msg  *wire.Message
+	at   time.Time
+}
+
+func (s stashed) cost() int { return len(s.msg.Body) + stashEntryCost }
+
+// metrics are the engine's live counters (DESIGN §7), resolved once so
+// the symbol path pays plain atomic adds.
+type metrics struct {
+	symbolsRx          *stats.Counter // KindBulkSym datagrams received
+	symbolsDup         *stats.Counter // valid symbols not needed (held, or generation/object done)
+	symbolsStashed     *stats.Counter // symbols kept for a manifest not yet seen
+	symbolsFanned      *stats.Counter // flagged symbols re-fanned (relay duty)
+	requestsSent       *stats.Counter
+	requestsServed     *stats.Counter
+	requestsUnservable *stats.Counter // requests for a symbol this node does not hold
+	requestsTimedOut   *stats.Counter // requests re-targeted after RequestEvery
+	objectsCompleted   *stats.Counter // objects reconstructed here
+	transferMs         *stats.Histogram
+}
+
+func newMetrics(reg *stats.Registry) metrics {
+	return metrics{
+		symbolsRx:          reg.Counter("bulk.symbols_rx"),
+		symbolsDup:         reg.Counter("bulk.symbols_dup"),
+		symbolsStashed:     reg.Counter("bulk.symbols_stashed"),
+		symbolsFanned:      reg.Counter("bulk.symbols_fanned"),
+		requestsSent:       reg.Counter("bulk.requests_sent"),
+		requestsServed:     reg.Counter("bulk.requests_served"),
+		requestsUnservable: reg.Counter("bulk.requests_unservable"),
+		requestsTimedOut:   reg.Counter("bulk.requests_timed_out"),
+		objectsCompleted:   reg.Counter("bulk.objects_completed"),
+		transferMs:         reg.Histogram("bulk.transfer_ms"),
+	}
 }
 
 // Engine is one node's bulk-dissemination state. It implements
 // proto.Handler for the KindBulkSym / KindBulkReq plane; manifests enter
-// through OnManifest (they travel on the caller's reliable channel).
+// through OnManifest or Pull (they travel on the caller's reliable
+// channel).
 type Engine struct {
 	env     proto.Env
 	cfg     Config
+	m       metrics
 	members []id.Node // sorted; the scatter/request universe
 	near    []id.Node // members with known distance, nearest first
 	objects map[uint64]*object
 	order   []uint64 // insertion order, for deterministic ticks + eviction
+
+	stash      []stashed // arrival order
+	stashBytes int
+
+	// Scatters in progress, oldest first, and the budget they draw on.
+	scatters []scatter
+	budget   int       // bytes of symbol payload that may leave now
+	budgetAt time.Time // when budget was last brought up to date
+
+	out   wire.Message // scratch for every send; Env.Send does not retain it
+	cands []id.Node    // rank scratch
 }
 
 var _ proto.Handler = (*Engine)(nil)
@@ -164,7 +308,21 @@ func New(env proto.Env, cfg Config) *Engine {
 	if cfg.MaxObjects <= 0 {
 		cfg.MaxObjects = DefaultMaxObjects
 	}
-	return &Engine{env: env, cfg: cfg, objects: make(map[uint64]*object)}
+	return &Engine{
+		env:     env,
+		cfg:     cfg,
+		m:       newMetrics(stats.NewRegistry()),
+		objects: make(map[uint64]*object),
+		budget:  scatterBurstBytes,
+	}
+}
+
+// SetMetrics reports the engine's counters (bulk.*) into reg from now on.
+// Call it before the engine sees traffic.
+func (e *Engine) SetMetrics(reg *stats.Registry) {
+	if reg != nil {
+		e.m = newMetrics(reg)
+	}
 }
 
 // SetMembers installs the current group membership, the universe symbols
@@ -189,12 +347,12 @@ func genHash(shards [][]byte, k int) uint64 {
 	return h.Sum64()
 }
 
-// Publish splits data into coded symbols, retains them for serving, and
-// — when scatter is set — stripes the symbols across the group for peer
-// relay. It returns the manifest the caller must carry to receivers on
-// the reliable channel. With scatter off (state-transfer objects) the
-// object is merely registered; receivers pull every symbol they need.
-func (e *Engine) Publish(objID uint64, data []byte, scatter bool) (Manifest, error) {
+// Publish splits data into coded symbols and retains them for serving. It
+// returns the manifest the caller must carry to receivers on the reliable
+// channel — before it calls Scatter, so symbols find their object waiting.
+// An object that is never scattered (state transfer) is merely registered;
+// receivers Pull every symbol they need.
+func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 	if len(data) == 0 || len(data) > MaxObjectSize {
 		return Manifest{}, ErrTooLarge
 	}
@@ -222,22 +380,30 @@ func (e *Engine) Publish(objID uint64, data []byte, scatter bool) (Manifest, err
 		R:          r,
 		GenHashes:  make([]uint64, genCount),
 	}
+	// Three slabs per object instead of one slice per symbol: the padded
+	// copy of the data doubles as every data symbol, the repair symbols
+	// share a second, the shard tables a third.
+	padded := make([]byte, genCount*perGen)
+	copy(padded, data)
+	repair := make([]byte, genCount*r*symSize)
+	tables := make([][]byte, genCount*(k+r))
 	o := &object{
 		man:      man,
 		rs:       rs,
 		gens:     make([]generation, genCount),
 		doneGens: genCount,
 		complete: true,
-		data:     append([]byte(nil), data...),
+		data:     padded[:len(data):len(data)],
 	}
 	for g := 0; g < genCount; g++ {
-		shards := make([][]byte, k+r)
+		shards := tables[g*(k+r) : (g+1)*(k+r) : (g+1)*(k+r)]
 		for i := 0; i < k; i++ {
-			shards[i] = make([]byte, symSize)
 			off := g*perGen + i*symSize
-			if off < len(data) {
-				copy(shards[i], data[off:])
-			}
+			shards[i] = padded[off : off+symSize : off+symSize]
+		}
+		for i := 0; i < r; i++ {
+			off := (g*r + i) * symSize
+			shards[k+i] = repair[off : off+symSize : off+symSize]
 		}
 		if err := rs.Encode(shards); err != nil {
 			return Manifest{}, fmt.Errorf("bulk publish: %w", err)
@@ -246,10 +412,57 @@ func (e *Engine) Publish(objID uint64, data []byte, scatter bool) (Manifest, err
 		o.gens[g] = generation{shards: shards, have: k + r, done: true}
 	}
 	e.insert(objID, o)
-	if scatter {
-		e.scatter(o)
-	}
 	return man, nil
+}
+
+// Scatter stripes the coded symbols of an object this node published
+// across the group: each symbol goes to its designated relay, flagged so
+// the relay re-fans it to everyone else. Call it after the manifest is on
+// its way. Symbols leave at once while the node's scatter budget lasts and
+// at scatterRateBytes from then on (OnTick).
+func (e *Engine) Scatter(objID uint64) {
+	o, ok := e.objects[objID]
+	if !ok || !o.complete || o.man.Origin != e.env.Self() {
+		return
+	}
+	e.scatters = append(e.scatters, scatter{obj: objID})
+	e.pumpScatter(e.env.Now())
+}
+
+// pumpScatter sends what the budget allows of the scatters in progress.
+func (e *Engine) pumpScatter(now time.Time) {
+	if len(e.scatters) == 0 {
+		return
+	}
+	// Bring the budget up to date; past the burst's worth of time it is
+	// simply full, which also keeps the product below from overflowing. A
+	// tick can carry a time earlier than the last call's (the ticker stamps
+	// it when it fires, not when it is handled): the clock only moves on.
+	const fill = time.Duration(scatterBurstBytes) * time.Second / scatterRateBytes
+	if since := now.Sub(e.budgetAt); since >= fill {
+		e.budget, e.budgetAt = scatterBurstBytes, now
+	} else if since > 0 {
+		e.budget = min(e.budget+int(int64(since)*scatterRateBytes/int64(time.Second)), scatterBurstBytes)
+		e.budgetAt = now
+	}
+	for len(e.scatters) > 0 {
+		sc := &e.scatters[0]
+		o := e.objects[sc.obj] // nil once evicted: drop what is left of it
+		for o != nil && sc.next < len(o.gens)*(o.man.K+o.man.R) {
+			if e.budget < o.man.SymbolSize {
+				return
+			}
+			g, i := sc.next/(o.man.K+o.man.R), sc.next%(o.man.K+o.man.R)
+			sc.next++
+			relay := e.relayOf(o.man, g, i) // never this node: it is the origin
+			if relay == id.None {
+				continue
+			}
+			e.budget -= o.man.SymbolSize
+			e.sendSym(relay, o.man, g, i, o.gens[g].shards[i], wire.FlagBulkFan)
+		}
+		e.scatters = append(e.scatters[:0], e.scatters[1:]...)
+	}
 }
 
 // insert registers an object, evicting the oldest completed object
@@ -302,28 +515,9 @@ func (e *Engine) relayOf(man Manifest, gen, idx int) id.Node {
 	return id.None
 }
 
-// scatter sends each coded symbol to its designated relay, flagged so
-// the relay re-fans it to the rest of the group.
-func (e *Engine) scatter(o *object) {
-	for g := range o.gens {
-		for i, shard := range o.gens[g].shards {
-			relay := e.relayOf(o.man, g, i)
-			if relay == id.None {
-				continue
-			}
-			if relay == e.env.Self() {
-				// This node is its own relay for the symbol: fan directly.
-				e.fan(o.man, g, i, shard, true)
-				continue
-			}
-			e.sendSym(relay, o.man, g, i, shard, wire.FlagBulkFan)
-		}
-	}
-}
-
 // sendSym transmits one symbol. Aux packs generation<<32|index.
 func (e *Engine) sendSym(to id.Node, man Manifest, gen, idx int, payload []byte, flags uint8) {
-	e.env.Send(to, &wire.Message{
+	e.out = wire.Message{
 		Kind:   wire.KindBulkSym,
 		Flags:  flags,
 		Group:  e.cfg.Group,
@@ -331,7 +525,8 @@ func (e *Engine) sendSym(to id.Node, man Manifest, gen, idx int, payload []byte,
 		Seq:    man.Object,
 		Aux:    uint64(gen)<<32 | uint64(idx),
 		Body:   payload,
-	})
+	}
+	e.env.Send(to, &e.out)
 }
 
 // fan re-distributes a symbol this node is responsible for. wide relays
@@ -368,37 +563,52 @@ func (e *Engine) fan(man Manifest, gen, idx int, payload []byte, wide bool) {
 	}
 }
 
-// OnManifest begins (or serves) a transfer described by a manifest
-// received on the reliable channel. Unknown objects start collecting
-// symbols; already-held objects are ignored.
-func (e *Engine) OnManifest(man Manifest) {
+// OnManifest begins collecting a scattered object described by a manifest
+// received on the reliable channel. Symbols that beat the manifest here
+// are replayed from the stash; what the scatter leaves missing is pulled
+// once it has gone quiet. Already-known objects are ignored.
+func (e *Engine) OnManifest(man Manifest) { e.begin(man, false) }
+
+// Pull begins fetching an object nobody scatters (a state-transfer
+// snapshot): the request window opens at once instead of waiting for a
+// scatter to go quiet.
+func (e *Engine) Pull(man Manifest) { e.begin(man, true) }
+
+func (e *Engine) begin(man Manifest, pull bool) {
 	if err := man.Validate(); err != nil {
-		return
-	}
-	if _, exists := e.objects[man.Object]; exists {
 		return
 	}
 	if man.Origin == e.env.Self() {
 		return
 	}
-	rs, err := fec.NewRS(man.K, man.R)
-	if err != nil {
-		return
+	now := e.env.Now()
+	o, exists := e.objects[man.Object]
+	if !exists {
+		rs, err := fec.NewRS(man.K, man.R)
+		if err != nil {
+			return
+		}
+		o = &object{
+			man:     man,
+			rs:      rs,
+			gens:    make([]generation, man.Generations()),
+			began:   now,
+			sources: make(map[id.Node]bool),
+			quiet:   now.Add(e.cfg.RequestEvery),
+		}
+		w := man.K + man.R
+		tables := make([][]byte, len(o.gens)*w)
+		for g := range o.gens {
+			o.gens[g].shards = tables[g*w : (g+1)*w : (g+1)*w]
+		}
+		e.insert(man.Object, o)
+		e.replayStash(o)
 	}
-	o := &object{
-		man:  man,
-		rs:   rs,
-		gens: make([]generation, man.Generations()),
+	if pull && !o.complete && !o.pulling {
+		o.pulling = true
+		e.refreshNear()
+		e.pump(o, now)
 	}
-	for g := range o.gens {
-		o.gens[g].shards = make([][]byte, man.K+man.R)
-	}
-	// Give the scatter one request interval to land before pulling;
-	// symbols that raced ahead of the manifest are simply re-pulled,
-	// and a scatterless (state-transfer) object starts fetching after
-	// the same grace.
-	o.nextReq = e.env.Now().Add(e.cfg.RequestEvery)
-	e.insert(man.Object, o)
 }
 
 // Object returns a completed object's data.
@@ -433,48 +643,143 @@ func (e *Engine) Evict(objID uint64) {
 	}
 }
 
-// OnMessage handles the symbol plane.
+// OnMessage handles the symbol plane. The engine keeps the bodies of the
+// symbols it stores (and whole messages in the stash): the runtime hands
+// each inbound message over for good.
 func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 	if msg.Group != e.cfg.Group {
 		return
 	}
 	switch msg.Kind {
 	case wire.KindBulkSym:
-		e.onSymbol(from, msg)
+		e.m.symbolsRx.Inc()
+		if o, ok := e.objects[msg.Seq]; ok {
+			e.onSymbol(o, from, msg)
+		} else {
+			e.stashSymbol(from, msg)
+		}
 	case wire.KindBulkReq:
 		e.onRequest(from, msg)
 	}
 }
 
-// onSymbol stores one arriving coded symbol and re-fans it when this
-// node is the symbol's designated distributor.
-func (e *Engine) onSymbol(from id.Node, msg *wire.Message) {
-	o, ok := e.objects[msg.Seq]
-	if !ok || o.complete {
-		// No manifest yet (the scatter raced ahead of the reliable
-		// channel) or already done: the repair path will pull anything
-		// missed, so racing symbols are dropped rather than buffered
-		// unbounded.
+// stashSymbol keeps a symbol whose manifest has not arrived, within the
+// stash's byte cap; past the cap the symbol is dropped and the pull path
+// fetches it later.
+func (e *Engine) stashSymbol(from id.Node, msg *wire.Message) {
+	s := stashed{from: from, msg: msg}
+	if len(msg.Body) == 0 || e.stashBytes+s.cost() > stashCapBytes {
 		return
 	}
+	s.at = e.env.Now()
+	e.stash = append(e.stash, s)
+	e.stashBytes += s.cost()
+	e.m.symbolsStashed.Inc()
+}
+
+// replayStash feeds the stashed symbols of a newly announced object
+// through onSymbol, in arrival order.
+func (e *Engine) replayStash(o *object) {
+	var mine []stashed
+	kept := e.stash[:0]
+	for _, s := range e.stash {
+		if s.msg.Seq == o.man.Object {
+			mine = append(mine, s)
+			e.stashBytes -= s.cost()
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	e.trimStash(kept)
+	for _, s := range mine {
+		e.onSymbol(o, s.from, s.msg)
+	}
+}
+
+// expireStash drops stashed symbols older than stashMaxAge.
+func (e *Engine) expireStash(now time.Time) {
+	n := 0
+	for n < len(e.stash) && now.Sub(e.stash[n].at) >= stashMaxAge {
+		e.stashBytes -= e.stash[n].cost()
+		n++
+	}
+	if n > 0 {
+		e.trimStash(e.stash[:copy(e.stash, e.stash[n:])])
+	}
+}
+
+// trimStash installs kept (a prefix of the stash's backing array) as the
+// stash and releases the messages behind it.
+func (e *Engine) trimStash(kept []stashed) {
+	for i := len(kept); i < len(e.stash); i++ {
+		e.stash[i] = stashed{}
+	}
+	e.stash = kept
+}
+
+// onSymbol takes one arriving coded symbol of a known object: it re-fans
+// the symbol when this node is its designated distributor, stores it when
+// it is still needed, and keeps the pull window moving.
+func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 	gen, idx := int(msg.Aux>>32), int(msg.Aux&0xffffffff)
-	if gen >= len(o.gens) || idx >= o.man.K+o.man.R || len(msg.Body) != o.man.SymbolSize {
+	if gen >= len(o.gens) || idx >= o.man.K+o.man.R {
+		return
+	}
+	if len(msg.Body) == 0 {
+		e.onNotHeld(o, from, gen, idx)
+		return
+	}
+	if len(msg.Body) != o.man.SymbolSize {
 		return
 	}
 	g := &o.gens[gen]
-	if g.done || g.shards[idx] != nil {
+	// Relay duty comes first and does not depend on local progress: a
+	// flagged symbol makes this node the distributor — group-wide when it
+	// came straight from the origin, own-cluster only when a relay
+	// forwarded it for local re-fan — exactly once, needed here or not.
+	if msg.Flags&wire.FlagBulkFan != 0 && !g.fanned.has(idx) {
+		g.fanned.add(idx)
+		e.m.symbolsFanned.Inc()
+		e.fan(o.man, gen, idx, msg.Body, from == o.man.Origin)
+	}
+	if o.complete {
+		e.m.symbolsDup.Inc()
 		return
 	}
-	g.shards[idx] = append([]byte(nil), msg.Body...)
-	g.have++
-	// Re-fan before reconstructing: a flagged symbol makes this node the
-	// distributor — group-wide when it came straight from the origin,
-	// own-cluster only when a relay forwarded it for local re-fan.
-	if msg.Flags&wire.FlagBulkFan != 0 {
-		e.fan(o.man, gen, idx, g.shards[idx], from == o.man.Origin)
+	now := e.env.Now()
+	if !o.sources[from] {
+		o.sources[from] = true
 	}
-	if g.have >= o.man.K {
-		e.reconstruct(o, gen)
+	solicited := g.asked.has(idx)
+	if solicited {
+		e.settle(o, gen, idx)
+	} else {
+		// The scatter is still landing: hold the pull back.
+		o.quiet = now.Add(e.cfg.RequestEvery)
+	}
+	if g.done || g.shards[idx] != nil {
+		e.m.symbolsDup.Inc()
+	} else {
+		g.shards[idx] = msg.Body
+		g.have++
+		if idx < o.man.K {
+			g.data++
+		}
+		switch {
+		case g.data == o.man.K || (g.have >= o.man.K && (solicited || o.pulling)):
+			e.reconstruct(o, gen)
+		case g.have >= o.man.K:
+			// Any k symbols decode the generation, but while a scatter is
+			// landing the missing data symbols are usually a few datagrams
+			// behind: waiting for them costs nothing, decoding around them
+			// costs k multiply-adds per rebuilt symbol, and how many need
+			// rebuilding would depend on arrival order. The next tick
+			// decodes whatever is still short by then.
+			o.ripe = true
+		}
+	}
+	if solicited || g.done {
+		e.pump(o, now)
 	}
 }
 
@@ -491,16 +796,27 @@ func (e *Engine) reconstruct(o *object, gen int) {
 		for i := range g.shards {
 			g.shards[i] = nil
 		}
-		g.have = 0
+		g.have, g.data = 0, 0
 		return
 	}
 	// Keep the data symbols (to serve peer requests); the repair symbols
-	// have done their job.
+	// have done their job, and so have the requests still out for this
+	// generation.
 	for i := o.man.K; i < len(g.shards); i++ {
 		g.shards[i] = nil
 	}
-	g.have = o.man.K
+	g.have, g.data = o.man.K, o.man.K
 	g.done = true
+	if g.asked != (symSet{}) {
+		kept := o.out[:0]
+		for _, r := range o.out {
+			if r.gen != gen {
+				kept = append(kept, r)
+			}
+		}
+		o.out = kept
+		g.asked = symSet{}
+	}
 	o.doneGens++
 	if e.cfg.OnProgress != nil {
 		e.cfg.OnProgress(Progress{ID: o.man.Object, Origin: o.man.Origin, Done: o.doneGens, Total: len(o.gens)})
@@ -520,48 +836,88 @@ func (e *Engine) assemble(o *object) {
 	}
 	o.data = data[:o.man.Size]
 	o.complete = true
+	o.out, o.sources = nil, nil
+	e.m.objectsCompleted.Inc()
+	e.m.transferMs.Observe(float64(e.env.Now().Sub(o.began)) / float64(time.Millisecond))
 	if e.cfg.OnObject != nil {
 		e.cfg.OnObject(Object{ID: o.man.Object, Origin: o.man.Origin, Data: o.data})
 	}
 }
 
-// onRequest serves a symbol this node holds.
+// onRequest serves a symbol this node holds, and says so when it holds
+// none: the body-less reply costs the requester one round trip where
+// silence would cost it a timeout.
 func (e *Engine) onRequest(from id.Node, msg *wire.Message) {
-	o, ok := e.objects[msg.Seq]
-	if !ok {
-		return
-	}
 	gen, idx := int(msg.Aux>>32), int(msg.Aux&0xffffffff)
-	if gen >= len(o.gens) || idx >= o.man.K+o.man.R {
+	if o, ok := e.objects[msg.Seq]; ok && gen < len(o.gens) && idx < o.man.K+o.man.R {
+		if shard := o.gens[gen].shards[idx]; shard != nil {
+			e.m.requestsServed.Inc()
+			e.sendSym(from, o.man, gen, idx, shard, 0)
+			return
+		}
+	}
+	e.m.requestsUnservable.Inc()
+	e.out = wire.Message{Kind: wire.KindBulkSym, Group: e.cfg.Group, Seq: msg.Seq, Aux: msg.Aux}
+	e.env.Send(from, &e.out)
+}
+
+// onNotHeld handles a peer's answer that it does not hold a requested
+// symbol: the request moves to its next-ranked target at once. Once every
+// candidate has been tried the request waits out its timeout instead, so
+// a symbol nobody holds is asked for at the timeout's pace, not the
+// network's.
+func (e *Engine) onNotHeld(o *object, from id.Node, gen, idx int) {
+	if o.complete {
 		return
 	}
-	if shard := o.gens[gen].shards[idx]; shard != nil {
-		e.sendSym(from, o.man, gen, idx, shard, 0)
+	if i := o.outstanding(gen, idx); i >= 0 {
+		if r := &o.out[i]; r.target == from && r.attempt+1 < len(e.rank(o, gen, idx)) {
+			e.retarget(o, r, e.env.Now())
+		}
 	}
 }
 
-// OnTick runs the repair rounds: each incomplete transfer asks for the
-// data symbols it is still missing, rotating targets over the symbol's
-// designated relay, the origin, and the rest of the group so a crashed
-// relay only costs one round.
+// OnTick does what no arrival can: it continues a scatter that outran its
+// budget, decodes the generations that held k symbols but waited for
+// their data symbols in vain, opens the pull of a scattered object whose
+// scatter has gone quiet, moves every request unanswered for RequestEvery
+// to its next target, and ages the stash.
 func (e *Engine) OnTick(now time.Time) {
+	e.pumpScatter(now)
 	refreshed := false
 	for _, objID := range e.order {
 		o := e.objects[objID]
-		if o == nil || o.complete || now.Before(o.nextReq) {
+		if o == nil || o.complete {
+			continue
+		}
+		if o.ripe {
+			o.ripe = false
+			for gen := range o.gens {
+				if g := &o.gens[gen]; !g.done && g.have >= o.man.K {
+					e.reconstruct(o, gen)
+				}
+			}
+		}
+		if o.complete || (!o.pulling && now.Before(o.quiet)) {
 			continue
 		}
 		if !refreshed {
 			// Distance estimates (the AutoHier RTT matrix) fill in over
-			// time; re-rank the pull-target preference once per request
-			// tick rather than per symbol.
+			// time; re-rank the pull-target preference once per tick
+			// rather than per symbol.
 			e.refreshNear()
 			refreshed = true
 		}
-		o.nextReq = now.Add(e.cfg.RequestEvery)
-		o.round++
-		e.requestMissing(o)
+		for i := range o.out {
+			if r := &o.out[i]; !now.Before(r.deadline) {
+				e.m.requestsTimedOut.Inc()
+				e.retarget(o, r, now)
+			}
+		}
+		o.pulling = true
+		e.pump(o, now)
 	}
+	e.expireStash(now)
 }
 
 // refreshNear rebuilds the nearest-first pull-target ranking: every
@@ -593,81 +949,130 @@ func (e *Engine) refreshNear() {
 	})
 }
 
-// requestMissing pulls up to MaxRequests missing data symbols. Only
-// data symbols are requested: any completed peer holds all of them,
+// pump fills a pulling object's request window: for each unfinished
+// generation, in order, it asks for as many missing data symbols as the
+// generation still needs beyond what it holds and has already asked for.
+// Only data symbols are requested: any completed peer holds all of them,
 // while repair symbols survive only where the scatter put them.
-func (e *Engine) requestMissing(o *object) {
-	budget := e.cfg.MaxRequests
-	self := e.env.Self()
-	for g := range o.gens {
-		if o.gens[g].done {
+func (e *Engine) pump(o *object, now time.Time) {
+	if !o.pulling || o.complete {
+		return
+	}
+	for o.cursor < len(o.gens) && o.gens[o.cursor].done {
+		o.cursor++
+	}
+	k := o.man.K
+	for gi := o.cursor; gi < len(o.gens) && len(o.out) < e.cfg.MaxRequests; gi++ {
+		g := &o.gens[gi]
+		if g.done {
 			continue
 		}
-		for i := 0; i < o.man.K && budget > 0; i++ {
-			if o.gens[g].shards[i] != nil {
+		need := k - g.have - g.asked.len()
+		for i := 0; i < k && need > 0 && len(o.out) < e.cfg.MaxRequests; i++ {
+			if g.shards[i] != nil || g.asked.has(i) {
 				continue
 			}
-			target := e.requestTarget(o, g, i, self)
+			target := e.sendReq(o, gi, i, 0)
 			if target == id.None {
-				return
+				return // nobody to ask
 			}
-			e.env.Send(target, &wire.Message{
-				Kind:  wire.KindBulkReq,
-				Group: e.cfg.Group,
-				Seq:   o.man.Object,
-				Aux:   uint64(g)<<32 | uint64(i),
-			})
-			budget--
-		}
-		if budget == 0 {
-			return
+			g.asked.add(i)
+			o.out = append(o.out, request{gen: gi, idx: i, target: target, deadline: now.Add(e.cfg.RequestEvery)})
+			need--
 		}
 	}
 }
 
-// nearWindow bounds how many of the nearest peers the third request
-// phase rotates over: near enough to keep pulls cheap, wide enough that
-// receivers missing the same symbol don't all dogpile the single
-// nearest holder.
+// outstanding returns the position in out of the request for (gen, idx),
+// or -1.
+func (o *object) outstanding(gen, idx int) int {
+	for i, r := range o.out {
+		if r.gen == gen && r.idx == idx {
+			return i
+		}
+	}
+	return -1
+}
+
+// settle retires the outstanding request a symbol answers.
+func (e *Engine) settle(o *object, gen, idx int) {
+	o.gens[gen].asked.del(idx)
+	if i := o.outstanding(gen, idx); i >= 0 {
+		o.out = append(o.out[:i], o.out[i+1:]...)
+	}
+}
+
+// retarget re-sends an outstanding request to its next-ranked target.
+func (e *Engine) retarget(o *object, r *request, now time.Time) {
+	r.attempt++
+	r.deadline = now.Add(e.cfg.RequestEvery)
+	r.target = e.sendReq(o, r.gen, r.idx, r.attempt)
+}
+
+// sendReq asks the attempt-th ranked target (wrapping) for one symbol and
+// returns it; id.None means there is nobody to ask.
+func (e *Engine) sendReq(o *object, gen, idx, attempt int) id.Node {
+	c := e.rank(o, gen, idx)
+	if len(c) == 0 {
+		return id.None
+	}
+	target := c[attempt%len(c)]
+	e.out = wire.Message{
+		Kind:  wire.KindBulkReq,
+		Group: e.cfg.Group,
+		Seq:   o.man.Object,
+		Aux:   uint64(gen)<<32 | uint64(idx),
+	}
+	e.env.Send(target, &e.out)
+	e.m.requestsSent.Inc()
+	return target
+}
+
+// nearWindow bounds how many of the nearest peers the rotation phase
+// draws from: near enough to keep pulls cheap, wide enough that receivers
+// missing the same symbol don't all dogpile the single nearest holder.
 const nearWindow = 4
 
-// requestTarget rotates a missing symbol's pull target: the designated
-// relay first, the origin next, then the nearest peers by the distance
-// estimate (AutoHier RTT matrix) — falling back to round-robin over the
-// whole membership when no estimates exist.
-func (e *Engine) requestTarget(o *object, gen, idx int, self id.Node) id.Node {
-	// Build the candidate preference deterministically per (round, symbol,
-	// requester): folding self in keeps the receivers that miss the same
-	// symbol from dogpiling one server every round.
-	turn := o.round - 1 + uint64(gen) + uint64(idx) + uint64(self)
+// rank lists the peers worth asking for a symbol, best first: those that
+// can be expected to hold it — the designated relay, once it has been
+// seen sourcing this object (it never has for an object nobody
+// scattered), then the origin — and then the rest, peers already seen
+// sourcing the object ahead of the others. The rest is the nearest peers
+// by the distance estimate (AutoHier RTT matrix) or, with no estimates,
+// the whole membership; it is rotated by symbol and requester so that
+// receivers missing the same symbol spread over different servers. The
+// result is scratch, valid until the next call.
+func (e *Engine) rank(o *object, gen, idx int) []id.Node {
+	self, origin := e.env.Self(), o.man.Origin
+	c := e.cands[:0]
 	relay := e.relayOf(o.man, gen, idx)
-	for attempt := uint64(0); attempt < 3+uint64(len(e.members)); attempt++ {
-		var c id.Node
-		switch t := turn + attempt; {
-		case t%3 == 0 && relay != id.None:
-			c = relay
-		case t%3 == 1:
-			c = o.man.Origin
-		default:
-			switch {
-			case len(e.near) > 0:
-				w := len(e.near)
-				if w > nearWindow {
-					w = nearWindow
+	if relay == self || !o.sources[relay] {
+		relay = id.None
+	}
+	if relay != id.None {
+		c = append(c, relay)
+	}
+	if origin != self {
+		c = append(c, origin)
+	}
+	rest := e.members
+	if len(e.near) > 0 {
+		rest = e.near
+		if len(rest) > nearWindow {
+			rest = rest[:nearWindow]
+		}
+	}
+	if n := len(rest); n > 0 {
+		start := int((uint64(gen) + uint64(idx) + uint64(self)) % uint64(n))
+		for _, sourcing := range [2]bool{true, false} {
+			for j := 0; j < n; j++ {
+				m := rest[(start+j)%n]
+				if m != self && m != origin && m != relay && o.sources[m] == sourcing {
+					c = append(c, m)
 				}
-				c = e.near[int(t/3)%w]
-			case len(e.members) == 0:
-				c = o.man.Origin
-			default:
-				c = e.members[int(t/3)%len(e.members)]
 			}
 		}
-		if c != self && c != id.None {
-			return c
-		}
 	}
-	if o.man.Origin != self {
-		return o.man.Origin
-	}
-	return id.None
+	e.cands = c
+	return c
 }

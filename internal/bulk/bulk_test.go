@@ -66,6 +66,7 @@ type fleet struct {
 	nodes   []id.Node
 	engines map[id.Node]*Engine
 	objects map[id.Node][]Object
+	doneAt  map[id.Node]time.Duration // virtual time of each node's latest completion
 }
 
 func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Config) *fleet {
@@ -74,6 +75,7 @@ func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Confi
 		sim:     netsim.New(netsim.Config{Seed: seed, Profile: profile}),
 		engines: make(map[id.Node]*Engine),
 		objects: make(map[id.Node][]Object),
+		doneAt:  make(map[id.Node]time.Duration),
 	}
 	for i := 1; i <= n; i++ {
 		f.nodes = append(f.nodes, id.Node(i))
@@ -81,7 +83,10 @@ func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Confi
 	for _, node := range f.nodes {
 		node := node
 		c := cfg
-		c.OnObject = func(o Object) { f.objects[node] = append(f.objects[node], o) }
+		c.OnObject = func(o Object) {
+			f.objects[node] = append(f.objects[node], o)
+			f.doneAt[node] = f.sim.Elapsed()
+		}
 		f.sim.AddNode(node, func(env proto.Env) proto.Handler {
 			e := New(env, c)
 			f.engines[node] = e
@@ -95,19 +100,28 @@ func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Confi
 }
 
 // publish has the origin publish at t=10ms and hands the manifest to
-// every other engine, as the reliable control channel would.
+// every other engine, as the reliable control channel would: ahead of the
+// scatter, or — for an object nobody scatters — as a Pull.
 func (f *fleet) publish(t *testing.T, origin id.Node, objID uint64, data []byte, scatter bool) {
 	t.Helper()
 	f.sim.At(10*time.Millisecond, func() {
-		man, err := f.engines[origin].Publish(objID, data, scatter)
+		man, err := f.engines[origin].Publish(objID, data)
 		if err != nil {
 			t.Errorf("publish: %v", err)
 			return
 		}
 		for _, node := range f.nodes {
-			if node != origin {
-				f.engines[node].OnManifest(man)
+			if node == origin {
+				continue
 			}
+			if scatter {
+				f.engines[node].OnManifest(man)
+			} else {
+				f.engines[node].Pull(man)
+			}
+		}
+		if scatter {
+			f.engines[origin].Scatter(objID)
 		}
 	})
 }
@@ -167,6 +181,32 @@ func TestPullWithoutScatter(t *testing.T) {
 	f.assertAllComplete(t, 9, data, nil)
 }
 
+// TestPullSelfClocked pins the pull path's pace and waste on the state-
+// transfer shape at full size: 1 MiB nobody scatters, three receivers, a
+// 1 ms LAN. The window refills on every reply, so the transfer takes about
+// one round trip per MaxRequests symbols, not one RequestEvery; and
+// requests go where the symbol can be (here: the origin, the only node
+// ever seen sourcing it, then peers that decoded it), so hardly more
+// datagrams move than a request and a reply per needed symbol.
+func TestPullSelfClocked(t *testing.T) {
+	f := newFleet(t, 4, 2, netsim.LANProfile(time.Millisecond, 0, 0), Config{Group: 1})
+	data := testObject(1<<20, 46)
+	f.publish(t, 1, 9, data, false)
+	f.sim.Run(2 * time.Second)
+	f.assertAllComplete(t, 9, data, nil)
+	for _, node := range f.nodes[1:] {
+		if took := f.doneAt[node] - 10*time.Millisecond; took > 250*time.Millisecond {
+			t.Errorf("node %s completed %v after the publish, want <= 250ms", node, took)
+		}
+	}
+	stats := f.sim.Stats()
+	sent := stats.TotalSent()
+	t.Logf("completed at %v, %d datagrams", f.doneAt, sent)
+	if sent > 6500 {
+		t.Errorf("%d datagrams for 3 x 1024 needed symbols, want <= 6500", sent)
+	}
+}
+
 func TestLossRecovered(t *testing.T) {
 	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
 	f := newFleet(t, 12, 3, netsim.LANProfile(time.Millisecond, 200*time.Microsecond, 0.05), cfg)
@@ -179,20 +219,20 @@ func TestLossRecovered(t *testing.T) {
 func TestPublishValidation(t *testing.T) {
 	f := newFleet(t, 2, 4, nil, Config{Group: 1})
 	e := f.engines[1]
-	if _, err := e.Publish(1, nil, false); !errors.Is(err, ErrTooLarge) {
+	if _, err := e.Publish(1, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("empty publish err = %v", err)
 	}
 	data := []byte("state snapshot")
-	man, err := e.Publish(1, data, false)
+	man, err := e.Publish(1, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Republishing identical bytes is idempotent (state re-offered to a
 	// later joiner); different bytes under the same ID is refused.
-	if again, err := e.Publish(1, data, false); err != nil || again.Object != man.Object {
+	if again, err := e.Publish(1, data); err != nil || again.Object != man.Object {
 		t.Fatalf("idempotent republish: %v", err)
 	}
-	if _, err := e.Publish(1, []byte("different"), false); !errors.Is(err, ErrDuplicateObject) {
+	if _, err := e.Publish(1, []byte("different")); !errors.Is(err, ErrDuplicateObject) {
 		t.Fatalf("conflicting republish err = %v", err)
 	}
 }
@@ -229,7 +269,7 @@ func TestEvictionBoundsObjects(t *testing.T) {
 	f := newFleet(t, 1, 6, nil, Config{Group: 1, MaxObjects: 3, SymbolSize: 64, DataShards: 2, RepairShards: 1})
 	e := f.engines[1]
 	for i := uint64(1); i <= 5; i++ {
-		if _, err := e.Publish(i, testObject(200, int64(i)), false); err != nil {
+		if _, err := e.Publish(i, testObject(200, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,22 +284,14 @@ func TestEvictionBoundsObjects(t *testing.T) {
 	}
 }
 
-// stubEnv is a minimal proto.Env for unit-testing target selection
-// without a simulator.
-type stubEnv struct{ self id.Node }
-
-func (s stubEnv) Self() id.Node               { return s.self }
-func (s stubEnv) Now() time.Time              { return time.Time{} }
-func (s stubEnv) Send(id.Node, *wire.Message) {}
-
-func TestNearestFirstPullTargets(t *testing.T) {
+func TestPullTargetRanking(t *testing.T) {
 	// Distances: node 2 nearest, then 3, then 4; nodes 5..8 unknown (0).
 	dist := map[id.Node]time.Duration{
 		2: 2 * time.Millisecond,
 		3: 5 * time.Millisecond,
 		4: 9 * time.Millisecond,
 	}
-	e := New(stubEnv{self: 1}, Config{
+	e := New(&recEnv{self: 1}, Config{
 		Group:    1,
 		Distance: func(n id.Node) time.Duration { return dist[n] },
 	})
@@ -269,43 +301,344 @@ func TestNearestFirstPullTargets(t *testing.T) {
 		t.Fatalf("near = %v, want [2 3 4]", e.near)
 	}
 
-	// The rotation phase (t%3 == 2) must draw from the near set, not the
-	// whole membership: over many rounds every non-relay, non-origin pick
-	// is one of the measured-near peers.
-	o := &object{man: Manifest{Object: 1, Origin: 9}, round: 1}
-	nearSet := map[id.Node]bool{2: true, 3: true, 4: true}
-	sawNear := false
-	for round := uint64(1); round <= 24; round++ {
-		o.round = round
-		c := e.requestTarget(o, 0, 0, 1)
-		if c == id.None || c == 1 {
-			t.Fatalf("round %d: target %s", round, c)
-		}
-		if c != o.man.Origin && nearSet[c] {
-			sawNear = true
-		}
-		if c != o.man.Origin && !nearSet[c] {
-			t.Fatalf("round %d: target %s is neither origin nor a near peer", round, c)
-		}
+	// Nobody has been seen sourcing the object (nothing scattered it): the
+	// origin is asked first, and every later attempt draws from the near
+	// set, never from the unmeasured rest of the membership.
+	o := &object{man: Manifest{Object: 1, Origin: 9, K: 4, R: 2}, sources: map[id.Node]bool{}}
+	c := e.rank(o, 0, 0)
+	if len(c) != 4 || c[0] != 9 {
+		t.Fatalf("ranking = %v, want the origin then the three near peers", c)
 	}
-	if !sawNear {
-		t.Fatal("rotation never picked a near peer")
+	nearSet := map[id.Node]bool{2: true, 3: true, 4: true}
+	picked := map[id.Node]bool{}
+	for _, m := range c[1:] {
+		if !nearSet[m] {
+			t.Fatalf("ranked target %s is not a near peer", m)
+		}
+		picked[m] = true
+	}
+	if len(picked) != 3 {
+		t.Fatalf("ranking repeats a near peer: %v", c)
 	}
 
-	// No distance knowledge: the near set is empty and the classic
-	// full-membership rotation still reaches members beyond the origin.
-	e2 := New(stubEnv{self: 1}, Config{Group: 1})
+	// Once the designated relay has been seen sourcing the object it
+	// outranks the origin, and a sourcing peer outranks the silent ones.
+	const idx = 2
+	relay := e.relayOf(o.man, 0, idx)
+	if relay != 3 {
+		t.Fatalf("relay of symbol %d = %s, want n3", idx, relay)
+	}
+	o.sources[relay] = true
+	o.sources[4] = true
+	if c := e.rank(o, 0, idx); len(c) != 4 || c[0] != relay || c[1] != 9 || c[2] != 4 || c[3] != 2 {
+		t.Fatalf("ranking = %v, want [%s n9 n4 n2]", c, relay)
+	}
+
+	// No distance knowledge: the near set is empty and the rotation covers
+	// the whole membership, spread by symbol so that one requester's
+	// symbols do not all land on one server.
+	e2 := New(&recEnv{self: 1}, Config{Group: 1})
 	e2.SetMembers([]id.Node{1, 2, 3, 4, 5, 6, 7, 8})
 	e2.refreshNear()
 	if len(e2.near) != 0 {
 		t.Fatalf("near without Distance = %v, want empty", e2.near)
 	}
-	picked := map[id.Node]bool{}
-	for round := uint64(1); round <= 24; round++ {
-		o.round = round
-		picked[e2.requestTarget(o, 0, 0, 1)] = true
+	o2 := &object{man: Manifest{Object: 1, Origin: 9, K: 4, R: 2}, sources: map[id.Node]bool{}}
+	picked = map[id.Node]bool{}
+	for idx := 0; idx < 4; idx++ {
+		c := e2.rank(o2, 0, idx)
+		if len(c) != 8 || c[0] != 9 || c[1] == 1 {
+			t.Fatalf("symbol %d: fallback ranking %v", idx, c)
+		}
+		picked[c[1]] = true
 	}
 	if len(picked) < 3 {
 		t.Fatalf("fallback rotation visited only %v", picked)
+	}
+}
+
+// symbolMsg builds the datagram the origin (or a relay) sends for one
+// symbol of a published object.
+func symbolMsg(e *Engine, objID uint64, gen, idx int, flags uint8) *wire.Message {
+	o := e.objects[objID]
+	return &wire.Message{
+		Kind: wire.KindBulkSym, Flags: flags, Group: e.cfg.Group,
+		Sender: o.man.Origin, Seq: objID,
+		Aux:  uint64(gen)<<32 | uint64(idx),
+		Body: o.gens[gen].shards[idx],
+	}
+}
+
+// recEnv is a proto.Env that records what an engine sends.
+type recEnv struct {
+	self id.Node
+	now  time.Time
+	sent []sentMsg
+}
+
+type sentMsg struct {
+	to        id.Node
+	kind      wire.Kind
+	flags     uint8
+	obj, aux  uint64
+	bodyBytes int
+}
+
+func (r *recEnv) Self() id.Node  { return r.self }
+func (r *recEnv) Now() time.Time { return r.now }
+func (r *recEnv) Send(to id.Node, m *wire.Message) {
+	r.sent = append(r.sent, sentMsg{to, m.Kind, m.Flags, m.Seq, m.Aux, len(m.Body)})
+}
+
+func (r *recEnv) count(kind wire.Kind) int {
+	n := 0
+	for _, s := range r.sent {
+		if s.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSymbolsBeforeManifest delivers a whole scatter ahead of its
+// manifest: the stash must hold it, the manifest must replay it through
+// the normal path, and the object must complete without a single request.
+func TestSymbolsBeforeManifest(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	members := []id.Node{1, 2, 3}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	data := testObject(20_000, 47)
+	man, err := origin.Publish(5, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	env := &recEnv{self: 2}
+	var got []Object
+	c := cfg
+	c.OnObject = func(o Object) { got = append(got, o) }
+	e := New(env, c)
+	e.SetMembers(members)
+	for g := range origin.objects[5].gens {
+		for i := 0; i < cfg.DataShards+cfg.RepairShards; i++ {
+			e.OnMessage(1, symbolMsg(origin, 5, g, i, 0))
+		}
+	}
+	if len(e.objects) != 0 || len(e.stash) == 0 {
+		t.Fatalf("before the manifest: %d objects, %d stashed", len(e.objects), len(e.stash))
+	}
+	e.OnManifest(man)
+	if len(got) != 1 || !bytes.Equal(got[0].Data, data) {
+		t.Fatalf("object not completed from the stash: %d completions", len(got))
+	}
+	if len(e.stash) != 0 || e.stashBytes != 0 {
+		t.Fatalf("stash not drained: %d entries, %d bytes", len(e.stash), e.stashBytes)
+	}
+	e.OnTick(time.Time{}.Add(time.Second))
+	if n := env.count(wire.KindBulkReq); n != 0 {
+		t.Fatalf("%d requests sent for an object the stash completed", n)
+	}
+}
+
+// TestStashBounded floods an engine with symbols of objects it will never
+// hear a manifest for: the stash stays under its cap, and ages out.
+func TestStashBounded(t *testing.T) {
+	e := New(&recEnv{self: 2}, Config{Group: 1})
+	body := make([]byte, 1024)
+	for i := 0; i < 4*stashCapBytes/len(body); i++ {
+		e.OnMessage(1, &wire.Message{
+			Kind: wire.KindBulkSym, Group: 1, Sender: 1,
+			Seq: uint64(1000 + i%97), Aux: uint64(i), Body: body,
+		})
+		if e.stashBytes > stashCapBytes {
+			t.Fatalf("stash holds %d bytes after %d symbols, cap %d", e.stashBytes, i+1, stashCapBytes)
+		}
+	}
+	if e.stashBytes < stashCapBytes/2 {
+		t.Fatalf("stash holds only %d bytes: the flood should have filled it", e.stashBytes)
+	}
+	// Tiny symbols are charged for their header, so they cannot pile up
+	// without bound either.
+	e2 := New(&recEnv{self: 2}, Config{Group: 1})
+	for i := 0; i < 2*stashCapBytes/stashEntryCost; i++ {
+		e2.OnMessage(1, &wire.Message{Kind: wire.KindBulkSym, Group: 1, Seq: 7, Aux: uint64(i), Body: []byte{1}})
+	}
+	if e2.stashBytes > stashCapBytes || len(e2.stash) > stashCapBytes/stashEntryCost {
+		t.Fatalf("tiny-symbol flood: %d entries, %d bytes", len(e2.stash), e2.stashBytes)
+	}
+	e.OnTick(time.Time{}.Add(stashMaxAge))
+	if len(e.stash) != 0 || e.stashBytes != 0 {
+		t.Fatalf("stash after %v: %d entries, %d bytes", stashMaxAge, len(e.stash), e.stashBytes)
+	}
+}
+
+// TestRelayDutyIndependentOfProgress hands a relay a flagged origin symbol
+// of a generation it has already decoded: it must still fan it to the
+// other receiver, and exactly once when the symbol is duplicated.
+func TestRelayDutyIndependentOfProgress(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 4, RepairShards: 2}
+	members := []id.Node{1, 2, 3}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	data := testObject(4*256, 48) // one generation
+	man, err := origin.Publish(6, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &recEnv{self: 2}
+	e := New(env, cfg)
+	e.SetMembers(members)
+	e.OnManifest(man)
+	for i := 0; i < cfg.DataShards; i++ { // unflagged: decode without any relay duty
+		e.OnMessage(3, symbolMsg(origin, 6, 0, i, 0))
+	}
+	if _, ok := e.Object(6); !ok {
+		t.Fatal("relay did not decode from k symbols")
+	}
+	if n := env.count(wire.KindBulkSym); n != 0 {
+		t.Fatalf("unflagged symbols fanned %d times", n)
+	}
+	flagged := symbolMsg(origin, 6, 0, 5, wire.FlagBulkFan)
+	e.OnMessage(1, flagged)
+	e.OnMessage(1, flagged)
+	if n := env.count(wire.KindBulkSym); n != 1 {
+		t.Fatalf("satisfied relay fanned a flagged symbol %d times, want once", n)
+	}
+	if s := env.sent[len(env.sent)-1]; s.to != 3 || s.flags != 0 || s.aux != 5 || s.bodyBytes != 256 {
+		t.Fatalf("fanned datagram = %+v, want symbol 5 to n3 unflagged", s)
+	}
+}
+
+// TestDecodeWaitsForDataSymbols pins what a generation costs while a
+// scatter is landing: k symbols that include a repair symbol do not
+// decode at once, because the data symbol still in flight usually follows
+// and then nothing needs rebuilding; the next tick decodes a generation
+// whose data symbol never came.
+func TestDecodeWaitsForDataSymbols(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 4, RepairShards: 2}
+	members := []id.Node{1, 2, 3}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	data := testObject(2*4*256, 50) // two generations
+	man, err := origin.Publish(9, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(&recEnv{self: 2}, cfg)
+	e.SetMembers(members)
+	e.OnManifest(man)
+	for g := 0; g < 2; g++ {
+		for _, i := range []int{0, 1, 2, 4} { // k symbols, data symbol 3 missing
+			e.OnMessage(3, symbolMsg(origin, 9, g, i, 0))
+		}
+	}
+	if done, _, _ := e.Progress(9); done != 0 {
+		t.Fatalf("%d generations decoded around a data symbol that may still arrive", done)
+	}
+	e.OnMessage(3, symbolMsg(origin, 9, 0, 3, 0)) // the straggler lands
+	if done, _, _ := e.Progress(9); done != 1 {
+		t.Fatalf("generation with all its data symbols not complete: %d done", done)
+	}
+	e.OnTick(time.Time{}.Add(time.Millisecond)) // generation 1's never does
+	if got, ok := e.Object(9); !ok || !bytes.Equal(got, data) {
+		t.Fatal("tick did not decode the generation left short of a data symbol")
+	}
+}
+
+// TestScatterPaced pins the scatter budget: objects within the burst leave
+// in the activation that scatters them, and once the burst is spent the
+// symbols leave at scatterRateBytes, whatever the tick cadence and however
+// late a tick is handled.
+func TestScatterPaced(t *testing.T) {
+	env := &recEnv{self: 1, now: time.Unix(1000, 0)}
+	e := New(env, Config{Group: 1})
+	e.SetMembers([]id.Node{1, 2, 3, 4})
+	const objSize = 1 << 20
+	perObject := objSize / DefaultSymbolSize * (DefaultDataShards + DefaultRepairShards) / DefaultDataShards
+	burst := scatterBurstBytes / DefaultSymbolSize
+	objects := burst/perObject + 2 // the last two cannot leave at once
+	for i := 1; i <= objects; i++ {
+		if _, err := e.Publish(uint64(i), testObject(objSize, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		e.Scatter(uint64(i))
+		if i <= burst/perObject && env.count(wire.KindBulkSym) != i*perObject {
+			t.Fatalf("object %d within the burst: %d symbols sent, want %d", i, env.count(wire.KindBulkSym), i*perObject)
+		}
+	}
+	if n := env.count(wire.KindBulkSym); n != burst {
+		t.Fatalf("%d symbols left at once, want the burst of %d", n, burst)
+	}
+	start := env.now
+	perSecond := scatterRateBytes / DefaultSymbolSize
+	for _, step := range []time.Duration{10 * time.Millisecond, 3 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond} {
+		env.now = env.now.Add(step)
+		e.OnTick(env.now)
+		e.OnTick(env.now.Add(-time.Millisecond)) // a tick stamped before the last one adds nothing
+		want := burst + int(env.now.Sub(start).Seconds()*float64(perSecond))
+		if n := env.count(wire.KindBulkSym); n < want-1 || n > want {
+			t.Fatalf("%v after the burst: %d symbols sent, want %d", env.now.Sub(start), n, want)
+		}
+	}
+	env.now = env.now.Add(time.Minute)
+	e.OnTick(env.now)
+	if n := env.count(wire.KindBulkSym); n != objects*perObject {
+		t.Fatalf("scatter finished with %d symbols sent, want %d", n, objects*perObject)
+	}
+	if len(e.scatters) != 0 {
+		t.Fatalf("%d scatters still queued", len(e.scatters))
+	}
+}
+
+// TestNotHeldRetargetsAtOnce pins the cost of asking the wrong peer: its
+// body-less answer moves the request to the next-ranked target within the
+// same activation, and once every candidate has said no the request waits
+// for its timeout instead of circling at network speed.
+func TestNotHeldRetargetsAtOnce(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 64, DataShards: 1, RepairShards: 1, MaxRequests: 1}
+	origin := New(&recEnv{self: 1}, cfg)
+	man, err := origin.Publish(8, testObject(64, 49))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &recEnv{self: 2}
+	e := New(env, cfg)
+	e.SetMembers([]id.Node{1, 2, 3, 4})
+	e.Pull(man)
+	if len(env.sent) != 1 || env.sent[0].kind != wire.KindBulkReq || env.sent[0].to != 1 {
+		t.Fatalf("Pull sent %+v, want one request to the origin", env.sent)
+	}
+	notHeld := func(from id.Node) {
+		e.OnMessage(from, &wire.Message{Kind: wire.KindBulkSym, Group: 1, Seq: 8, Aux: 0})
+	}
+	notHeld(3) // not the peer that was asked: ignored
+	if len(env.sent) != 1 {
+		t.Fatalf("a stranger's answer re-targeted the request: %+v", env.sent)
+	}
+	asked := []id.Node{1}
+	for len(asked) < 3 {
+		notHeld(asked[len(asked)-1])
+		if len(env.sent) != len(asked)+1 {
+			t.Fatalf("after %d answers: %d requests sent", len(asked), len(env.sent))
+		}
+		asked = append(asked, env.sent[len(env.sent)-1].to)
+	}
+	if asked[1] == asked[2] || asked[1] == 1 || asked[2] == 1 {
+		t.Fatalf("targets %v: want the origin, then each other peer once", asked)
+	}
+	notHeld(asked[2]) // everyone has said no: wait for the timeout
+	if len(env.sent) != 3 {
+		t.Fatalf("request kept circling after every candidate answered: %+v", env.sent)
+	}
+	e.OnTick(time.Time{}.Add(DefaultRequestEvery))
+	if len(env.sent) != 4 || env.sent[3].to != 1 {
+		t.Fatalf("timeout did not wrap to the origin: %+v", env.sent)
+	}
+	// The origin's own engine answers a request it cannot serve.
+	oenv := origin.env.(*recEnv)
+	origin.OnMessage(2, &wire.Message{Kind: wire.KindBulkReq, Group: 1, Seq: 999, Aux: 0})
+	if len(oenv.sent) != 1 || oenv.sent[0].kind != wire.KindBulkSym || oenv.sent[0].bodyBytes != 0 || oenv.sent[0].obj != 999 {
+		t.Fatalf("unservable request answered with %+v, want a body-less symbol", oenv.sent)
 	}
 }

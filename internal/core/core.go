@@ -272,6 +272,7 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		OnObject:     cfg.OnObject,
 		OnProgress:   cfg.OnObjectProgress,
 	})
+	s.bulk.SetMetrics(cfg.Metrics)
 	s.member = member.New(env, member.Config{
 		Group:            cfg.Group,
 		Metrics:          cfg.Metrics,

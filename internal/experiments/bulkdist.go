@@ -66,7 +66,7 @@ func runBulkDissemination(n, objBytes int, seed int64, crash bool) bulkDistResul
 	const objID = 9
 	data := workload.New(seed + 9).Payload(objBytes)
 	sim.At(10*time.Millisecond, func() {
-		man, err := engines[origin].Publish(objID, data, true)
+		man, err := engines[origin].Publish(objID, data)
 		if err != nil {
 			panic("t9 publish: " + err.Error())
 		}
@@ -75,6 +75,7 @@ func runBulkDissemination(n, objBytes int, seed int64, crash bool) bulkDistResul
 				engines[m].OnManifest(man)
 			}
 		}
+		engines[origin].Scatter(objID)
 	})
 	if crash {
 		sim.At(12*time.Millisecond, func() { sim.Crash(crashed) })

@@ -12,6 +12,8 @@ const gfPoly = 0x1d
 var (
 	gfExp [512]byte // doubled so gfMul can skip a modular reduction
 	gfLog [256]byte
+	// gfMulTable[a][b] = a*b: 64 KiB, one row per coefficient.
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -27,6 +29,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			gfMulTable[a][b] = gfExp[int(gfLog[a])+int(gfLog[b])]
+		}
 	}
 }
 
@@ -66,16 +73,16 @@ func gfMulSlice(dst, src []byte, c byte) {
 }
 
 // gfMulAddSlice sets dst[i] ^= c * src[i] for each i — the inner loop of
-// both encode and decode.
+// both encode and decode. One row of the product table replaces the two
+// log lookups and the zero test per byte.
 func gfMulAddSlice(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
-	logC := int(gfLog[c])
+	row := &gfMulTable[c]
+	dst = dst[:len(src)]
 	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[logC+int(gfLog[s])]
-		}
+		dst[i] ^= row[s]
 	}
 }
 

@@ -485,28 +485,24 @@ func (e *Engine) Counters() rmcast.Counters {
 
 // Multicast sends payload to the whole hierarchical group.
 func (e *Engine) Multicast(payload []byte) error {
+	// The origin sequence is a private per-engine counter, wrapped around
+	// the payload first so the envelope travels with the message
+	// everywhere. The local engine's send count would not do: it also
+	// covers relay re-multicasts and reshape replays, which would gap the
+	// per-origin contiguous space, and it lives in the metrics registry,
+	// which engines may share.
+	env := packEnvelope(e.env.Self(), e.sentSeq+1, payload)
+	if err := e.local.Multicast(env); err != nil {
+		return fmt.Errorf("intra-cluster multicast: %w", err)
+	}
+	e.sentSeq++
 	if e.cfg.AutoHier {
-		// The origin sequence is a dedicated counter: the local engine's
-		// send count also covers relay re-multicasts and reshape replays,
-		// which would gap the per-origin contiguous space dedup relies on.
-		env := packEnvelope(e.env.Self(), e.sentSeq+1, payload)
-		if err := e.local.Multicast(env); err != nil {
-			return fmt.Errorf("intra-cluster multicast: %w", err)
-		}
-		e.sentSeq++
 		// Log the envelope for replay into the next reshaped tree; the
 		// receivers' dedup makes the replay idempotent.
 		e.sentLog = append(e.sentLog, env)
 		if len(e.sentLog) > e.cfg.Form.ReplayLog {
 			e.sentLog = e.sentLog[1:]
 		}
-		return nil
-	}
-	// The origin sequence number is the local engine's next send; wrap
-	// first so the envelope travels with the message everywhere.
-	env := packEnvelope(e.env.Self(), e.local.Counters().Sent+1, payload)
-	if err := e.local.Multicast(env); err != nil {
-		return fmt.Errorf("intra-cluster multicast: %w", err)
 	}
 	return nil
 }

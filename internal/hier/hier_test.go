@@ -9,6 +9,7 @@ import (
 	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
 	"scalamedia/internal/rmcast"
+	"scalamedia/internal/stats"
 )
 
 func nodeRange(n int) []id.Node {
@@ -96,6 +97,49 @@ func buildHier(t *testing.T, s *netsim.Sim, total, clusterSize int) map[id.Node]
 		})
 	}
 	return nodes
+}
+
+// TestOriginSeqPrivateToEngine runs two engines on one metrics registry —
+// two nodes of one process reporting together. Each must number its own
+// multicasts 1, 2, 3…: taking the origin sequence from the shared
+// rmcast.local.sent counter would interleave the two spaces.
+func TestOriginSeqPrivateToEngine(t *testing.T) {
+	s := netsim.New(netsim.Config{Seed: 5})
+	reg := stats.NewRegistry()
+	topo := Cluster(nodeRange(2), 2)
+	got := make(map[id.Node][]Delivery)
+	engines := make(map[id.Node]*Engine)
+	for _, n := range nodeRange(2) {
+		n := n
+		s.AddNode(n, func(env proto.Env) proto.Handler {
+			eng, err := New(env, Config{
+				LocalGroup: 1, WideGroup: 2, Topology: topo, Metrics: reg,
+				OnDeliver: func(d Delivery) { got[n] = append(got[n], d) },
+			})
+			if err != nil {
+				t.Fatalf("New(%s): %v", n, err)
+			}
+			engines[n] = eng
+			return eng
+		})
+	}
+	for i := 0; i < 3; i++ {
+		s.At(time.Duration(10+i)*time.Millisecond, func() { _ = engines[1].Multicast([]byte("a")) })
+	}
+	s.At(20*time.Millisecond, func() { _ = engines[2].Multicast([]byte("b")) })
+	s.Run(time.Second)
+	for _, n := range nodeRange(2) {
+		next := map[id.Node]uint64{1: 1, 2: 1}
+		for _, d := range got[n] {
+			if d.Seq != next[d.Origin] {
+				t.Fatalf("node %s: origin %s delivered seq %d, want %d", n, d.Origin, d.Seq, next[d.Origin])
+			}
+			next[d.Origin]++
+		}
+		if next[1] != 4 || next[2] != 2 {
+			t.Fatalf("node %s delivered %d + %d messages, want 3 + 1", n, next[1]-1, next[2]-1)
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {

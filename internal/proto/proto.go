@@ -20,7 +20,10 @@ import (
 )
 
 // Handler is a protocol engine as seen by the runtime. Implementations
-// must not block and must not retain msg beyond the call.
+// must not block. The runtime hands each inbound msg over for good — it
+// never reuses or recycles a delivered message — so an engine may keep it
+// (rmcast's history, bulk's symbol store) but must not modify it: a Mux
+// shows the same message to every engine.
 type Handler interface {
 	// OnMessage processes one inbound datagram.
 	OnMessage(from id.Node, msg *wire.Message)

@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"scalamedia/internal/media"
 	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/rmcast"
 	"scalamedia/internal/wire"
 )
 
@@ -156,4 +158,54 @@ func TestStateTransferInlineSmall(t *testing.T) {
 		t.Fatalf("small snapshot tag = %d, want inline", framed[0])
 	}
 	_ = b
+}
+
+// TestPublishRefusedSendsNoSymbols pins manifest-first publishing: when the
+// ordered channel refuses the manifest (the flow window is full behind a
+// stalled receiver), Publish must fail without having scattered a single
+// symbol — receivers that never hear of the object have no use for them.
+func TestPublishRefusedSendsNoSymbols(t *testing.T) {
+	const window = 2
+	s := netsim.New(netsim.Config{Seed: 85})
+	nodes := make(map[id.Node]*sessNode)
+	for n := id.Node(1); n <= 3; n++ {
+		n := n
+		sn := &sessNode{}
+		nodes[n] = sn
+		contact := id.Node(1)
+		if n == 1 {
+			contact = id.None
+		}
+		s.AddNode(n, func(env proto.Env) proto.Handler {
+			sn.eng = New(env, Config{
+				Group: 1, Contact: contact, FlowWindow: window,
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   10 * time.Second, // the stall below must not evict
+				FlushTimeout:   300 * time.Millisecond,
+			})
+			return sn.eng
+		})
+	}
+	data := make([]byte, 40_000)
+	rand.New(rand.NewSource(85)).Read(data)
+	var publishErr error
+	s.At(3*time.Second, func() { s.Stall(2) })
+	s.At(3100*time.Millisecond, func() {
+		if got := nodes[1].eng.View().Size(); got != 3 {
+			t.Errorf("view size = %d before the publish, want 3", got)
+		}
+		for i := 0; i < window; i++ {
+			if err := nodes[1].eng.Send([]byte("fill")); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}
+		publishErr = nodes[1].eng.Publish(42, data)
+	})
+	s.Run(4 * time.Second)
+	if !errors.Is(publishErr, rmcast.ErrBackpressure) {
+		t.Fatalf("Publish behind a full flow window: err = %v, want ErrBackpressure", publishErr)
+	}
+	if n := s.Stats().SentByKind[wire.KindBulkSym]; n != 0 {
+		t.Fatalf("%d bulk symbols sent for an object whose manifest was refused", n)
+	}
 }

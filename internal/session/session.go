@@ -407,7 +407,7 @@ func (e *Engine) snapshotState() []byte {
 		e.stateObjID = stateObjBase | (uint64(e.env.Self())&0xffffff)<<32 | (e.stateSeq & 0xffffffff)
 		e.stateBlob = append(e.stateBlob[:0], blob...)
 	}
-	man, err := e.stack.Bulk().Publish(e.stateObjID, blob, false)
+	man, err := e.stack.Bulk().Publish(e.stateObjID, blob)
 	if err != nil {
 		// Cannot register the object (ID collision with an application
 		// object, say): fall back to the inline path rather than strand
@@ -438,7 +438,8 @@ func (e *Engine) installState(v member.View, state []byte) {
 		}
 		e.pendingStateObj = man.Object
 		e.pendingStateView = v
-		e.stack.Bulk().OnManifest(man)
+		// Nobody scatters a state snapshot: fetch it now.
+		e.stack.Bulk().Pull(man)
 	}
 }
 
@@ -507,14 +508,17 @@ func (e *Engine) Announce(spec media.StreamSpec, meanRate float64) error {
 	return nil
 }
 
-// Publish disseminates a bulk object to the session: the coded symbols
-// scatter over the membership for peer relay (internal/bulk) while only
-// the manifest rides the ordered channel. Each participant receives an
-// ObjectReceived event when its copy reconstructs, with ObjectProgress
-// events along the way. Object IDs at or above 1<<63 are reserved for
-// the session's own state transfer.
+// Publish disseminates a bulk object to the session: only the manifest
+// rides the ordered channel, and it goes first; the coded symbols then
+// scatter over the membership for peer relay (internal/bulk), so on an
+// ordered path they find the object already announced. A manifest the
+// channel refuses (ErrBackpressure) sends no symbols; the encoded object
+// stays registered, so retrying the call with the same bytes only repeats
+// the announcement. Each participant receives an ObjectReceived event when
+// its copy reconstructs, with ObjectProgress events along the way. Object
+// IDs at or above 1<<63 are reserved for the session's own state transfer.
 func (e *Engine) Publish(objID uint64, data []byte) error {
-	man, err := e.stack.Bulk().Publish(objID, data, true)
+	man, err := e.stack.Bulk().Publish(objID, data)
 	if err != nil {
 		return fmt.Errorf("publish object %d: %w", objID, err)
 	}
@@ -522,6 +526,7 @@ func (e *Engine) Publish(objID uint64, data []byte) error {
 	if err := e.stack.Multicast(buf); err != nil {
 		return fmt.Errorf("publish object %d: %w", objID, err)
 	}
+	e.stack.Bulk().Scatter(objID)
 	return nil
 }
 

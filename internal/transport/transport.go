@@ -22,10 +22,12 @@ import (
 	"scalamedia/internal/wire"
 )
 
-// RecvQueue is the depth of an endpoint's receive queue. Like a UDP socket
-// buffer, the queue drops the newest datagram when full; the reliable
-// multicast layer recovers the loss. The size is a deliberate, documented
-// exception to the channel-size-one default: it models a socket buffer.
+// RecvQueue is the depth of an endpoint's receive queue. The in-process
+// fabric drops the newest datagram when the queue is full, like a UDP
+// socket buffer, and the reliable multicast layer recovers the loss; the
+// UDP endpoint has a real socket buffer behind it and waits instead (see
+// UDPEndpoint). The size is a deliberate, documented exception to the
+// channel-size-one default: it models a socket buffer.
 const RecvQueue = 1024
 
 // Inbound is one received datagram.
@@ -117,8 +119,9 @@ type epMetrics struct {
 	bytesSent   *stats.Counter
 	bytesRecvd  *stats.Counter
 	decodeErrs  *stats.Counter   // malformed datagrams discarded
-	queueDrops  *stats.Counter   // receive-queue overflow drops
-	rxDropped   *stats.Counter   // raw datagrams dropped before decode
+	queueDrops  *stats.Counter   // receive-queue overflow drops (UDP: only what Close discards)
+	rxDropped   *stats.Counter   // raw datagrams dropped before decode (only what Close discards)
+	rxStalls    *stats.Counter   // waits of a UDP receive stage on a full queue
 	syscallsRx  *stats.Counter   // receive syscalls (UDP endpoints)
 	syscallsTx  *stats.Counter   // transmit syscalls (UDP endpoints)
 	addrLearned *stats.Counter   // peer addresses learned from traffic
@@ -139,6 +142,7 @@ func newEpMetrics(reg *stats.Registry) *epMetrics {
 		decodeErrs:  reg.Counter("transport.decode_errors"),
 		queueDrops:  reg.Counter("transport.queue_drops"),
 		rxDropped:   reg.Counter("transport.rx_dropped"),
+		rxStalls:    reg.Counter("transport.rx_stalls"),
 		syscallsRx:  reg.Counter("transport.syscalls_rx"),
 		syscallsTx:  reg.Counter("transport.syscalls_tx"),
 		addrLearned: reg.Counter("transport.addr_learned"),

@@ -101,9 +101,12 @@ type rawDatagram struct {
 // The receive path is a two-stage pipeline: a reader goroutine moves raw
 // datagrams off the socket (recvmmsg on Linux, one recvfrom elsewhere)
 // into pooled buffers, and a small worker pool decodes them into the
-// receive queue. The send path queues datagrams per endpoint and drains
-// the queue in one sendmmsg per Flush (see BatchSender); plain Send
-// still transmits immediately.
+// receive queue. Neither stage drops: the reader waits for the decode
+// stage and the decode stage waits for Recv()'s consumer, so the kernel
+// socket buffer is the only place a datagram can be lost to overload
+// (transport.rx_stalls counts the waits). The send path queues datagrams
+// per endpoint and drains the queue in one sendmmsg per Flush (see
+// BatchSender); plain Send still transmits immediately.
 type UDPEndpoint struct {
 	metricsRef
 	self id.Node
@@ -117,7 +120,8 @@ type UDPEndpoint struct {
 	peers  atomic.Pointer[peerMap]
 	peerMu sync.Mutex // serializes AddPeer copy-on-write updates
 
-	closed atomic.Bool
+	closed  atomic.Bool
+	closing chan struct{} // closed by Close; releases receive stages waiting on a full queue
 
 	sendMu sync.Mutex
 	sendQ  []outDatagram
@@ -158,6 +162,7 @@ func ListenUDP(node id.Node, addr string, opts ...UDPOption) (*UDPEndpoint, erro
 		recv:       make(chan Inbound, RecvQueue),
 		batch:      DefaultBatch,
 		workers:    DefaultDecodeWorkers,
+		closing:    make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
 	for _, opt := range opts {
@@ -166,10 +171,9 @@ func ListenUDP(node id.Node, addr string, opts ...UDPOption) (*UDPEndpoint, erro
 	pm := make(peerMap)
 	e.peers.Store(&pm)
 	// The decode stage buffers a few syscall batches of raw datagrams;
-	// past that the reader drops (and counts) instead of blocking, so a
-	// slow decode never backs up into the socket buffer unobserved. The
-	// floor keeps the portable path (batch == 1) from dropping ordinary
-	// bursts that the kernel socket buffer would have absorbed.
+	// past that the reader waits (see enqueue), so the kernel socket
+	// buffer is the receive path's only overflow point. The floor keeps
+	// the portable path (batch == 1) from stalling on ordinary bursts.
 	depth := 4 * e.batch
 	if depth < 4*DefaultBatch {
 		depth = 4 * DefaultBatch
@@ -408,6 +412,10 @@ func (e *UDPEndpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	// Release the receive stages first: a reader or decode worker waiting
+	// on a full queue that nobody drains would otherwise never observe
+	// the socket closing.
+	close(e.closing)
 	err := e.conn.Close()
 	<-e.readerDone
 	close(e.decodeq)
@@ -441,13 +449,32 @@ func rxBuf() *[]byte {
 	return bp
 }
 
-// dispatchRaw hands one raw datagram to the decode stage, dropping (and
-// counting) it when the stage is backed up — the bounded-queue behaviour
-// of a kernel socket buffer, observable instead of silent.
-func (e *UDPEndpoint) dispatchRaw(d rawDatagram) {
+// enqueue hands v to one of the receive pipeline's queues, waiting when
+// the queue is full: datagrams the kernel already accepted are not thrown
+// away in user space, so a burst longer than the queues backs up into the
+// socket buffer and overflows — if at all — there, where the kernel
+// counts it. The wait is counted (rx_stalls) and abandoned on Close, the
+// only case in which enqueue reports false and the caller discards v.
+func enqueue[T any](e *UDPEndpoint, q chan<- T, v T) bool {
 	select {
-	case e.decodeq <- d:
+	case q <- v:
+		return true
 	default:
+	}
+	if m := e.load(); m != nil {
+		m.rxStalls.Inc()
+	}
+	select {
+	case q <- v:
+		return true
+	case <-e.closing:
+		return false
+	}
+}
+
+// dispatchRaw hands one raw datagram to the decode stage.
+func (e *UDPEndpoint) dispatchRaw(d rawDatagram) {
+	if !enqueue(e, e.decodeq, d) {
 		wire.PutBuf(d.bp)
 		if m := e.load(); m != nil {
 			m.rxDropped.Inc()
@@ -546,18 +573,16 @@ func (e *UDPEndpoint) decodeLoop() {
 		// its sender; remember where it came from so replies work even
 		// when the peer was never configured.
 		e.learnSource(msg.From, d.from)
-		select {
-		case e.recv <- Inbound{From: msg.From, Msg: msg}:
-			if m != nil {
-				m.recvd.Inc()
-				m.bytesRecvd.Add(uint64(n))
-			}
-		default:
-			// Queue overflow: drop, like a full socket buffer.
+		if !enqueue(e, e.recv, Inbound{From: msg.From, Msg: msg}) {
 			wire.PutMessage(msg)
 			if m != nil {
 				m.queueDrops.Inc()
 			}
+			continue
+		}
+		if m != nil {
+			m.recvd.Inc()
+			m.bytesRecvd.Add(uint64(n))
 		}
 	}
 }

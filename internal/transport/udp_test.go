@@ -296,3 +296,100 @@ func TestUDPLearnPeer(t *testing.T) {
 		t.Fatal("learned address displaced the static entry")
 	}
 }
+
+// fillReceivePipeline sends total small datagrams from a to b while nobody
+// reads b.Recv(), in chunks, waiting after each chunk until b's queues
+// have absorbed what they can. At most a decode worker's and a reader
+// batch's worth of datagrams, plus whatever exceeds the queues, is ever
+// left to the kernel — a few dozen KiB, inside even a default socket
+// buffer.
+func fillReceivePipeline(t *testing.T, a, b *UDPEndpoint, total int) {
+	t.Helper()
+	queues := cap(b.recv) + cap(b.decodeq)
+	inHand := b.workers + b.batch
+	m := &wire.Message{Kind: wire.KindData, Group: 1, Sender: 1, Body: make([]byte, 32)}
+	for sent := 0; sent < total; {
+		for i := 0; i < DefaultBatch && sent < total; i++ {
+			m.Seq = uint64(sent)
+			if err := a.SendBatch(2, m); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := sent
+		if want > queues {
+			want = queues
+		}
+		want -= inHand
+		for deadline := time.Now().Add(5 * time.Second); len(b.recv)+len(b.decodeq) < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("receiver absorbed %d of %d datagrams sent", len(b.recv)+len(b.decodeq), sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestUDPReceiveBackpressure pins the receive pipeline's single drop point:
+// with nobody reading Recv(), more datagrams than both user-space queues
+// hold arrive; the stages wait instead of dropping, the excess sits in the
+// socket buffer, and a consumer that shows up late still receives every
+// one of them.
+func TestUDPReceiveBackpressure(t *testing.T) {
+	a, b := newUDPPair(t)
+	reg := stats.NewRegistry()
+	b.SetMetrics(reg)
+	total := cap(b.recv) + cap(b.decodeq) + 64
+	fillReceivePipeline(t, a, b, total)
+
+	seen := make([]bool, total)
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < total; got++ {
+		select {
+		case in := <-b.Recv():
+			if seen[in.Msg.Seq] {
+				t.Fatalf("datagram %d delivered twice", in.Msg.Seq)
+			}
+			seen[in.Msg.Seq] = true
+		case <-deadline:
+			t.Fatalf("received %d of %d datagrams; rx_dropped=%d queue_drops=%d",
+				got, total, reg.Counter("transport.rx_dropped").Value(), reg.Counter("transport.queue_drops").Value())
+		}
+	}
+	snap := reg.Snapshot()
+	if d, q := snap.Counters["transport.rx_dropped"], snap.Counters["transport.queue_drops"]; d != 0 || q != 0 {
+		t.Fatalf("rx_dropped = %d, queue_drops = %d, want 0 and 0", d, q)
+	}
+	if snap.Counters["transport.rx_stalls"] == 0 {
+		t.Fatal("rx_stalls = 0: the pipeline was full, its waits must be counted")
+	}
+}
+
+// TestUDPCloseUnderBackpressure closes an endpoint whose receive stages
+// are all waiting on full queues that nobody drains: Close must release
+// them and return, counting what it discards.
+func TestUDPCloseUnderBackpressure(t *testing.T) {
+	a, b := newUDPPair(t)
+	reg := stats.NewRegistry()
+	b.SetMetrics(reg)
+	fillReceivePipeline(t, a, b, cap(b.recv)+cap(b.decodeq)+64)
+	waitCounter(t, reg, "transport.rx_stalls", uint64(b.workers)+1) // every stage is waiting
+
+	closed := make(chan error, 1)
+	go func() { closed <- b.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1s with both receive queues full")
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["transport.rx_dropped"]+snap.Counters["transport.queue_drops"] == 0 {
+		t.Fatal("Close discarded waiting datagrams without counting them")
+	}
+}

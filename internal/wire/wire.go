@@ -96,7 +96,9 @@ const (
 	// KindBulkSym carries one coded symbol of a bulk object (internal/bulk).
 	// Seq is the object ID, Aux packs generation<<32|index, and the body is
 	// the symbol payload. FlagBulkFan marks a symbol sent to a remote
-	// cluster coordinator for local re-fanning.
+	// cluster coordinator for local re-fanning. An empty body answers a
+	// KindBulkReq for a symbol the peer does not hold, so the requester
+	// can ask elsewhere at once.
 	KindBulkSym
 	// KindBulkReq asks a peer to (re)send symbols of a bulk object the
 	// requester is missing. Seq is the object ID, Aux packs
