@@ -21,7 +21,10 @@ import (
 //   - no creation: every delivered payload was actually sent;
 //   - per-sender FIFO: each receiver sees each sender's payloads in
 //     send order with nothing missing;
-//   - view convergence: all nodes agree on the full membership.
+//   - view convergence: all nodes agree on the full membership;
+//   - total order (the Total cells, whose 5 ms tick leaves the sequencer's
+//     announcements to the runner's activation-end hook and ordering
+//     window): every node delivers the identical sequence.
 func TestBatchedTransportChaosMatrix(t *testing.T) {
 	type cell struct {
 		ordering Ordering
@@ -30,6 +33,7 @@ func TestBatchedTransportChaosMatrix(t *testing.T) {
 	cells := []cell{
 		{FIFO, 1}, {FIFO, 2},
 		{Causal, 1}, {Causal, 2},
+		{Total, 1}, {Total, 2},
 	}
 	if testing.Short() {
 		cells = cells[:1]
@@ -47,6 +51,7 @@ func TestBatchedTransportChaosMatrix(t *testing.T) {
 type chaosRecorder struct {
 	mu       sync.Mutex
 	bySender map[NodeID][]string // payloads in delivery order
+	all      []string            // every payload in delivery order
 }
 
 func (r *chaosRecorder) add(ev Event) {
@@ -55,7 +60,15 @@ func (r *chaosRecorder) add(ev Event) {
 	}
 	r.mu.Lock()
 	r.bySender[ev.Node] = append(r.bySender[ev.Node], string(ev.Payload))
+	r.all = append(r.all, string(ev.Payload))
 	r.mu.Unlock()
+}
+
+// sequence returns a copy of the overall delivery order.
+func (r *chaosRecorder) sequence() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.all...)
 }
 
 func (r *chaosRecorder) total() int {
@@ -164,5 +177,16 @@ func runBatchChaosCell(t *testing.T, ord Ordering, seed int64) {
 			}
 		}
 		rec.mu.Unlock()
+	}
+	if ord == Total {
+		// Every recorder holds exactly the want payloads (checked above).
+		first := recs[0].sequence()
+		for ri, rec := range recs[1:] {
+			for k, p := range rec.sequence() {
+				if p != first[k] {
+					t.Fatalf("total order: node %d delivery %d = %q, node 1 has %q", ri+2, k, p, first[k])
+				}
+			}
+		}
 	}
 }

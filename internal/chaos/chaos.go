@@ -73,6 +73,10 @@ type Options struct {
 	// SlowAfter is the ack-lag threshold for flagging a member slow
 	// (rmcast.Config.SlowAfter).
 	SlowAfter int
+	// Windowed drives the stacks the way the live runner does (see
+	// netsim.Config.Windowed): a total-order sequencer then announces at
+	// activation ends and on its ordering window, not at its tick.
+	Windowed bool
 }
 
 func (o *Options) defaults() {
@@ -198,7 +202,8 @@ func Run(opts Options) *Trace {
 	// simulation goroutine, like cur.
 	slowed := make(map[id.Node]time.Duration)
 	sim := netsim.New(netsim.Config{
-		Seed: opts.Seed,
+		Seed:     opts.Seed,
+		Windowed: opts.Windowed,
 		Profile: func(from, to id.Node) netsim.Link {
 			l := cur
 			l.Delay += slowed[from] + slowed[to]

@@ -145,15 +145,18 @@ func TestChaosSuppressionMatrix(t *testing.T) {
 // the eviction view and the rejoin, on four seeds. The run must also
 // genuinely exercise sharding: several distinct members assign slots,
 // and the decisions travel as pipelined ranges, not per-slot orders.
+// The windowed cells repeat it with the sequencers announcing at activation
+// ends, so the crash falls between an early announcement and the next
+// window close instead of between two ticks.
 func TestChaosShardedSequencerCrash(t *testing.T) {
 	sched := chaos.Schedule{
 		{At: 1500 * time.Millisecond, Kind: chaos.Crash, Node: 2},
 		{At: 2 * time.Second, Kind: chaos.LossBurst, Loss: 0.2, Dur: time.Second},
 		{At: 3500 * time.Millisecond, Kind: chaos.Restart, Node: 2},
 	}
-	for _, seed := range []int64{7, 19, 33, 57} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		seed, windowed := []int64{7, 19, 33, 57}[i%4], i >= 4
+		t.Run(fmt.Sprintf("seed=%d/windowed=%v", seed, windowed), func(t *testing.T) {
 			t.Parallel()
 			tr := chaos.Run(chaos.Options{
 				Seed:        seed,
@@ -162,10 +165,11 @@ func TestChaosShardedSequencerCrash(t *testing.T) {
 				OrderShards: 4,
 				Msgs:        80,
 				Schedule:    sched,
+				Windowed:    windowed,
 			})
 			if v := tr.Violations(); len(v) > 0 {
 				t.Error(chaos.FailureReport(
-					fmt.Sprintf("(sharded sequencer-crash schedule seed=%d)", seed),
+					fmt.Sprintf("(sharded sequencer-crash schedule seed=%d windowed=%v)", seed, windowed),
 					tr.Schedule, v, tr.Flight))
 			}
 			sequencers := 0

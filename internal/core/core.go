@@ -158,7 +158,10 @@ type Stack struct {
 	bulk   *bulk.Engine
 }
 
-var _ proto.Handler = (*Stack)(nil)
+var (
+	_ proto.Handler  = (*Stack)(nil)
+	_ proto.Windowed = (*Stack)(nil)
+)
 
 // NewStack builds and wires the layer engines.
 func NewStack(env proto.Env, cfg Config) *Stack {
@@ -407,3 +410,10 @@ func (s *Stack) OnTick(now time.Time) {
 		s.hier.OnTick(now)
 	}
 }
+
+// Window, OnActivationEnd and OnWindow forward proto.Windowed to the flat
+// multicast engine, the one layer that holds decisions back (the overlay's
+// engines order FIFO).
+func (s *Stack) Window() time.Duration  { return s.mcast.Window() }
+func (s *Stack) OnActivationEnd()       { s.mcast.OnActivationEnd() }
+func (s *Stack) OnWindow(now time.Time) { s.mcast.OnWindow(now) }

@@ -64,6 +64,15 @@ type Config struct {
 	Tick time.Duration
 	// Profile supplies link characteristics. Defaults to a 1ms LAN.
 	Profile Profile
+	// Windowed makes the simulator serve proto.Windowed the way the live
+	// runner does: OnActivationEnd after every event a node handles — and
+	// on every node, in the order they were added, after a scripted At
+	// action, which may have called into any engine — and OnWindow at the
+	// handler's cadence in virtual time. Off by default so that every
+	// recorded experiment keeps its datagram sequence (with it on, a
+	// total-order sequencer at low rate announces per message, not per
+	// tick); the tests of that path turn it on.
+	Windowed bool
 }
 
 // kindSlots bounds the flat per-kind counter arrays; wire kinds are a
@@ -130,6 +139,7 @@ type Sim struct {
 	queue eventQueue
 	seq   uint64
 	nodes map[id.Node]*simNode
+	order []*simNode // in AddNode order; kept only under Config.Windowed
 
 	partition map[id.Node]int
 
@@ -179,10 +189,10 @@ func New(cfg Config) *Sim {
 	}
 	start := time.Unix(0, 0).UTC()
 	s := &Sim{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		start:     start,
-		now:       start,
+		cfg:             cfg,
+		rng:             rand.New(rand.NewSource(cfg.Seed)),
+		start:           start,
+		now:             start,
 		nodes:           make(map[id.Node]*simNode),
 		partition:       make(map[id.Node]int),
 		busyUntil:       make(map[linkPair]int64),
@@ -244,6 +254,10 @@ func (s *Sim) AddNode(n id.Node, build func(env proto.Env) proto.Handler) proto.
 	node.handler = build(node)
 	offset := s.rng.Int63n(int64(s.cfg.Tick))
 	s.schedule(event{at: s.nowNs + offset, kind: evTick, node: node, epoch: node.epoch})
+	if s.cfg.Windowed {
+		s.order = append(s.order, node)
+	}
+	node.startWindows()
 	return node.handler
 }
 
@@ -262,6 +276,7 @@ func (s *Sim) Replace(n id.Node, build func(env proto.Env) proto.Handler) proto.
 	node.up = true
 	node.handler = build(node)
 	s.schedule(event{at: s.nowNs + int64(s.cfg.Tick), kind: evTick, node: node, epoch: node.epoch})
+	node.startWindows()
 	return node.handler
 }
 
@@ -337,6 +352,7 @@ func (s *Sim) Restart(n id.Node) {
 	}
 	node.up = true
 	s.schedule(event{at: s.nowNs + int64(s.cfg.Tick), kind: evTick, node: node, epoch: node.epoch})
+	node.scheduleWindow()
 }
 
 // BlockDirected drops every datagram from one node to another while
@@ -445,8 +461,13 @@ func (s *Sim) exec(ev *event) {
 	switch ev.kind {
 	case evFunc:
 		ev.run()
+		for _, n := range s.order {
+			n.endActivation()
+		}
 	case evTick:
 		ev.node.tick(ev.epoch)
+	case evWindow:
+		ev.node.closeWindow(ev.epoch)
 	case evDeliver:
 		s.deliver(ev)
 	}
@@ -589,6 +610,7 @@ func (s *Sim) deliver(ev *event) {
 		s.known[linkPair{ev.to, ev.from}] = true
 	}
 	node.handler.OnMessage(ev.from, decoded)
+	node.endActivation()
 }
 
 // simNode is one simulated host; it implements proto.Env for its handler.
@@ -598,6 +620,8 @@ type simNode struct {
 	sim     *Sim
 	self    id.Node
 	handler proto.Handler
+	win     proto.Windowed // non-nil under Config.Windowed when the handler asks for a window
+	window  int64          // its cadence, ns
 	up      bool
 	stalled bool
 	backlog []event // inbound deliveries queued while stalled
@@ -648,5 +672,48 @@ func (n *simNode) tick(epoch int32) {
 		return
 	}
 	n.handler.OnTick(n.sim.now)
+	if n.win != nil && int64(n.sim.cfg.Tick) <= n.window {
+		n.win.OnWindow(n.sim.now) // the tick is the window, as in noderun
+	}
+	n.endActivation()
 	n.sim.schedule(event{at: n.sim.nowNs + int64(n.sim.cfg.Tick), kind: evTick, node: n, epoch: epoch})
+}
+
+// startWindows resolves the node's handler against proto.Windowed and
+// starts its window cadence; a no-op unless Config.Windowed.
+func (n *simNode) startWindows() {
+	n.win = nil
+	if !n.sim.cfg.Windowed {
+		return
+	}
+	if w, ok := n.handler.(proto.Windowed); ok && w.Window() > 0 {
+		n.win, n.window = w, int64(w.Window())
+		n.scheduleWindow()
+	}
+}
+
+// scheduleWindow enqueues the node's next window close, unless the tick
+// closes the windows.
+func (n *simNode) scheduleWindow() {
+	if n.win != nil && int64(n.sim.cfg.Tick) > n.window {
+		n.sim.schedule(event{at: n.sim.nowNs + n.window, kind: evWindow, node: n, epoch: n.epoch})
+	}
+}
+
+// closeWindow delivers OnWindow and reschedules itself, like tick.
+func (n *simNode) closeWindow(epoch int32) {
+	if !n.up || epoch != n.epoch {
+		return
+	}
+	n.win.OnWindow(n.sim.now)
+	n.endActivation()
+	n.scheduleWindow()
+}
+
+// endActivation gives a windowed handler its last word on the event just
+// handled.
+func (n *simNode) endActivation() {
+	if n.win != nil && n.up {
+		n.win.OnActivationEnd()
+	}
 }

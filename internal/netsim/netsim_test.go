@@ -441,3 +441,101 @@ func TestSimReplaceUnknownPanics(t *testing.T) {
 	}()
 	s.Replace(7, func(env proto.Env) proto.Handler { return newEcho(env) })
 }
+
+// windowedHandler logs every call the simulator makes, proto.Windowed's
+// included, with the virtual time of the window closes.
+type windowedHandler struct {
+	window  time.Duration
+	log     []string
+	closeAt []time.Duration
+	sim     *Sim
+}
+
+func (h *windowedHandler) OnMessage(id.Node, *wire.Message) { h.log = append(h.log, "msg") }
+func (h *windowedHandler) OnTick(time.Time)                 { h.log = append(h.log, "tick") }
+func (h *windowedHandler) Window() time.Duration            { return h.window }
+func (h *windowedHandler) OnActivationEnd()                 { h.log = append(h.log, "end") }
+func (h *windowedHandler) OnWindow(time.Time) {
+	h.log = append(h.log, "window")
+	h.closeAt = append(h.closeAt, h.sim.Elapsed())
+}
+
+// TestSimWindowed: with Config.Windowed the simulator ends every event a
+// node handles — a tick, a delivery, a window close, a scripted action —
+// with OnActivationEnd and closes windows on the handler's own cadence in
+// virtual time; without it (the default) it makes neither call.
+func TestSimWindowed(t *testing.T) {
+	run := func(windowed bool, window time.Duration) (*windowedHandler, *windowedHandler) {
+		s := New(Config{Seed: 3, Tick: 10 * time.Millisecond, Windowed: windowed})
+		a := &windowedHandler{window: window, sim: s}
+		b := &windowedHandler{window: window, sim: s}
+		var envA proto.Env
+		s.AddNode(1, func(env proto.Env) proto.Handler { envA = env; return a })
+		s.AddNode(2, func(proto.Env) proto.Handler { return b })
+		s.At(20500*time.Microsecond, func() { envA.Send(2, &wire.Message{Kind: wire.KindData}) })
+		s.Run(30 * time.Millisecond)
+		return a, b
+	}
+
+	a, b := run(false, 3*time.Millisecond)
+	for _, h := range []*windowedHandler{a, b} {
+		for _, ev := range h.log {
+			if ev == "end" || ev == "window" {
+				t.Fatalf("default simulator made a windowed call: %v", h.log)
+			}
+		}
+	}
+
+	a, b = run(true, 3*time.Millisecond)
+	if len(a.closeAt) != 10 {
+		t.Fatalf("%d window closes in 30 ms at a 3 ms window, want 10: %v", len(a.closeAt), a.closeAt)
+	}
+	for i, at := range a.closeAt {
+		if want := time.Duration(i+1) * 3 * time.Millisecond; at != want {
+			t.Fatalf("window close %d at %v, want %v", i, at, want)
+		}
+	}
+	for _, h := range []*windowedHandler{a, b} {
+		// Every call is followed by its activation's end; the scripted
+		// action, which belongs to no node, ends one on every node.
+		ends, others := 0, 0
+		for i, ev := range h.log {
+			if ev == "end" {
+				ends++
+				continue
+			}
+			others++
+			if i+1 == len(h.log) || h.log[i+1] != "end" {
+				t.Fatalf("%q at %d not followed by the activation end: %v", ev, i, h.log)
+			}
+		}
+		if ends != others+1 {
+			t.Fatalf("%d activation ends for %d events plus one scripted action: %v", ends, others, h.log)
+		}
+	}
+	if n := countEv(b.log, "msg"); n != 1 {
+		t.Fatalf("node 2 received %d messages, want 1", n)
+	}
+
+	// A window no shorter than the tick: the tick closes it, no cadence
+	// of its own.
+	a, _ = run(true, 10*time.Millisecond)
+	if ticks := countEv(a.log, "tick"); len(a.closeAt) != ticks || ticks == 0 {
+		t.Fatalf("%d window closes for %d ticks", len(a.closeAt), ticks)
+	}
+	for i, ev := range a.log {
+		if ev == "tick" && a.log[i+1] != "window" {
+			t.Fatalf("tick at %d not followed by the window close: %v", i, a.log)
+		}
+	}
+}
+
+func countEv(log []string, ev string) int {
+	n := 0
+	for _, e := range log {
+		if e == ev {
+			n++
+		}
+	}
+	return n
+}

@@ -7,6 +7,7 @@ const (
 	evFunc    uint8 = iota // scripted action (At)
 	evTick                 // periodic OnTick for node at epoch
 	evDeliver              // datagram arrival from→to carrying buf
+	evWindow               // periodic OnWindow for node at epoch (Config.Windowed)
 )
 
 // event is one queue entry. Events are plain values: ticks and deliveries

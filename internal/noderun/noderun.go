@@ -12,6 +12,11 @@
 // sequencer order slots) therefore leaves the socket in as few syscalls
 // as the transport can manage, without the engines knowing batching
 // exists.
+//
+// A handler that implements proto.Windowed and asks for a window gets two
+// more calls: OnActivationEnd just before each of those flushes, and
+// OnWindow on a second cadence of its own (or right after OnTick when the
+// tick is no longer than the window).
 package noderun
 
 import (
@@ -41,6 +46,8 @@ type Runner struct {
 	tick time.Duration
 
 	handler proto.Handler
+	win     proto.Windowed // non-nil when the handler asked for a window
+	window  time.Duration
 
 	calls chan func() // externally injected calls, serialized with events
 
@@ -109,6 +116,11 @@ func Start(ep transport.Endpoint, build func(envp proto.Env) proto.Handler, opts
 		opt(r)
 	}
 	r.handler = build(env{r: r})
+	if w, ok := r.handler.(proto.Windowed); ok {
+		if d := w.Window(); d > 0 {
+			r.win, r.window = w, d
+		}
+	}
 	go r.loop()
 	return r
 }
@@ -149,8 +161,12 @@ func (r *Runner) Stop() {
 	<-r.done
 }
 
-// flush drains the endpoint's send queue once per loop iteration.
-func (r *Runner) flush() {
+// endActivation gives a windowed handler its last word and then drains
+// the endpoint's send queue, once per loop iteration.
+func (r *Runner) endActivation() {
+	if r.win != nil {
+		r.win.OnActivationEnd()
+	}
 	if r.bs != nil {
 		_ = r.bs.Flush()
 	}
@@ -164,6 +180,16 @@ func (r *Runner) loop() {
 	defer close(r.done)
 	ticker := time.NewTicker(r.tick)
 	defer ticker.Stop()
+	// The window cadence is a ticker too: an absolute schedule, so a late
+	// close does not push the following ones back. It stays nil — a case
+	// that never fires — for a handler without a window, and when the tick
+	// is short enough to close the windows itself.
+	var windowC <-chan time.Time
+	if r.win != nil && r.tick > r.window {
+		wt := time.NewTicker(r.window)
+		defer wt.Stop()
+		windowC = wt.C
+	}
 	for {
 		select {
 		case <-r.stopping:
@@ -189,16 +215,22 @@ func (r *Runner) loop() {
 					break burst
 				}
 			}
-			r.flush()
+			r.endActivation()
 			if !open {
 				return
 			}
 		case now := <-ticker.C:
 			r.handler.OnTick(now)
-			r.flush()
+			if r.win != nil && windowC == nil {
+				r.win.OnWindow(now)
+			}
+			r.endActivation()
+		case now := <-windowC:
+			r.win.OnWindow(now)
+			r.endActivation()
 		case f := <-r.calls:
 			f()
-			r.flush()
+			r.endActivation()
 		}
 	}
 }

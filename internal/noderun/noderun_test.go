@@ -172,3 +172,179 @@ func TestRunnerStopsWhenEndpointCloses(t *testing.T) {
 		t.Fatal("runner did not stop after endpoint close")
 	}
 }
+
+// eventLog is the shared, ordered record of what a scripted endpoint and a
+// windowed handler saw, so tests can check how the calls interleave.
+type eventLog struct {
+	mu      sync.Mutex
+	events  []string
+	changed chan struct{}
+}
+
+func newEventLog() *eventLog { return &eventLog{changed: make(chan struct{}, 1)} }
+
+func (l *eventLog) add(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+	select {
+	case l.changed <- struct{}{}:
+	default:
+	}
+}
+
+func (l *eventLog) snapshot() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.events...)
+}
+
+func (l *eventLog) count(ev string) int {
+	n := 0
+	for _, e := range l.snapshot() {
+		if e == ev {
+			n++
+		}
+	}
+	return n
+}
+
+// waitCount blocks until ev was logged at least n times.
+func (l *eventLog) waitCount(t *testing.T, ev string, n int) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for l.count(ev) < n {
+		select {
+		case <-l.changed:
+		case <-deadline:
+			t.Fatalf("timed out waiting for %d × %q; log: %v", n, ev, l.snapshot())
+		}
+	}
+}
+
+// scriptEP is an endpoint whose receive queue the test fills by hand and
+// whose batch surface logs every queued send and every flush.
+type scriptEP struct {
+	log  *eventLog
+	recv chan transport.Inbound
+}
+
+var _ transport.BatchSender = (*scriptEP)(nil)
+
+func (e *scriptEP) Self() id.Node                          { return 1 }
+func (e *scriptEP) Send(id.Node, *wire.Message) error      { e.log.add("send-unbatched"); return nil }
+func (e *scriptEP) Recv() <-chan transport.Inbound         { return e.recv }
+func (e *scriptEP) Close() error                           { return nil }
+func (e *scriptEP) SendBatch(id.Node, *wire.Message) error { e.log.add("queue"); return nil }
+func (e *scriptEP) Flush() error                           { e.log.add("flush"); return nil }
+
+// windowedRec is a proto.Windowed handler that logs every call and sends
+// one datagram from OnActivationEnd, as a sequencer announcing would.
+type windowedRec struct {
+	env    proto.Env
+	log    *eventLog
+	window time.Duration
+}
+
+var _ proto.Windowed = (*windowedRec)(nil)
+
+func (h *windowedRec) OnMessage(id.Node, *wire.Message) { h.log.add("msg") }
+func (h *windowedRec) OnTick(time.Time)                 { h.log.add("tick") }
+func (h *windowedRec) Window() time.Duration            { return h.window }
+func (h *windowedRec) OnWindow(time.Time)               { h.log.add("window") }
+func (h *windowedRec) OnActivationEnd() {
+	h.log.add("end")
+	h.env.Send(2, &wire.Message{Kind: wire.KindData})
+}
+
+func startWindowed(log *eventLog, recv chan transport.Inbound, tick, window time.Duration) *Runner {
+	return Start(&scriptEP{log: log, recv: recv}, func(env proto.Env) proto.Handler {
+		return &windowedRec{env: env, log: log, window: window}
+	}, WithTick(tick))
+}
+
+// TestActivationEndOncePerActivationBeforeFlush: a burst of three inbound
+// messages and an injected call are two activations; each ends with the
+// hook, whose send is queued before the activation's one flush.
+func TestActivationEndOncePerActivationBeforeFlush(t *testing.T) {
+	log := newEventLog()
+	recv := make(chan transport.Inbound, 3)
+	for i := 0; i < 3; i++ {
+		recv <- transport.Inbound{From: 2, Msg: &wire.Message{Kind: wire.KindData}}
+	}
+	r := startWindowed(log, recv, time.Hour, time.Hour)
+	log.waitCount(t, "flush", 1)
+	if !r.Do(func() { log.add("call") }) {
+		t.Fatal("Do returned false on a running runner")
+	}
+	log.waitCount(t, "flush", 2)
+	r.Stop()
+	want := []string{
+		"msg", "msg", "msg", "end", "queue", "flush",
+		"call", "end", "queue", "flush",
+	}
+	got := log.snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("log = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("log = %v, want %v", got, want)
+		}
+	}
+	// The loop has exited: nothing can reach the handler any more.
+	recv <- transport.Inbound{From: 2, Msg: &wire.Message{Kind: wire.KindData}}
+	if r.Do(func() {}) {
+		t.Fatal("Do succeeded after Stop")
+	}
+	if after := log.snapshot(); len(after) != len(want) {
+		t.Fatalf("handler called after Stop: %v", after[len(want):])
+	}
+}
+
+// TestWindowCadence: the second cadence runs for a handler that asks for a
+// window shorter than the tick, each close being an activation of its own,
+// and stops with the runner.
+func TestWindowCadence(t *testing.T) {
+	log := newEventLog()
+	r := startWindowed(log, make(chan transport.Inbound), time.Hour, time.Millisecond)
+	log.waitCount(t, "flush", 3)
+	r.Stop()
+	got := log.snapshot()
+	for i, ev := range got {
+		if want := []string{"window", "end", "queue", "flush"}[i%4]; ev != want {
+			t.Fatalf("event %d = %q, want %q; log: %v", i, ev, want, got)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // several windows' worth
+	if after := log.snapshot(); len(after) != len(got) {
+		t.Fatalf("window cadence outlived the runner: %v", after[len(got):])
+	}
+}
+
+// TestNoWindowUnlessAsked: a handler whose Window is zero gets neither
+// call, and neither does one that does not implement proto.Windowed.
+func TestNoWindowUnlessAsked(t *testing.T) {
+	log := newEventLog()
+	r := startWindowed(log, make(chan transport.Inbound), time.Millisecond, 0)
+	log.waitCount(t, "flush", 3)
+	r.Stop()
+	if n := log.count("window") + log.count("end"); n != 0 {
+		t.Fatalf("handler with no window got %d windowed calls: %v", n, log.snapshot())
+	}
+}
+
+// TestTickClosesWindowWhenShortEnough: with a tick no longer than the
+// window there is no second cadence; each tick closes a window.
+func TestTickClosesWindowWhenShortEnough(t *testing.T) {
+	log := newEventLog()
+	r := startWindowed(log, make(chan transport.Inbound), time.Millisecond, time.Hour)
+	log.waitCount(t, "flush", 3)
+	r.Stop()
+	got := log.snapshot()
+	for i, ev := range got {
+		if want := []string{"tick", "window", "end", "queue", "flush"}[i%5]; ev != want {
+			t.Fatalf("event %d = %q, want %q; log: %v", i, ev, want, got)
+		}
+	}
+}

@@ -32,6 +32,27 @@ type Handler interface {
 	OnTick(now time.Time)
 }
 
+// Windowed is the optional second half of the runtime contract, for an
+// engine that holds decisions back to batch them (rmcast's total-order
+// sequencer). A runtime that supports it asks Window once, when it starts
+// the handler, and — unless the answer is zero — makes both calls from the
+// same goroutine as the Handler calls. A handler that does not implement
+// it costs the runtime one failed type assertion at start.
+type Windowed interface {
+	// Window returns the cadence at which the handler wants OnWindow, or
+	// zero when it wants neither call.
+	Window() time.Duration
+	// OnActivationEnd runs at the end of every activation — a burst of
+	// OnMessage calls, an OnTick, an OnWindow or an injected call — just
+	// before the runtime flushes the transport, so whatever the handler
+	// sends here leaves with the activation's other output.
+	OnActivationEnd()
+	// OnWindow closes one window. A runtime whose tick is no longer than
+	// the window calls it right after each OnTick instead of running a
+	// second cadence.
+	OnWindow(now time.Time)
+}
+
 // Env is the runtime environment an engine operates in. All methods are
 // only called from the engine's own event loop, so engines need no
 // internal locking for state touched exclusively through Handler calls.
@@ -54,20 +75,32 @@ type Env interface {
 // one endpoint. Engines receive events in registration order.
 type Mux struct {
 	handlers []Handler
+	windowed []Windowed // the handlers that implement Windowed
 }
 
-var _ Handler = (*Mux)(nil)
+var (
+	_ Handler  = (*Mux)(nil)
+	_ Windowed = (*Mux)(nil)
+)
 
 // NewMux returns a mux over the given engines.
 func NewMux(handlers ...Handler) *Mux {
-	m := &Mux{handlers: make([]Handler, len(handlers))}
-	copy(m.handlers, handlers)
+	m := &Mux{handlers: make([]Handler, 0, len(handlers))}
+	for _, h := range handlers {
+		m.Add(h)
+	}
 	return m
 }
 
 // Add appends another engine. Add must not be called concurrently with
-// event dispatch.
-func (m *Mux) Add(h Handler) { m.handlers = append(m.handlers, h) }
+// event dispatch. The runtime reads Window once, when it starts the mux:
+// add Windowed engines before that.
+func (m *Mux) Add(h Handler) {
+	m.handlers = append(m.handlers, h)
+	if w, ok := h.(Windowed); ok {
+		m.windowed = append(m.windowed, w)
+	}
+}
 
 // OnMessage forwards the datagram to every engine.
 func (m *Mux) OnMessage(from id.Node, msg *wire.Message) {
@@ -80,5 +113,30 @@ func (m *Mux) OnMessage(from id.Node, msg *wire.Message) {
 func (m *Mux) OnTick(now time.Time) {
 	for _, h := range m.handlers {
 		h.OnTick(now)
+	}
+}
+
+// Window returns the shortest window any engine asks for, zero if none does.
+func (m *Mux) Window() time.Duration {
+	var min time.Duration
+	for _, w := range m.windowed {
+		if d := w.Window(); d > 0 && (min == 0 || d < min) {
+			min = d
+		}
+	}
+	return min
+}
+
+// OnActivationEnd forwards to every Windowed engine.
+func (m *Mux) OnActivationEnd() {
+	for _, w := range m.windowed {
+		w.OnActivationEnd()
+	}
+}
+
+// OnWindow forwards the window close to every Windowed engine.
+func (m *Mux) OnWindow(now time.Time) {
+	for _, w := range m.windowed {
+		w.OnWindow(now)
 	}
 }

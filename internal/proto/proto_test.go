@@ -76,3 +76,40 @@ func TestMuxCopiesInitialSlice(t *testing.T) {
 		t.Fatal("swapped handler received event")
 	}
 }
+
+// windowedRec is a recording handler that also implements Windowed.
+type windowedRec struct {
+	recording
+	window  time.Duration
+	ends    int
+	windows int
+}
+
+func (w *windowedRec) Window() time.Duration { return w.window }
+func (w *windowedRec) OnActivationEnd()      { w.ends++ }
+func (w *windowedRec) OnWindow(time.Time)    { w.windows++ }
+
+// TestMuxWindowed: the mux asks for the shortest window any engine wants
+// (zero when none does) and forwards the two calls to the Windowed engines
+// only.
+func TestMuxWindowed(t *testing.T) {
+	plain := &recording{}
+	if w := NewMux(plain).Window(); w != 0 {
+		t.Fatalf("Window over plain handlers = %v, want 0", w)
+	}
+	off := &windowedRec{}
+	a := &windowedRec{window: 5 * time.Millisecond}
+	b := &windowedRec{window: 3 * time.Millisecond}
+	m := NewMux(plain, off, a)
+	m.Add(b)
+	if w := m.Window(); w != 3*time.Millisecond {
+		t.Fatalf("Window = %v, want 3ms", w)
+	}
+	m.OnActivationEnd()
+	m.OnWindow(time.Unix(1, 0))
+	for name, w := range map[string]*windowedRec{"off": off, "a": a, "b": b} {
+		if w.ends != 1 || w.windows != 1 {
+			t.Fatalf("%s: ends=%d windows=%d, want 1/1", name, w.ends, w.windows)
+		}
+	}
+}

@@ -55,3 +55,23 @@ func runRmcastChaos(t *testing.T, seed int64) {
 			tr.Schedule, v, tr.Flight))
 	}
 }
+
+// TestRmcastChaosWindowed re-runs the matrix's total-order cells with the
+// simulator making the proto.Windowed calls, so the same fault schedules
+// hit a sequencer that announces at activation ends and on its ordering
+// window, as it does on a live runner.
+func TestRmcastChaosWindowed(t *testing.T) {
+	for _, seed := range []int64{2002, 2006, 2010, 2014} {
+		opts := rmcastChaosOpts(seed)
+		opts.Windowed = true
+		t.Run(fmt.Sprintf("%s/seed=%d", opts.Ordering, seed), func(t *testing.T) {
+			t.Parallel()
+			tr := chaos.Run(opts)
+			if v := tr.Violations(); len(v) > 0 {
+				t.Error(chaos.FailureReport(
+					fmt.Sprintf("(windowed rmcast chaos, seed=%d)", seed),
+					tr.Schedule, v, tr.Flight))
+			}
+		})
+	}
+}

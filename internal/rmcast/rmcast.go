@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -276,32 +277,19 @@ type engMetrics struct {
 	historyLen   *stats.Gauge     // delivered-but-unstable messages buffered
 	flowOcc      *stats.Gauge     // own unstable multicasts (the flow-window occupancy)
 	stabilityLag *stats.Histogram // history depth sampled at stability rounds
+
+	// Total order (see window.go).
+	orderWait         *stats.Histogram // reliable here → delivered in total order, ms
+	orderFlushes      *stats.Counter   // flushes that announced or relayed something
+	orderFlushesEarly *stats.Counter   // of which at an activation end (latency mode)
+	orderMode         *stats.Gauge     // 0 latency, 1 cadence
 }
 
-// newEngMetrics resolves the counter set against reg (nil for standalone
-// counters visible only through Counters()).
+// newEngMetrics resolves the counter set against reg; a nil reg gets a
+// private registry, its counters visible only through Counters().
 func newEngMetrics(reg *stats.Registry, prefix string) engMetrics {
 	if reg == nil {
-		return engMetrics{
-			sent:              &stats.Counter{},
-			delivered:         &stats.Counter{},
-			duplicates:        &stats.Counter{},
-			nacksSent:         &stats.Counter{},
-			nacksServed:       &stats.Counter{},
-			retransmits:       &stats.Counter{},
-			flushResends:      &stats.Counter{},
-			ordersSent:        &stats.Counter{},
-			orderRanges:       &stats.Counter{},
-			piggyAcks:         &stats.Counter{},
-			gossipAcks:        &stats.Counter{},
-			nacksSuppressed:   &stats.Counter{},
-			repairsSuppressed: &stats.Counter{},
-			localRepairs:      &stats.Counter{},
-			flowRejected:      &stats.Counter{},
-			historyLen:        &stats.Gauge{},
-			flowOcc:           &stats.Gauge{},
-			stabilityLag:      stats.NewReservoirHistogram(0),
-		}
+		reg = stats.NewRegistry()
 	}
 	return engMetrics{
 		sent:              reg.Counter(prefix + "sent"),
@@ -322,7 +310,18 @@ func newEngMetrics(reg *stats.Registry, prefix string) engMetrics {
 		historyLen:        reg.Gauge(prefix + "history_len"),
 		flowOcc:           reg.Gauge(prefix + "flow_occupancy"),
 		stabilityLag:      reg.Histogram(prefix + "stability_lag"),
+		orderWait:         reg.Histogram(prefix + "order_wait_ms"),
+		orderFlushes:      reg.Counter(prefix + "order_flushes"),
+		orderFlushesEarly: reg.Counter(prefix + "order_flushes_early"),
+		orderMode:         reg.Gauge(prefix + "order_mode"),
 	}
+}
+
+// queuedMsg is one reliable message awaiting its total-order turn, with
+// the instant (Unix ns) it became reliable here.
+type queuedMsg struct {
+	m  *wire.Message
+	at int64
 }
 
 // msgKey identifies one multicast within a view.
@@ -376,7 +375,7 @@ type peerState struct {
 	// order, so the queue front is always the next message any ordering
 	// unit for (sender, shard) can reference — delivery is a cursor pop,
 	// no per-message map. Indexed by shard; allocated only under Total.
-	oq     [][]*wire.Message
+	oq     [][]queuedMsg
 	oqHead []int
 
 	// Flat-recovery state: unicast re-NACK pacing with capped
@@ -435,16 +434,23 @@ type Engine struct {
 	mergeNext uint64 // lowest merge-stream index not covered by mergeLog
 	mergeLog  []wire.MergeEntry
 	mergePend map[uint64]wire.MergeEntry // out-of-order directives by From
-	mergeIdx  int    // delivery cursor: index into mergeLog
-	mergeOff  uint32 // delivery cursor: offset into mergeLog[mergeIdx]
-	mergeSeq  uint64 // coordinator: next merge-stream index to cover
-	pendMerge []wire.MergeEntry // coordinator: directives awaiting broadcast
+	mergeIdx  int                        // delivery cursor: index into mergeLog
+	mergeOff  uint32                     // delivery cursor: offset into mergeLog[mergeIdx]
+	mergeSeq  uint64                     // coordinator: next merge-stream index to cover
+	pendMerge []wire.MergeEntry          // coordinator: directives awaiting broadcast
 	// Coordinator: foreign sequencers' units relayed for rebroadcast.
 	// Non-coordinator sequencers unicast their flushed ranges here
 	// instead of broadcasting, so the whole group sees one ordering
 	// datagram stream (ranges + merges together) rather than one
 	// broadcast per shard plus a separate merge broadcast.
 	pendRanges []wire.OrderRange
+
+	// Ordering cadence (see window.go): whether the runtime closes the
+	// windows, the current mode, and the messages this node sequenced — or,
+	// as coordinator, took over from other sequencers — in the open window.
+	windowed  bool
+	cadence   bool
+	windowSeq int
 
 	// Stability: per-member ack vectors.
 	ackMatrix     map[id.Node]map[id.Node]uint64
@@ -456,6 +462,7 @@ type Engine struct {
 
 	// Batched control traffic, flushed per tick.
 	nackQueue map[id.Node][]wire.NackRange // coalesced NACKs per destination
+	nackDsts  []id.Node                    // flushNacks scratch
 
 	// Reusable scratch to keep the steady-state send path allocation-free.
 	ackScratch   []wire.AckEntry
@@ -503,7 +510,10 @@ type Engine struct {
 	met engMetrics
 }
 
-var _ proto.Handler = (*Engine)(nil)
+var (
+	_ proto.Handler  = (*Engine)(nil)
+	_ proto.Windowed = (*Engine)(nil)
+)
 
 // New returns a multicast engine with no view. Wire it to a membership
 // engine by calling SetView from Config.OnView and Flush from
@@ -706,7 +716,7 @@ func (e *Engine) drainForViewChange() {
 	for _, st := range e.peers {
 		for s := range st.oq {
 			for i := st.oqHead[s]; i < len(st.oq[s]); i++ {
-				rest = append(rest, st.oq[s][i])
+				rest = append(rest, st.oq[s][i].m)
 			}
 		}
 	}
@@ -1115,7 +1125,7 @@ func (e *Engine) contiguous(msg *wire.Message, st *peerState) {
 		e.drainCausal()
 	case Total:
 		shard := e.shardOf(msg.Stream)
-		st.oq[shard] = append(st.oq[shard], msg)
+		st.oq[shard] = append(st.oq[shard], queuedMsg{m: msg, at: e.env.Now().UnixNano()})
 		e.shards[shard].waiting++
 		e.pendingData++
 		e.offerTotal(shard, msg)
@@ -1205,6 +1215,7 @@ func (e *Engine) offerTotal(shard int, msg *wire.Message) {
 	}
 	sh := &e.shards[shard]
 	e.met.ordersSent.Inc()
+	e.windowSeq++
 	if e.cfg.DisableBatching {
 		// Legacy per-slot path (T3 ablation): assign and announce
 		// immediately, one KindOrder datagram per message per member.
@@ -1304,6 +1315,9 @@ func (e *Engine) onOrderRange(msg *wire.Message) {
 	if msg.Aux == orderRelayTag && e.nshards > 1 &&
 		e.view.Coordinator() == e.env.Self() {
 		e.pendRanges = append(e.pendRanges, rs...)
+		for _, r := range rs {
+			e.windowSeq += int(r.Count)
+		}
 	}
 	// The coordinator covers other shards' decisions with merge
 	// directives as they arrive; push them out without waiting for the
@@ -1436,6 +1450,7 @@ func (e *Engine) drainTotal() {
 // its data has not become reliable yet. Returns the delivered count.
 func (e *Engine) consumeShard(sh *shardState, max uint32) uint32 {
 	var n uint32
+	var now int64 // read once per call, on the first delivery
 	for n < max && sh.logIdx < len(sh.log) {
 		r := sh.log[sh.logIdx]
 		st, ok := e.peers[r.Sender]
@@ -1445,10 +1460,14 @@ func (e *Engine) consumeShard(sh *shardState, max uint32) uint32 {
 		shard := int(r.Shard)
 		q := st.oq[shard]
 		h := st.oqHead[shard]
-		if h >= len(q) || q[h].Seq != r.SeqFrom+uint64(sh.logOff) {
+		if h >= len(q) || q[h].m.Seq != r.SeqFrom+uint64(sh.logOff) {
 			return n // data not reliable yet (or not at the queue front)
 		}
-		m := q[h]
+		m := q[h].m
+		if now == 0 {
+			now = e.env.Now().UnixNano()
+		}
+		e.met.orderWait.Observe(float64(now-q[h].at) / 1e6)
 		if h+1 == len(q) {
 			st.oq[shard] = q[:0] // reuse the backing array
 			st.oqHead[shard] = 0
@@ -1479,7 +1498,7 @@ func (e *Engine) peer(n id.Node) *peerState {
 			early: make(map[uint64]bool),
 		}
 		if e.cfg.Ordering == Total {
-			st.oq = make([][]*wire.Message, e.nshards)
+			st.oq = make([][]queuedMsg, e.nshards)
 			st.oqHead = make([]int, e.nshards)
 		}
 		e.peers[n] = st
@@ -1809,13 +1828,16 @@ func (e *Engine) collectStable() {
 	e.maybeReopenFlow()
 }
 
-// OnTick flushes aggregated sequencer orders, sends coalesced NACKs and
-// gossips stability when the local vector warrants it.
+// OnTick closes the ordering window (unless the runtime does, see
+// OnWindow), sends coalesced NACKs and gossips stability when the local
+// vector warrants it.
 func (e *Engine) OnTick(now time.Time) {
 	if e.view.ID == 0 {
 		return
 	}
-	e.flushOrders()
+	if !e.windowed {
+		e.closeWindow()
+	}
 	if e.cfg.DisableSuppression {
 		e.scanGaps(now)
 	} else {
@@ -1858,10 +1880,10 @@ func (e *Engine) OnTick(now time.Time) {
 // them as KindOrderRange datagrams together with any merge directives
 // the coordinator owes, without waiting for delivery of earlier ranges.
 // While frozen no new slots are assigned, but directives covering
-// pre-freeze decisions still go out.
-func (e *Engine) flushOrders() {
+// pre-freeze decisions still go out. It reports whether anything was sent.
+func (e *Engine) flushOrders() bool {
 	if e.cfg.Ordering != Total || e.cfg.DisableBatching || e.view.ID == 0 {
-		return
+		return false
 	}
 	rs := e.rangeScratch[:0]
 	if !e.frozen {
@@ -1898,9 +1920,10 @@ func (e *Engine) flushOrders() {
 			// coordinator's separate merge broadcast.
 			if len(rs) > 0 {
 				e.relayOrderRanges(coord, rs)
+				e.met.orderFlushes.Inc()
 			}
 			e.drainTotal()
-			return
+			return len(rs) > 0
 		}
 		if len(e.pendRanges) > 0 {
 			rs = append(rs, e.pendRanges...)
@@ -1910,14 +1933,16 @@ func (e *Engine) flushOrders() {
 	}
 	ms := e.pendMerge
 	if len(rs) == 0 && len(ms) == 0 {
-		return
+		return false
 	}
 	e.broadcastOrderRanges(rs, ms)
+	e.met.orderFlushes.Inc()
 	for _, m := range ms {
 		e.admitMerge(m)
 	}
 	e.pendMerge = e.pendMerge[:0]
 	e.drainTotal()
+	return true
 }
 
 // orderRelayTag in a KindOrderRange's Aux marks a sequencer-to-
@@ -1990,11 +2015,12 @@ func (e *Engine) flushNacks() {
 	if len(e.nackQueue) == 0 {
 		return
 	}
-	dsts := make([]id.Node, 0, len(e.nackQueue))
+	dsts := e.nackDsts[:0]
 	for d := range e.nackQueue {
 		dsts = append(dsts, d)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
+	slices.Sort(dsts)
+	e.nackDsts = dsts
 	for _, d := range dsts {
 		e.bodyScratch = wire.AppendNackRanges(e.bodyScratch[:0], e.nackQueue[d])
 		msg := wire.Message{

@@ -43,11 +43,20 @@ func buildSharded(s *netsim.Sim, n, shards int) map[id.Node]*rmNode {
 // network, with the streams hashing to distinct sequencer shards. Every
 // member must deliver the identical global sequence — the coordinator's
 // merge stream is the only thing that fixes the cross-shard interleaving,
-// so any nondeterminism in it shows up as divergent delivery orders.
+// so any nondeterminism in it shows up as divergent delivery orders. The
+// windowed cells run the same workload the way a live runner drives it:
+// at this rate every sequencer is in latency mode, so shard sequencers
+// relay at the end of the activation that sequenced and the coordinator
+// folds the relayed units into its own activation-end broadcast.
 func TestShardedTotalOrderDeterministic(t *testing.T) {
-	for _, seed := range []int64{18, 41, 97} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	type cell struct {
+		seed     int64
+		windowed bool
+	}
+	cells := []cell{{18, false}, {41, false}, {97, false}, {18, true}, {41, true}, {97, true}}
+	for _, c := range cells {
+		seed, windowed := c.seed, c.windowed
+		t.Run(fmt.Sprintf("seed%d/windowed=%v", seed, windowed), func(t *testing.T) {
 			const (
 				n       = 5
 				shards  = 4
@@ -55,8 +64,9 @@ func TestShardedTotalOrderDeterministic(t *testing.T) {
 				streams = 4
 			)
 			s := netsim.New(netsim.Config{
-				Seed:    seed,
-				Profile: netsim.LANProfile(time.Millisecond, 10*time.Millisecond, 0.05),
+				Seed:     seed,
+				Profile:  netsim.LANProfile(time.Millisecond, 10*time.Millisecond, 0.05),
+				Windowed: windowed,
 			})
 			nodes := buildSharded(s, n, shards)
 			for i := 0; i < msgs; i++ {
@@ -94,6 +104,20 @@ func TestShardedTotalOrderDeterministic(t *testing.T) {
 			}
 			if sequencers < 2 {
 				t.Fatalf("only %d members sequenced; sharding not exercised", sequencers)
+			}
+			// Early flushes happen exactly when the runtime makes the
+			// windowed calls: at the coordinator (node 1) and, as relays,
+			// at the other shard sequencers.
+			var coordEarly, relayEarly uint64
+			for m, rn := range nodes {
+				if m == 1 {
+					coordEarly = rn.eng.met.orderFlushesEarly.Value()
+				} else {
+					relayEarly += rn.eng.met.orderFlushesEarly.Value()
+				}
+			}
+			if (coordEarly > 0) != windowed || (relayEarly > 0) != windowed {
+				t.Fatalf("early flushes: coordinator %d, relays %d, windowed=%v", coordEarly, relayEarly, windowed)
 			}
 		})
 	}

@@ -263,7 +263,10 @@ type Engine struct {
 	mMessages  *stats.Counter
 }
 
-var _ proto.Handler = (*Engine)(nil)
+var (
+	_ proto.Handler  = (*Engine)(nil)
+	_ proto.Windowed = (*Engine)(nil)
+)
 
 // New builds a session engine and its underlying stack.
 func New(env proto.Env, cfg Config) *Engine {
@@ -640,6 +643,11 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) { e.stack.OnMessage(
 
 // OnTick forwards to the stack.
 func (e *Engine) OnTick(now time.Time) { e.stack.OnTick(now) }
+
+// Window, OnActivationEnd and OnWindow forward proto.Windowed to the stack.
+func (e *Engine) Window() time.Duration  { return e.stack.Window() }
+func (e *Engine) OnActivationEnd()       { e.stack.OnActivationEnd() }
+func (e *Engine) OnWindow(now time.Time) { e.stack.OnWindow(now) }
 
 // encodeAnnouncement lays out: owner(8) rate(8 as bits) id(4) kind(1)
 // clockRate(4) frameEvery(8) nameLen(2) name.

@@ -47,6 +47,62 @@ func TestSnapshotCoversLayers(t *testing.T) {
 	}
 }
 
+// TestOrderMetricsSurface checks the total-order telemetry through
+// Node.Snapshot on a live pair: a message sequenced in an idle group is
+// announced at the end of the activation that sequenced it (an early
+// flush, latency mode) and its order wait is recorded at both members.
+func TestOrderMetricsSurface(t *testing.T) {
+	fab := transport.NewFabric(transport.WithSeed(5))
+	t.Cleanup(fab.Close)
+	var nodes []*Node
+	logs := []*eventLog{{}, {}}
+	for i := 1; i <= 2; i++ {
+		ep, err := fab.Attach(NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Self: NodeID(i), Endpoint: ep, Group: 1, Ordering: Total,
+			HeartbeatEvery: 50 * time.Millisecond,
+			SuspectAfter:   5 * time.Second,
+			OnEvent:        logs[i-1].add,
+		}
+		if i > 1 {
+			cfg.Contact = 1
+		}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes = append(nodes, n)
+	}
+	waitFor(t, "view of size 2", func() bool {
+		return nodes[0].View().Size() == 2 && nodes[1].View().Size() == 2
+	})
+	// Node 2 sends; node 1, the view coordinator, sequences.
+	if err := nodes[1].Send([]byte("ordered")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "message at both", func() bool {
+		return logs[0].count(MessageReceived) > 0 && logs[1].count(MessageReceived) > 0
+	})
+
+	seq := nodes[0].Snapshot()
+	if seq.Counters["rmcast.order_flushes"] == 0 || seq.Counters["rmcast.order_flushes_early"] == 0 {
+		t.Errorf("sequencer order_flushes=%d order_flushes_early=%d, want both > 0",
+			seq.Counters["rmcast.order_flushes"], seq.Counters["rmcast.order_flushes_early"])
+	}
+	if mode, ok := seq.Gauges["rmcast.order_mode"]; !ok || mode != 0 {
+		t.Errorf("sequencer order_mode = %d (registered %v), want 0 (latency)", mode, ok)
+	}
+	for i, n := range nodes {
+		if h := n.Snapshot().Histograms["rmcast.order_wait_ms"]; h.Count == 0 {
+			t.Errorf("node %d recorded no rmcast.order_wait_ms sample", i+1)
+		}
+	}
+}
+
 // TestOverloadMetricsSurface checks the overload-robustness telemetry is
 // reachable through Node.Snapshot: the flow-control counters move when a
 // send hits backpressure, and every slow-member and degradation metric is

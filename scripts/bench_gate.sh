@@ -14,7 +14,12 @@
 #
 # <pr> is the number in ISSUE.md's title ("# ISSUE 14 ..."), or one past
 # the newest BENCH_<n>.json when there is no ISSUE.md; BENCH_OUT overrides
-# the whole name. Commit the file with every perf-affecting PR.
+# the whole name. Commit the file with every perf-affecting PR. A PR that
+# claims a gain on a cmd/mmload workload adds that workload's before/after
+# rows (medians of its alternating pairs) to the file afterwards, as
+# "mmload/<workload>/before" and "/after" — BENCH_14.json and
+# BENCH_15.json show the shape; this script does not run the live
+# benchmark.
 #
 # After an intentional performance change, refresh the baseline with:
 #   BENCH_BASELINE_UPDATE=1 go test -run 'TestBenchGate$' -count=1 .
