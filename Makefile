@@ -2,7 +2,7 @@
 # pass before a change lands; see scripts/check.sh and the "Chaos &
 # invariants" section of README.md.
 
-.PHONY: check test race chaos chaos-wide fuzz bench bench-gate
+.PHONY: check test race chaos chaos-wide fuzz bench bench-gate size
 
 check:
 	./scripts/check.sh
@@ -36,3 +36,7 @@ bench:
 # scripts/bench_gate.sh for how <pr> is derived).
 bench-gate:
 	./scripts/bench_gate.sh
+
+# The size figures ROADMAP.md tracks (code lines, wire kinds, Config fields).
+size:
+	./scripts/size.sh

@@ -54,9 +54,9 @@ func BenchmarkT2ThroughputVsGroupSize(b *testing.B) {
 func BenchmarkT2bTotalOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := experiments.T2TotalOrderThroughput(benchOpts)
-		// Flat row, shards=4 cell: the sustained sharded total-order rate
-		// the pipelined range redesign is accountable for.
-		b.ReportMetric(cellFloat(b, t.Rows[0][2]), "t2-total-deliveries/s")
+		// Flat row: the sustained total-order rate the pipelined range
+		// design is accountable for.
+		b.ReportMetric(cellFloat(b, t.Rows[0][1]), "t2-total-deliveries/s")
 	}
 }
 
@@ -212,12 +212,5 @@ func BenchmarkAblationFEC(b *testing.B) {
 		t := experiments.AblationFEC(benchOpts)
 		b.ReportMetric(lastCell(b, t, 1), "plain-miss-%")
 		b.ReportMetric(lastCell(b, t, 2), "fec-miss-%")
-	}
-}
-
-func BenchmarkAblationResendTimer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationResendTimer(benchOpts)
-		b.ReportMetric(lastCell(b, t, 2), "p99@max-timer-ms")
 	}
 }

@@ -67,7 +67,6 @@ func run() int {
 		{"A1", table(experiments.AblationClusterSize)},
 		{"A2", table(experiments.AblationNackVsAck)},
 		{"A3", table(experiments.AblationFEC)},
-		{"A4", table(experiments.AblationResendTimer)},
 	}
 
 	selected := map[string]bool{}

@@ -32,8 +32,8 @@ const (
 )
 
 func main() {
-	flatStats, flatDelivered := runFlat()
-	hierStats, hierDelivered := runHier()
+	flatStats, flatDelivered, flatRequests := runFlat()
+	hierStats, hierDelivered, hierRequests := runHier()
 
 	fmt.Printf("scalability demo: %d nodes, %d multicasts, 1%% loss\n\n", groupSize, messages)
 	fmt.Printf("%-28s %12s %12s\n", "", "flat", "hierarchical")
@@ -45,7 +45,9 @@ func main() {
 	}
 	row("data datagrams", wire.KindData)
 	row("retransmissions", wire.KindRetrans)
-	row("nacks", wire.KindNack)
+	// Request events, one per multicast KindRepairReq, as the engines
+	// count them (rmcast.Counters.NacksSent).
+	fmt.Printf("%-28s %12d %12d\n", "repair requests", flatRequests, hierRequests)
 	row("stability gossip", wire.KindStable)
 	fmt.Printf("%-28s %12d %12d\n", "total datagrams",
 		flatStats.TotalSent(), hierStats.TotalSent())
@@ -64,7 +66,7 @@ func nodeRange(n int) []id.Node {
 	return out
 }
 
-func runFlat() (netsim.Stats, int) {
+func runFlat() (netsim.Stats, int, uint64) {
 	s := netsim.New(netsim.Config{
 		Seed:    42,
 		Profile: netsim.LANProfile(time.Millisecond, 2*time.Millisecond, 0.01),
@@ -93,10 +95,14 @@ func runFlat() (netsim.Stats, int) {
 		})
 	}
 	s.Run(5 * time.Second)
-	return s.Stats(), delivered
+	var requests uint64
+	for _, eng := range engines {
+		requests += eng.Counters().NacksSent
+	}
+	return s.Stats(), delivered, requests
 }
 
-func runHier() (netsim.Stats, int) {
+func runHier() (netsim.Stats, int, uint64) {
 	s := netsim.New(netsim.Config{
 		Seed:    42,
 		Profile: netsim.LANProfile(time.Millisecond, 2*time.Millisecond, 0.01),
@@ -129,5 +135,9 @@ func runHier() (netsim.Stats, int) {
 		})
 	}
 	s.Run(5 * time.Second)
-	return s.Stats(), delivered
+	var requests uint64
+	for _, eng := range engines {
+		requests += eng.Counters().NacksSent
+	}
+	return s.Stats(), delivered, requests
 }

@@ -216,14 +216,13 @@ func RmcastMulticastFlow(b *testing.B) {
 	}
 }
 
-// RmcastMulticastTotal measures one application Multicast under sharded
-// total order: node 1 is shard 0's sequencer and the merge coordinator
-// of an 8-member view, so every op runs the range-accumulation path
-// (extend the open seq-run, queue the message on its shard) and each
-// rangeFlushThreshold-th op flushes a pipelined range decision, emits
-// the merge directive and delivers the whole run. The ordering machinery
-// must stay alloc-neutral: the budget matches RmcastMulticastFull, so
-// the ORDER hot path adds zero allocations per message.
+// RmcastMulticastTotal measures one application Multicast under total
+// order: node 1 is the sequencer of an 8-member view, so every op runs
+// the range-accumulation path (extend the open seq-run, queue the
+// message) and each rangeFlushThreshold-th op flushes a pipelined range
+// decision and delivers the whole run. The ordering machinery must stay
+// alloc-neutral: the budget matches RmcastMulticastFull, so the ORDER hot
+// path adds zero allocations per message.
 func RmcastMulticastTotal(b *testing.B) {
 	env := &benchEnv{self: 1, now: time.Unix(0, 0)}
 	env.sink = func(_ id.Node, msg *wire.Message) {
@@ -232,10 +231,9 @@ func RmcastMulticastTotal(b *testing.B) {
 		wire.PutBuf(bp)
 	}
 	eng := rmcast.New(env, rmcast.Config{
-		Group:       1,
-		Ordering:    rmcast.Total,
-		OrderShards: 4,
-		OnDeliver:   func(rmcast.Delivery) {},
+		Group:     1,
+		Ordering:  rmcast.Total,
+		OnDeliver: func(rmcast.Delivery) {},
 	})
 	members := make([]id.Node, benchGroupSize)
 	for i := range members {
@@ -244,7 +242,7 @@ func RmcastMulticastTotal(b *testing.B) {
 	eng.SetView(member.NewView(1, members))
 	payload := make([]byte, 256)
 	var st stabilizer
-	// Warm a full flush cycle so the shard logs, queues and scratch
+	// Warm a full flush cycle so the decision log, queues and scratch
 	// buffers exist before the timer starts.
 	for i := 0; i < 512; i++ {
 		if err := eng.Multicast(payload); err != nil {

@@ -80,11 +80,11 @@ func TestInstrumentedMulticastAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestTotalOrderMulticastAllocNeutral pins the sharded total-order hot
-// path at zero extra allocations: a Multicast through the range-ordering
-// machinery (open-run accumulation, shard queueing, periodic range flush
-// with merge directives) must fit the same <= 4 allocs/op budget as the
-// FIFO path — the ORDER plane rides entirely on reused scratch.
+// TestTotalOrderMulticastAllocNeutral pins the total-order hot path at
+// zero extra allocations: a Multicast through the range-ordering
+// machinery (open-run accumulation, queueing, periodic range flush) must
+// fit the same <= 4 allocs/op budget as the FIFO path — the ORDER plane
+// rides entirely on reused scratch.
 func TestTotalOrderMulticastAllocNeutral(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts; alloc counts are inflated")

@@ -34,6 +34,9 @@ const (
 	chaosStabilize    = 100 * time.Millisecond
 )
 
+// workloadStreams is how many stream labels Run's workload cycles over.
+const workloadStreams = 4
+
 // Options parameterizes a group scenario run.
 type Options struct {
 	// Seed fixes all randomness: the simulator, the workload and (when
@@ -43,21 +46,12 @@ type Options struct {
 	Nodes int
 	// Ordering is the multicast discipline. Defaults to rmcast.FIFO.
 	Ordering rmcast.Ordering
-	// OrderShards splits total-order sequencing across that many
-	// per-stream sequencer shards (see rmcast.Config.OrderShards). When
-	// > 1 the workload sprays messages across OrderShards streams so
-	// several shard sequencers actually assign slots.
-	OrderShards int
 	// Msgs is the number of workload multicasts. Defaults to 60.
 	Msgs int
 	// Window is the fault/workload window length. Defaults to 6s.
 	Window time.Duration
 	// Schedule overrides the generated fault schedule.
 	Schedule Schedule
-	// DisableSuppression reverts loss recovery to per-receiver NACK
-	// scheduling (see rmcast.Config.DisableSuppression), letting the
-	// matrix cover both recovery schemes.
-	DisableSuppression bool
 	// LossDomains, when positive, groups receivers into that many
 	// correlated loss domains (netsim.SetLossDomains), so loss bursts gap
 	// several receivers at once — the regime suppression exists for.
@@ -227,23 +221,21 @@ func Run(opts Options) *Trace {
 		}
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
 			st := core.NewStack(env, core.Config{
-				Group:              group,
-				Contact:            contact,
-				Ordering:           opts.Ordering,
-				OrderShards:        opts.OrderShards,
-				PrimaryPartition:   true,
-				HeartbeatEvery:     chaosHeartbeat,
-				SuspectAfter:       chaosSuspectAfter,
-				FlushTimeout:       chaosFlushTimeout,
-				JoinRetry:          chaosJoinRetry,
-				ResendAfter:        chaosResendAfter,
-				StabilizeEvery:     chaosStabilize,
-				DisableSuppression: opts.DisableSuppression,
-				FlowWindow:         opts.FlowWindow,
-				SlowPolicy:         opts.SlowPolicy,
-				SlowGrace:          opts.SlowGrace,
-				SlowAfter:          opts.SlowAfter,
-				Flight:             tr.Flight,
+				Group:            group,
+				Contact:          contact,
+				Ordering:         opts.Ordering,
+				PrimaryPartition: true,
+				HeartbeatEvery:   chaosHeartbeat,
+				SuspectAfter:     chaosSuspectAfter,
+				FlushTimeout:     chaosFlushTimeout,
+				JoinRetry:        chaosJoinRetry,
+				ResendAfter:      chaosResendAfter,
+				StabilizeEvery:   chaosStabilize,
+				FlowWindow:       opts.FlowWindow,
+				SlowPolicy:       opts.SlowPolicy,
+				SlowGrace:        opts.SlowGrace,
+				SlowAfter:        opts.SlowAfter,
+				Flight:           tr.Flight,
 				OnView: func(v member.View) {
 					nt.Views = append(nt.Views, ViewRec{View: v, At: sim.Elapsed()})
 				},
@@ -312,12 +304,9 @@ func Run(opts Options) *Trace {
 	for i := 0; i < opts.Msgs; i++ {
 		sender := id.Node(1 + wl.Intn(opts.Nodes))
 		at := joinWindow + time.Duration(wl.Int63n(int64(opts.Window)))
-		// Under sharded total order the workload cycles through one stream
-		// per shard, so every sequencer shard assigns slots during the run.
-		stream := id.Stream(0)
-		if opts.OrderShards > 1 {
-			stream = id.Stream(i % opts.OrderShards)
-		}
+		// The workload cycles through a few stream labels: a label has no
+		// protocol effect, and the fifo invariant checks exactly that.
+		stream := id.Stream(i % workloadStreams)
 		sim.At(at, func() {
 			st := stacks[sender]
 			if st == nil || !sim.Up(sender) || st.Evicted() || st.Joining() {

@@ -136,40 +136,39 @@ func TestChaosSuppressionMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosShardedSequencerCrash pins the sharded total-order pipeline
-// under its worst fault: a handwritten schedule crashes node 2 — the
-// shard-1 sequencer under the Members[shard%size] mapping — while range
-// decisions are in flight, with a loss burst overlapping the resulting
-// view change, then restarts it. Ordering safety (mutual-prefix total
-// order), no-duplication and no-creation must hold across the crash,
-// the eviction view and the rejoin, on four seeds. The run must also
-// genuinely exercise sharding: several distinct members assign slots,
-// and the decisions travel as pipelined ranges, not per-slot orders.
-// The windowed cells repeat it with the sequencers announcing at activation
+// TestChaosSequencerCrash pins the total-order pipeline under its worst
+// fault: a handwritten schedule crashes node 1 — the view coordinator and
+// so the sequencer — while range decisions are in flight, with a loss
+// burst overlapping the resulting view change, then restarts it. Ordering
+// safety (mutual-prefix total order), sender FIFO across the workload's
+// stream labels, no-duplication and no-creation must hold across the
+// crash, the eviction view and the rejoin, on four seeds. The run must
+// also genuinely move the sequencer role: a second member assigns slots
+// after the crash, and the decisions travel as pipelined ranges. The
+// windowed cells repeat it with the sequencer announcing at activation
 // ends, so the crash falls between an early announcement and the next
 // window close instead of between two ticks.
-func TestChaosShardedSequencerCrash(t *testing.T) {
+func TestChaosSequencerCrash(t *testing.T) {
 	sched := chaos.Schedule{
-		{At: 1500 * time.Millisecond, Kind: chaos.Crash, Node: 2},
+		{At: 1500 * time.Millisecond, Kind: chaos.Crash, Node: 1},
 		{At: 2 * time.Second, Kind: chaos.LossBurst, Loss: 0.2, Dur: time.Second},
-		{At: 3500 * time.Millisecond, Kind: chaos.Restart, Node: 2},
+		{At: 3500 * time.Millisecond, Kind: chaos.Restart, Node: 1},
 	}
 	for i := 0; i < 8; i++ {
 		seed, windowed := []int64{7, 19, 33, 57}[i%4], i >= 4
 		t.Run(fmt.Sprintf("seed=%d/windowed=%v", seed, windowed), func(t *testing.T) {
 			t.Parallel()
 			tr := chaos.Run(chaos.Options{
-				Seed:        seed,
-				Nodes:       5,
-				Ordering:    rmcast.Total,
-				OrderShards: 4,
-				Msgs:        80,
-				Schedule:    sched,
-				Windowed:    windowed,
+				Seed:     seed,
+				Nodes:    5,
+				Ordering: rmcast.Total,
+				Msgs:     80,
+				Schedule: sched,
+				Windowed: windowed,
 			})
 			if v := tr.Violations(); len(v) > 0 {
 				t.Error(chaos.FailureReport(
-					fmt.Sprintf("(sharded sequencer-crash schedule seed=%d windowed=%v)", seed, windowed),
+					fmt.Sprintf("(sequencer-crash schedule seed=%d windowed=%v)", seed, windowed),
 					tr.Schedule, v, tr.Flight))
 			}
 			sequencers := 0
@@ -181,7 +180,7 @@ func TestChaosShardedSequencerCrash(t *testing.T) {
 				ranges += tr.Nodes[n].Recovery.OrderRanges
 			}
 			if sequencers < 2 {
-				t.Errorf("only %d members sequenced; sharding not exercised", sequencers)
+				t.Errorf("only %d members sequenced; the role never moved off the crashed node", sequencers)
 			}
 			if ranges == 0 {
 				t.Error("no range decisions sent: pipeline not exercised")

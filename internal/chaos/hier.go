@@ -26,9 +26,6 @@ type HierOptions struct {
 	// Schedule overrides the generated schedule. Crash/restart events are
 	// filtered out either way: the hierarchy's membership is static.
 	Schedule Schedule
-	// DisableSuppression reverts loss recovery to per-receiver NACK
-	// scheduling in the constituent rmcast engines.
-	DisableSuppression bool
 	// LossDomains, when positive, groups receivers into that many
 	// correlated loss domains; see Options.LossDomains.
 	LossDomains int
@@ -103,11 +100,10 @@ func RunHier(opts HierOptions) *HierTrace {
 		n := n
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
 			eng, err := hier.New(env, hier.Config{
-				LocalGroup:         1,
-				WideGroup:          2,
-				Topology:           topo,
-				DisableSuppression: opts.DisableSuppression,
-				Flight:             tr.Flight,
+				LocalGroup: 1,
+				WideGroup:  2,
+				Topology:   topo,
+				Flight:     tr.Flight,
 				OnDeliver: func(d hier.Delivery) {
 					tr.Deliveries[n] = append(tr.Deliveries[n], d)
 				},

@@ -17,12 +17,8 @@ import (
 //
 //   - no-creation: every delivered payload was sent, by its claimed sender
 //   - no-duplication: no node delivers the same payload twice
-//   - fifo: per (view, sender, stream) delivery follows sequence order,
-//     and each node's delivery views are monotone. The stream scope
-//     matters under sharded total order: streams hash to independent
-//     sequencer shards, so the global interleave may reorder one
-//     sender's messages across streams while preserving order within
-//     each (the documented per-stream guarantee).
+//   - fifo: per (view, sender) delivery follows sequence order across
+//     all stream labels, and each node's delivery views are monotone
 //   - causal (Causal runs): a message follows its delivered obligations
 //   - total (Total runs): nodes sharing a view transition have delivery
 //     sequences in the old view that are prefixes of one another
@@ -151,7 +147,6 @@ func (tr *Trace) checkFIFO() []string {
 		type stream struct {
 			view   id.View
 			sender id.Node
-			stream id.Stream
 		}
 		lastSeq := make(map[stream]uint64)
 		for _, d := range tr.Nodes[n].Deliveries {
@@ -164,11 +159,11 @@ func (tr *Trace) checkFIFO() []string {
 			if tr.Opts.Ordering == rmcast.Unordered {
 				continue // delivery on arrival: sequence order not promised
 			}
-			s := stream{view: d.View, sender: d.Sender, stream: d.Stream}
+			s := stream{view: d.View, sender: d.Sender}
 			if d.Seq <= lastSeq[s] {
 				out = append(out, fmt.Sprintf(
-					"fifo: n%d delivered n%d's stream %d seq %d after seq %d in view %d",
-					n, d.Sender, d.Stream, d.Seq, lastSeq[s], d.View))
+					"fifo: n%d delivered n%d's seq %d after seq %d in view %d",
+					n, d.Sender, d.Seq, lastSeq[s], d.View))
 			}
 			lastSeq[s] = d.Seq
 		}

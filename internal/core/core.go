@@ -33,10 +33,6 @@ type Config struct {
 	Contact id.Node
 	// Ordering is the multicast delivery discipline. Defaults to FIFO.
 	Ordering rmcast.Ordering
-	// OrderShards splits total-order sequencing across this many members
-	// by stream label; see rmcast.Config.OrderShards. 0 or 1 keeps the
-	// classic single sequencer.
-	OrderShards int
 
 	// Membership timing (zero values take the layer defaults).
 	HeartbeatEvery time.Duration
@@ -57,9 +53,6 @@ type Config struct {
 	// Suppression tunes the SRM-style randomized loss-recovery timers;
 	// the zero value takes the rmcast defaults.
 	Suppression rmcast.Suppression
-	// DisableSuppression reverts loss recovery to per-receiver NACK
-	// scheduling; see rmcast.Config.DisableSuppression.
-	DisableSuppression bool
 	// Distance, when non-nil, estimates one-way delay to a peer to seed
 	// the suppression timers; see rmcast.Config.Distance.
 	Distance func(id.Node) time.Duration
@@ -187,40 +180,37 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		}
 	}
 	s.mcast = rmcast.New(env, rmcast.Config{
-		Group:              cfg.Group,
-		Ordering:           cfg.Ordering,
-		OrderShards:        cfg.OrderShards,
-		ResendAfter:        cfg.ResendAfter,
-		StabilizeEvery:     cfg.StabilizeEvery,
-		Suppression:        cfg.Suppression,
-		DisableSuppression: cfg.DisableSuppression,
-		Distance:           dist,
-		FlowWindow:         cfg.FlowWindow,
-		FlowWindowBytes:    cfg.FlowWindowBytes,
-		SlowAfter:          cfg.SlowAfter,
-		OnFlowOpen:         cfg.OnFlowOpen,
-		OnSlow:             onSlow,
-		OnDeliver:          cfg.OnDeliver,
-		Metrics:            cfg.Metrics,
-		MetricsPrefix:      cfg.MetricsPrefix,
-		Flight:             cfg.Flight,
+		Group:           cfg.Group,
+		Ordering:        cfg.Ordering,
+		ResendAfter:     cfg.ResendAfter,
+		StabilizeEvery:  cfg.StabilizeEvery,
+		Suppression:     cfg.Suppression,
+		Distance:        dist,
+		FlowWindow:      cfg.FlowWindow,
+		FlowWindowBytes: cfg.FlowWindowBytes,
+		SlowAfter:       cfg.SlowAfter,
+		OnFlowOpen:      cfg.OnFlowOpen,
+		OnSlow:          onSlow,
+		OnDeliver:       cfg.OnDeliver,
+		Metrics:         cfg.Metrics,
+		MetricsPrefix:   cfg.MetricsPrefix,
+		Flight:          cfg.Flight,
 	})
 	if cfg.AutoHier {
 		h, err := hier.New(env, hier.Config{
-			LocalGroup:         cfg.Group + 1,
-			WideGroup:          cfg.Group + 2,
-			ClockGroup:         cfg.Group + 3,
-			AutoHier:           true,
-			Members:            []id.Node{env.Self()},
-			FanOut:             cfg.HierFanOut,
-			Form:               cfg.HierForm,
-			Suppression:        cfg.Suppression,
-			DisableSuppression: cfg.DisableSuppression,
-			Distance:           cfg.Distance,
-			ResendAfter:        cfg.ResendAfter,
-			StabilizeEvery:     cfg.StabilizeEvery,
-			Metrics:            cfg.Metrics,
-			Flight:             cfg.Flight,
+			LocalGroup:     cfg.Group + 1,
+			WideGroup:      cfg.Group + 2,
+			ClockGroup:     cfg.Group + 3,
+			AutoHier:       true,
+			Members:        []id.Node{env.Self()},
+			FanOut:         cfg.HierFanOut,
+			Form:           cfg.HierForm,
+			Suppression:    cfg.Suppression,
+			Distance:       cfg.Distance,
+			ResendAfter:    cfg.ResendAfter,
+			StabilizeEvery: cfg.StabilizeEvery,
+			Metrics:        cfg.Metrics,
+			Flight:         cfg.Flight,
 			OnDeliver: func(d hier.Delivery) {
 				if cfg.OnDeliver != nil {
 					cfg.OnDeliver(rmcast.Delivery{
@@ -332,11 +322,9 @@ func (s *Stack) Multicast(payload []byte) error {
 	return s.MulticastStream(0, payload)
 }
 
-// MulticastStream sends payload labelled with a media stream. Under
-// total ordering the label selects the sequencer shard that orders the
-// message (see rmcast.Config.OrderShards). The overlay path (AutoHier)
-// has no stream notion — delivery there is FIFO per origin regardless —
-// so the label is dropped.
+// MulticastStream sends payload labelled with a media stream; the label
+// reaches Delivery.Stream and has no protocol effect. The overlay path
+// (AutoHier) has no stream notion, so the label is dropped there.
 func (s *Stack) MulticastStream(stream id.Stream, payload []byte) error {
 	if s.hier != nil {
 		return s.hier.Multicast(payload)

@@ -41,11 +41,11 @@ func runAckFlat(p flatParams) flatResult {
 	sentAt := make(map[sendKey]time.Time)
 	lat := &stats.Histogram{}
 	delivered := 0
-	engines := make(map[id.Node]*rmcast.AckEngine, p.n)
+	engines := make(map[id.Node]*AckEngine, p.n)
 	for _, m := range members {
 		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng := rmcast.NewAck(env, rmcast.Config{
+			eng := NewAck(env, rmcast.Config{
 				Group: 1,
 				OnDeliver: func(d rmcast.Delivery) {
 					delivered++
@@ -102,7 +102,7 @@ func AblationNackVsAck(o Options) Table {
 	t := Table{
 		ID:    "A2",
 		Title: fmt.Sprintf("Ablation: NACK vs ACK loss recovery (loss %.0f%%)", loss*100),
-		Columns: []string{"n", "acks/mcast (ack)", "nacks/mcast (nack)",
+		Columns: []string{"n", "acks/mcast (ack)", "requests/mcast (nack)",
 			"nack lat (ms)", "ack lat (ms)", "nack dlv", "ack dlv"},
 	}
 	for _, n := range sizes {
@@ -113,15 +113,14 @@ func AblationNackVsAck(o Options) Table {
 		}
 		nack := runFlat(params)
 		ack := runAckFlat(params)
-		// The implosion metric: feedback datagrams arriving at senders
-		// per multicast. ACK grows with n-1; NACK stays near zero
-		// (gossip amortizes across time, not per message).
+		// The implosion metric: feedback per multicast. The ACK design is
+		// counted in KindAck datagrams at the senders, which grow with
+		// n-1. The NACK design is counted in repair-request events
+		// (Counters.NacksSent, one per multicast KindRepairReq, as T7
+		// counts them), which follow the loss rate, not the group size.
 		mcasts := float64(4 * per)
 		ackPerM := float64(ack.Net.SentByKind[wire.KindAck]) / mcasts
-		// NACKs ride per-tick coalesced KindNackBatch datagrams; count
-		// both kinds so the feedback-datagram measure survives batching.
-		nackPerM := float64(nack.Net.SentByKind[wire.KindNack]+
-			nack.Net.SentByKind[wire.KindNackBatch]) / mcasts
+		nackPerM := float64(nack.Requests) / mcasts
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n),
 			ratio(ackPerM), ratio(nackPerM),
@@ -210,102 +209,4 @@ func runFECMedia(k int, loss float64, packets int, seed int64) playoutResult {
 	}
 	sim.Run(last + 2*time.Second)
 	return playoutResult{stats: recv.Stats(), sent: sent}
-}
-
-// AblationResendTimer sweeps the NACK retransmission timer: faster timers
-// repair sooner but send more control traffic.
-func AblationResendTimer(o Options) Table {
-	timers := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 160 * time.Millisecond,
-	}
-	n, per := 16, 40
-	if o.Quick {
-		timers = timers[1:4]
-		n, per = 8, 15
-	}
-	t := Table{
-		ID:      "A4",
-		Title:   fmt.Sprintf("Ablation: NACK timer vs recovery latency (n=%d, loss 5%%)", n),
-		Columns: []string{"resend after (ms)", "mean lat (ms)", "p99 lat (ms)", "nacks/dlv"},
-	}
-	for _, rt := range timers {
-		r := runFlatTimer(n, per, rt, o.seed(1700))
-		// Coalesced batches included, as in A2.
-		nacks := float64(r.Net.SentByKind[wire.KindNack]+
-			r.Net.SentByKind[wire.KindNackBatch]) / float64(r.Delivered)
-		t.Rows = append(t.Rows, []string{
-			ms(rt), msf(r.Latencies.Mean()), msf(r.Latencies.Percentile(99)),
-			fmt.Sprintf("%.3f", nacks),
-		})
-	}
-	return t
-}
-
-// runFlatTimer is runFlat with a custom NACK timer.
-func runFlatTimer(n, per int, resend time.Duration, seed int64) flatResult {
-	link := lanLink(0.05)
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: func(_, _ id.Node) netsim.Link { return link },
-	})
-	var members []id.Node
-	for i := 1; i <= n; i++ {
-		members = append(members, id.Node(i))
-	}
-	view := member.NewView(1, members)
-	type sendKey struct {
-		sender id.Node
-		seq    uint64
-	}
-	sentAt := make(map[sendKey]time.Time)
-	lat := &stats.Histogram{}
-	delivered := 0
-	engines := make(map[id.Node]*rmcast.Engine, n)
-	for _, m := range members {
-		m := m
-		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng := rmcast.New(env, rmcast.Config{
-				Group:    1,
-				Ordering: rmcast.FIFO,
-				// A4 studies the flat NACK timer in isolation; suppression
-				// replaces that timer entirely, so ablate it here.
-				DisableSuppression: true,
-				ResendAfter:        resend,
-				OnDeliver: func(d rmcast.Delivery) {
-					delivered++
-					if t0, ok := sentAt[sendKey{d.Sender, d.Seq}]; ok {
-						lat.ObserveDuration(env.Now().Sub(t0))
-					}
-				},
-			})
-			eng.SetView(view)
-			engines[m] = eng
-			return eng
-		})
-	}
-	payload := workload.New(seed + 7).Payload(64)
-	var lastSend time.Duration
-	for s := 0; s < 4 && s < n; s++ {
-		sender := members[s]
-		arrivals := workload.Arrivals(seed+int64(s)*31, 10*time.Millisecond, 10*time.Millisecond, per)
-		for _, at := range arrivals {
-			at := at
-			if at > lastSend {
-				lastSend = at
-			}
-			sim.At(at, func() {
-				eng := engines[sender]
-				seq := eng.Counters().Sent + 1
-				sentAt[sendKey{sender, seq}] = sim.Now()
-				_ = eng.Multicast(payload)
-			})
-		}
-	}
-	start := time.Now()
-	sim.Run(lastSend + 5*time.Second)
-	return flatResult{
-		Latencies: lat, Net: sim.Stats(), Wall: time.Since(start),
-		Delivered: delivered, Expected: 4 * per * n,
-	}
 }

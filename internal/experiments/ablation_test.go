@@ -22,6 +22,11 @@ func TestA2NackVsAckShape(t *testing.T) {
 	if lastNack >= lastAck {
 		t.Errorf("NACK feedback %.2f not below ACK %.2f at max n", lastNack, lastAck)
 	}
+	// 2% loss over 16 members gaps someone: a zero here means the column
+	// counts something the engine does not send.
+	if lastNack == 0 {
+		t.Error("NACK design sent no repair requests at 2% loss")
+	}
 	// Both variants must deliver everything.
 	for _, row := range tab.Rows {
 		for _, col := range []int{5, 6} {
@@ -46,19 +51,5 @@ func TestA3FECShape(t *testing.T) {
 		if err != nil || rec == 0 {
 			t.Errorf("no FEC recoveries at loss %s%%: %v", row[0], row)
 		}
-	}
-}
-
-func TestA4ResendTimerShape(t *testing.T) {
-	tab := AblationResendTimer(quick)
-	if len(tab.Rows) < 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// p99 latency grows with the resend timer: slower repair.
-	firstP99 := cell(t, tab.Rows[0][2])
-	lastP99 := cell(t, tab.Rows[len(tab.Rows)-1][2])
-	if lastP99 <= firstP99 {
-		t.Errorf("p99 did not grow with the resend timer: %.1f -> %.1f",
-			firstP99, lastP99)
 	}
 }

@@ -1,4 +1,4 @@
-package rmcast
+package experiments
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 	"scalamedia/internal/id"
 	"scalamedia/internal/member"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/rmcast"
 	"scalamedia/internal/wire"
 )
 
@@ -20,10 +21,10 @@ import (
 // which is exactly what the ablation measures.
 //
 // Delivery is per-sender FIFO. AckEngine implements the same Handler
-// shape as Engine and is driven the same way.
+// shape as rmcast.Engine, takes its Config and is driven the same way.
 type AckEngine struct {
 	env proto.Env
-	cfg Config
+	cfg rmcast.Config
 
 	view member.View
 
@@ -31,10 +32,17 @@ type AckEngine struct {
 	nextSend uint64
 	unacked  map[uint64]*pendingSend // my messages not yet acked by all
 
-	// Receiving state: per-sender contiguity (reuses peerState).
-	peers map[id.Node]*peerState
+	// Receiving state: per-sender contiguity.
+	peers map[id.Node]*ackPeer
 
-	counters Counters
+	counters rmcast.Counters
+}
+
+// ackPeer tracks the stream from one sender: the lowest sequence number
+// not yet contiguously received and the out-of-order messages above it.
+type ackPeer struct {
+	next uint64
+	buf  map[uint64]*wire.Message
 }
 
 // pendingSend is one of this sender's messages awaiting full
@@ -49,37 +57,37 @@ var _ proto.Handler = (*AckEngine)(nil)
 
 // NewAck returns an ACK-based multicast engine with no view. Only the
 // FIFO ordering is supported; Config.Ordering is ignored.
-func NewAck(env proto.Env, cfg Config) *AckEngine {
+func NewAck(env proto.Env, cfg rmcast.Config) *AckEngine {
 	if cfg.ResendAfter <= 0 {
-		cfg.ResendAfter = DefaultResendAfter
+		cfg.ResendAfter = rmcast.DefaultResendAfter
 	}
 	return &AckEngine{
 		env:     env,
 		cfg:     cfg,
 		unacked: make(map[uint64]*pendingSend),
-		peers:   make(map[id.Node]*peerState),
+		peers:   make(map[id.Node]*ackPeer),
 	}
 }
 
 // Counters returns a copy of the protocol event counters.
-func (e *AckEngine) Counters() Counters { return e.counters }
+func (e *AckEngine) Counters() rmcast.Counters { return e.counters }
 
 // SetView installs a new view, resetting per-view state.
 func (e *AckEngine) SetView(v member.View) {
 	e.view = v
 	e.nextSend = 0
 	e.unacked = make(map[uint64]*pendingSend)
-	e.peers = make(map[id.Node]*peerState)
+	e.peers = make(map[id.Node]*ackPeer)
 }
 
 // Multicast sends payload to the current view and tracks it until every
 // member acknowledges.
 func (e *AckEngine) Multicast(payload []byte) error {
 	if e.view.ID == 0 || !e.view.Contains(e.env.Self()) {
-		return ErrNoView
+		return rmcast.ErrNoView
 	}
 	if len(payload) > wire.MaxBody {
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
+		return fmt.Errorf("%w: %d bytes", rmcast.ErrPayloadTooLarge, len(payload))
 	}
 	e.nextSend++
 	msg := &wire.Message{
@@ -149,7 +157,7 @@ func (e *AckEngine) ackFor(sender id.Node) uint64 {
 func (e *AckEngine) receive(msg *wire.Message) {
 	st, ok := e.peers[msg.Sender]
 	if !ok {
-		st = &peerState{next: 1, buf: make(map[uint64]*wire.Message)}
+		st = &ackPeer{next: 1, buf: make(map[uint64]*wire.Message)}
 		e.peers[msg.Sender] = st
 	}
 	switch {
@@ -179,7 +187,7 @@ func (e *AckEngine) receive(msg *wire.Message) {
 func (e *AckEngine) deliverAck(msg *wire.Message) {
 	e.counters.Delivered++
 	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(Delivery{
+		e.cfg.OnDeliver(rmcast.Delivery{
 			Group:   msg.Group,
 			Sender:  msg.Sender,
 			Seq:     msg.Seq,

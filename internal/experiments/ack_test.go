@@ -1,4 +1,4 @@
-package rmcast
+package experiments
 
 import (
 	"errors"
@@ -9,14 +9,14 @@ import (
 	"scalamedia/internal/member"
 	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
+	"scalamedia/internal/rmcast"
 	"scalamedia/internal/wire"
 )
 
 // ackNode bundles an AckEngine with its delivery log.
 type ackNode struct {
-	eng *Engine // unused; kept for symmetry
 	ack *AckEngine
-	got []Delivery
+	got []rmcast.Delivery
 }
 
 func buildAckStatic(s *netsim.Sim, n int) map[id.Node]*ackNode {
@@ -30,9 +30,9 @@ func buildAckStatic(s *netsim.Sim, n int) map[id.Node]*ackNode {
 		m := m
 		s.AddNode(m, func(env proto.Env) proto.Handler {
 			an := &ackNode{}
-			an.ack = NewAck(env, Config{
+			an.ack = NewAck(env, rmcast.Config{
 				Group:     1,
-				OnDeliver: func(d Delivery) { an.got = append(an.got, d) },
+				OnDeliver: func(d rmcast.Delivery) { an.got = append(an.got, d) },
 			})
 			an.ack.SetView(view)
 			nodes[m] = an
@@ -66,10 +66,10 @@ func TestAckNoView(t *testing.T) {
 	s := netsim.New(netsim.Config{})
 	var eng *AckEngine
 	s.AddNode(1, func(env proto.Env) proto.Handler {
-		eng = NewAck(env, Config{Group: 1})
+		eng = NewAck(env, rmcast.Config{Group: 1})
 		return eng
 	})
-	if err := eng.Multicast([]byte("x")); !errors.Is(err, ErrNoView) {
+	if err := eng.Multicast([]byte("x")); !errors.Is(err, rmcast.ErrNoView) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestAckTooLarge(t *testing.T) {
 	s := netsim.New(netsim.Config{})
 	nodes := buildAckStatic(s, 1)
 	s.Run(time.Millisecond)
-	if err := nodes[1].ack.Multicast(make([]byte, wire.MaxBody+1)); !errors.Is(err, ErrPayloadTooLarge) {
+	if err := nodes[1].ack.Multicast(make([]byte, wire.MaxBody+1)); !errors.Is(err, rmcast.ErrPayloadTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -20,6 +20,9 @@ type flatResult struct {
 	Wall      time.Duration
 	Delivered int
 	Expected  int
+	// Requests is the loss-recovery request events the engines sent
+	// (rmcast.Counters.NacksSent summed; runFlat only).
+	Requests uint64
 }
 
 // flatParams parameterizes runFlat.
@@ -32,11 +35,8 @@ type flatParams struct {
 	link     netsim.Link
 	payload  int
 	seed     int64
-	// shards enables sharded total-order sequencing; streams spreads each
-	// sender's messages round-robin over that many stream labels so the
-	// shards actually share the load. Zero values keep the single-stream,
-	// single-sequencer shape.
-	shards  int
+	// streams spreads each sender's messages round-robin over that many
+	// stream labels; zero keeps every message on stream 0.
 	streams int
 }
 
@@ -73,9 +73,8 @@ func runFlat(p flatParams) flatResult {
 		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
 			eng := rmcast.New(env, rmcast.Config{
-				Group:       1,
-				Ordering:    p.ordering,
-				OrderShards: p.shards,
+				Group:    1,
+				Ordering: p.ordering,
 				OnDeliver: func(d rmcast.Delivery) {
 					delivered++
 					if t0, ok := sentAt[sendKey{d.Sender, d.Seq}]; ok {
@@ -116,13 +115,17 @@ func runFlat(p flatParams) flatResult {
 	sim.Run(lastSend + 5*time.Second)
 	wall := time.Since(start)
 
-	return flatResult{
+	r := flatResult{
 		Latencies: lat,
 		Net:       sim.Stats(),
 		Wall:      wall,
 		Delivered: delivered,
 		Expected:  p.senders * p.perSend * p.n,
 	}
+	for _, eng := range engines {
+		r.Requests += eng.Counters().NacksSent
+	}
+	return r
 }
 
 // lanLink is the baseline campus-LAN profile of the reconstruction: 1ms
@@ -201,12 +204,11 @@ func T2ThroughputVsGroupSize(o Options) Table {
 
 // T2TotalOrderThroughput extends T2 along the pipelined-range redesign
 // axis: sustained total-order delivery throughput of a 16-member group
-// driving four media streams at high rate, with the ordering plane split
-// over 1 vs 4 sequencer shards. The hier row runs the same workload
-// through the static hierarchical overlay for reference: the overlay's
-// guarantee is FIFO per origin — it has no total-order plane, so the
-// shard knob does not apply there and both cells measure the same
-// dissemination cost (the ceiling the flat ordered path is chasing).
+// driving four media streams at high rate through the one sequencer. The
+// hier row runs the same workload through the static hierarchical overlay
+// for reference: the overlay's guarantee is FIFO per origin — it has no
+// total-order plane, so it measures plain dissemination cost (the ceiling
+// the flat ordered path is chasing).
 func T2TotalOrderThroughput(o Options) Table {
 	const n = 16
 	const streams = 4
@@ -220,30 +222,21 @@ func T2TotalOrderThroughput(o Options) Table {
 		Title: fmt.Sprintf(
 			"Sustained total-order throughput, n=%d, %d streams (deliveries / wall-second)",
 			n, streams),
-		Columns: []string{"topology", "shards=1", "shards=4", "delivered"},
+		Columns: []string{"topology", "dlv/s", "delivered"},
 	}
-	flatRow := []string{"flat (total)"}
-	var delivered string
-	for _, shards := range []int{1, 4} {
-		r := runFlat(flatParams{
-			n: n, ordering: rmcast.Total, senders: senders, perSend: per,
-			gap: gap, link: lanLink(0), seed: o.seed(250 + int64(shards)),
-			shards: shards, streams: streams,
-		})
-		flatRow = append(flatRow, fmt.Sprintf("%.0f", float64(r.Delivered)/r.Wall.Seconds()))
-		delivered = fmt.Sprintf("%d/%d", r.Delivered, r.Expected)
+	row := func(name string, r flatResult) {
+		t.Rows = append(t.Rows, []string{name,
+			fmt.Sprintf("%.0f", float64(r.Delivered)/r.Wall.Seconds()),
+			fmt.Sprintf("%d/%d", r.Delivered, r.Expected)})
 	}
-	t.Rows = append(t.Rows, append(flatRow, delivered))
-	hierRow := []string{"hier (fifo/origin)"}
-	for range []int{1, 4} {
-		r := runHier(hierParams{
-			n: n, clusterSize: 8, senders: senders, perSend: per,
-			gap: gap, link: lanLink(0), seed: o.seed(255),
-		})
-		hierRow = append(hierRow, fmt.Sprintf("%.0f", float64(r.Delivered)/r.Wall.Seconds()))
-		delivered = fmt.Sprintf("%d/%d", r.Delivered, r.Expected)
-	}
-	t.Rows = append(t.Rows, append(hierRow, delivered))
+	row("flat (total)", runFlat(flatParams{
+		n: n, ordering: rmcast.Total, senders: senders, perSend: per,
+		gap: gap, link: lanLink(0), seed: o.seed(251), streams: streams,
+	}))
+	row("hier (fifo/origin)", runHier(hierParams{
+		n: n, clusterSize: 8, senders: senders, perSend: per,
+		gap: gap, link: lanLink(0), seed: o.seed(255),
+	}))
 	return t
 }
 

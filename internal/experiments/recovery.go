@@ -21,7 +21,7 @@ import (
 type recoveryResult struct {
 	Delivered, Expected int
 	LostData            uint64
-	Requests            uint64 // recovery requests sent (NACKs or repair-reqs)
+	Requests            uint64 // repair requests sent
 	Repairs             uint64 // retransmissions served
 	Suppressed          uint64 // requests cancelled on hearing an equivalent one
 	LocalRepairs        uint64 // repairs served by a non-origin member
@@ -55,7 +55,7 @@ func t7Domain(n id.Node) int { return int(n) % t7Domains }
 
 // runFlatRecovery drives one flat FIFO group over a lossy LAN with
 // correlated loss domains and tallies recovery traffic.
-func runFlatRecovery(n int, suppress bool, seed int64) recoveryResult {
+func runFlatRecovery(n int, seed int64) recoveryResult {
 	link := lanLink(t7Loss)
 	sim := netsim.New(netsim.Config{
 		Seed:    seed,
@@ -75,11 +75,10 @@ func runFlatRecovery(n int, suppress bool, seed int64) recoveryResult {
 		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
 			eng := rmcast.New(env, rmcast.Config{
-				Group:              1,
-				Ordering:           rmcast.FIFO,
-				StabilizeEvery:     t7Stabilize,
-				DisableSuppression: !suppress,
-				OnDeliver:          func(rmcast.Delivery) { delivered++ },
+				Group:          1,
+				Ordering:       rmcast.FIFO,
+				StabilizeEvery: t7Stabilize,
+				OnDeliver:      func(rmcast.Delivery) { delivered++ },
 			})
 			eng.SetView(view)
 			engines[m] = eng
@@ -120,9 +119,9 @@ func runFlatRecovery(n int, suppress bool, seed int64) recoveryResult {
 }
 
 // runHierRecovery is runFlatRecovery over the hierarchical organization:
-// recovery is scoped to clusters (and the relay group), so even without
-// suppression no request or repair crosses a cluster boundary.
-func runHierRecovery(n, cluster int, suppress bool, seed int64) recoveryResult {
+// recovery is scoped to clusters (and the relay group), so no request or
+// repair crosses a cluster boundary.
+func runHierRecovery(n, cluster int, seed int64) recoveryResult {
 	link := lanLink(t7Loss)
 	sim := netsim.New(netsim.Config{
 		Seed:    seed,
@@ -142,12 +141,11 @@ func runHierRecovery(n, cluster int, suppress bool, seed int64) recoveryResult {
 		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
 			eng, err := hier.New(env, hier.Config{
-				LocalGroup:         1,
-				WideGroup:          2,
-				Topology:           topo,
-				StabilizeEvery:     t7Stabilize,
-				DisableSuppression: !suppress,
-				OnDeliver:          func(hier.Delivery) { delivered++ },
+				LocalGroup:     1,
+				WideGroup:      2,
+				Topology:       topo,
+				StabilizeEvery: t7Stabilize,
+				OnDeliver:      func(hier.Delivery) { delivered++ },
 			})
 			if err != nil {
 				panic(err) // static topology always contains m
@@ -213,12 +211,14 @@ func t7Row(n int, config string, r recoveryResult) []string {
 }
 
 // T7RecoveryOverhead reproduces table T7: recovery requests and repairs
-// per lost data datagram versus group size under correlated loss, for the
-// flat per-receiver NACK baseline, the hierarchical organization, and
-// SRM-style randomized suppression with local repair. Flat requests per
-// loss stay near 1 regardless of n (every gapped receiver asks the
-// sender); suppression amortizes one multicast request over the whole
-// loss domain, so its per-loss cost falls as the domain grows with n.
+// per lost data datagram versus group size under correlated loss, for
+// SRM-style randomized suppression with local repair in one flat group
+// and scoped to clusters by the hierarchical organization. Suppression
+// amortizes one multicast request over the whole loss domain, so its
+// per-loss cost falls as the domain grows with n; inside clusters of 8
+// the domain never grows. The per-receiver NACK baseline the engine used
+// to carry asked about once per loss per gapped receiver regardless of n
+// (EXPERIMENTS.md T7, historical rows).
 func T7RecoveryOverhead(o Options) Table {
 	sizes := []int{16, 64, 256, 1024}
 	cluster := 8
@@ -234,10 +234,9 @@ func T7RecoveryOverhead(o Options) Table {
 	}
 	for _, n := range sizes {
 		seed := o.seed(1800 + int64(n))
-		t.Rows = append(t.Rows, t7Row(n, "flat", runFlatRecovery(n, false, seed)))
 		t.Rows = append(t.Rows, t7Row(n, fmt.Sprintf("hier(c=%d)", cluster),
-			runHierRecovery(n, cluster, false, seed)))
-		t.Rows = append(t.Rows, t7Row(n, "suppressed", runFlatRecovery(n, true, seed)))
+			runHierRecovery(n, cluster, seed)))
+		t.Rows = append(t.Rows, t7Row(n, "suppressed", runFlatRecovery(n, seed)))
 	}
 	return t
 }

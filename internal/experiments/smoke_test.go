@@ -12,15 +12,14 @@ import (
 )
 
 // TestTotalOrderSmoke16 is the ordering-safety smoke behind
-// scripts/check.sh: a 16-member group with the ordering plane split over
-// four sequencer shards must deliver every message, at every member, in
-// one identical global sequence. It drives the pipelined range path at
-// the same group size and shard count as the T2b throughput experiment,
-// but sized to finish in about a second.
+// scripts/check.sh: a 16-member group spraying four stream labels must
+// deliver every message, at every member, in one identical global
+// sequence that keeps each sender's send order across labels. It drives
+// the pipelined range path at the same group size as the T2b throughput
+// experiment, but sized to finish in about a second.
 func TestTotalOrderSmoke16(t *testing.T) {
 	const (
 		n       = 16
-		shards  = 4
 		senders = 4
 		per     = 150
 		streams = 4
@@ -45,9 +44,8 @@ func TestTotalOrderSmoke16(t *testing.T) {
 		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
 			eng := rmcast.New(env, rmcast.Config{
-				Group:       1,
-				Ordering:    rmcast.Total,
-				OrderShards: shards,
+				Group:    1,
+				Ordering: rmcast.Total,
 				OnDeliver: func(d rmcast.Delivery) {
 					order[m] = append(order[m], dlv{d.Sender, d.Seq, d.Stream})
 				},
@@ -84,13 +82,23 @@ func TestTotalOrderSmoke16(t *testing.T) {
 			}
 		}
 	}
-	active := 0
-	for _, m := range members {
-		if engines[m].Counters().OrdersSent > 0 {
-			active++
+	// Cross-label sender FIFO: one sequencer orders every label, so each
+	// sender's messages keep their send order whatever label they carry.
+	last := make(map[id.Node]uint64, senders)
+	labels := make(map[id.Stream]bool, streams)
+	for i, d := range want {
+		if d.seq != last[d.sender]+1 {
+			t.Fatalf("delivery %d: %s seq %d (stream %s) after seq %d", i, d.sender, d.seq, d.stream, last[d.sender])
 		}
+		last[d.sender] = d.seq
+		labels[d.stream] = true
 	}
-	if active < 2 {
-		t.Fatalf("only %d sequencers active; sharding not exercised", active)
+	if len(labels) != streams {
+		t.Fatalf("deliveries carry %d stream labels, want %d", len(labels), streams)
+	}
+	for _, m := range members {
+		if sequenced := engines[m].Counters().OrdersSent > 0; sequenced != (m == members[0]) {
+			t.Fatalf("node %s sequenced=%v: the view coordinator is the one sequencer", m, sequenced)
+		}
 	}
 }

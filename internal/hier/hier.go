@@ -170,14 +170,6 @@ type Config struct {
 	Ordering rmcast.Ordering
 	// OnDeliver receives application messages.
 	OnDeliver func(Delivery)
-	// DisableBatching forwards every own-cluster message over the relay
-	// group immediately, one datagram each, instead of aggregating the
-	// tick's forwards into one batch. It is also passed through to the
-	// constituent rmcast engines, reverting their control traffic to one
-	// datagram per event (see rmcast.Config.DisableBatching).
-	DisableBatching bool
-	// NoPiggyback is passed through to the constituent rmcast engines.
-	NoPiggyback bool
 	// ResendAfter and StabilizeEvery are forwarded to the constituent
 	// rmcast engines (zero = rmcast defaults).
 	ResendAfter    time.Duration
@@ -187,9 +179,6 @@ type Config struct {
 	// scopes suppression naturally because each engine's view is its own
 	// cluster (or the relay set).
 	Suppression rmcast.Suppression
-	// DisableSuppression reverts the constituent engines to per-receiver
-	// unicast-style NACK scheduling (see rmcast.Config.DisableSuppression).
-	DisableSuppression bool
 	// Distance, when non-nil, estimates one-way delay to a peer and is
 	// passed through to the constituent engines to seed suppression
 	// timers.
@@ -405,19 +394,16 @@ func New(env proto.Env, cfg Config) (*Engine, error) {
 		}
 	}
 	e.local = rmcast.New(env, rmcast.Config{
-		Group:              cfg.LocalGroup,
-		Ordering:           cfg.Ordering,
-		OnDeliver:          e.onLocalDeliver,
-		ResendAfter:        cfg.ResendAfter,
-		StabilizeEvery:     cfg.StabilizeEvery,
-		DisableBatching:    cfg.DisableBatching,
-		NoPiggyback:        cfg.NoPiggyback,
-		Suppression:        cfg.Suppression,
-		DisableSuppression: cfg.DisableSuppression,
-		Distance:           e.cfg.Distance,
-		Metrics:            cfg.Metrics,
-		MetricsPrefix:      "rmcast.local.",
-		Flight:             cfg.Flight,
+		Group:          cfg.LocalGroup,
+		Ordering:       cfg.Ordering,
+		OnDeliver:      e.onLocalDeliver,
+		ResendAfter:    cfg.ResendAfter,
+		StabilizeEvery: cfg.StabilizeEvery,
+		Suppression:    cfg.Suppression,
+		Distance:       e.cfg.Distance,
+		Metrics:        cfg.Metrics,
+		MetricsPrefix:  "rmcast.local.",
+		Flight:         cfg.Flight,
 	})
 	if cfg.AutoHier {
 		self := env.Self()
@@ -438,19 +424,16 @@ func New(env proto.Env, cfg Config) (*Engine, error) {
 // construction (static) or promotion (AutoHier).
 func (e *Engine) newWide() *rmcast.Engine {
 	return rmcast.New(e.env, rmcast.Config{
-		Group:              e.cfg.WideGroup,
-		Ordering:           rmcast.FIFO,
-		OnDeliver:          e.onWideDeliver,
-		ResendAfter:        e.cfg.ResendAfter,
-		StabilizeEvery:     e.cfg.StabilizeEvery,
-		DisableBatching:    e.cfg.DisableBatching,
-		NoPiggyback:        e.cfg.NoPiggyback,
-		Suppression:        e.cfg.Suppression,
-		DisableSuppression: e.cfg.DisableSuppression,
-		Distance:           e.cfg.Distance,
-		Metrics:            e.cfg.Metrics,
-		MetricsPrefix:      "rmcast.wide.",
-		Flight:             e.cfg.Flight,
+		Group:          e.cfg.WideGroup,
+		Ordering:       rmcast.FIFO,
+		OnDeliver:      e.onWideDeliver,
+		ResendAfter:    e.cfg.ResendAfter,
+		StabilizeEvery: e.cfg.StabilizeEvery,
+		Suppression:    e.cfg.Suppression,
+		Distance:       e.cfg.Distance,
+		Metrics:        e.cfg.Metrics,
+		MetricsPrefix:  "rmcast.wide.",
+		Flight:         e.cfg.Flight,
 	})
 }
 
@@ -544,13 +527,6 @@ func (e *Engine) onLocalDeliver(d rmcast.Delivery) {
 	}
 	e.mForwards.Inc()
 	e.rec(flightrec.EvRelayForward, uint64(e.cluster), seq)
-	if e.cfg.DisableBatching {
-		// Re-wrap verbatim: the envelope is already in d.Payload. The
-		// relay group always has a view; an error here means the payload
-		// exceeded limits, which the local send bounded.
-		_ = e.wide.Multicast(d.Payload)
-		return
-	}
 	// Aggregate; flush early if the batch would outgrow one datagram.
 	if len(e.fwdBuf) > 0 &&
 		len(e.fwdBuf)+batchEntryExtra+len(d.Payload) > fwdFlushBytes {

@@ -1,7 +1,6 @@
 package rmcast
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // seq 2 (exposing the gap at every receiver), and then crashes for good.
 // It returns the total recovery requests issued across the surviving
 // receivers over ~30 virtual seconds of futile retry.
-func deadSenderRun(t *testing.T, suppress bool) uint64 {
+func deadSenderRun(t *testing.T) uint64 {
 	t.Helper()
 	const n = 4
 	link := netsim.Link{Delay: time.Millisecond}
@@ -35,9 +34,8 @@ func deadSenderRun(t *testing.T, suppress bool) uint64 {
 		m := m
 		s.AddNode(m, func(env proto.Env) proto.Handler {
 			eng := New(env, Config{
-				Group:              1,
-				Ordering:           FIFO,
-				DisableSuppression: !suppress,
+				Group:    1,
+				Ordering: FIFO,
 			})
 			eng.SetView(view)
 			engines[m] = eng
@@ -73,23 +71,17 @@ func deadSenderRun(t *testing.T, suppress bool) uint64 {
 // whose only holder has crashed must not turn into a fixed-interval NACK
 // drone. At the 40ms base timer a non-backed-off receiver would fire ~750
 // requests over 30s; capped exponential backoff (2s cap) allows at most
-// ~20 per receiver. The bound covers both recovery schemes.
+// ~20 per receiver.
 func TestDeadSenderBoundedNacks(t *testing.T) {
-	for _, suppress := range []bool{false, true} {
-		suppress := suppress
-		t.Run(fmt.Sprintf("suppress=%v", suppress), func(t *testing.T) {
-			requests := deadSenderRun(t, suppress)
-			if requests == 0 {
-				t.Fatal("no recovery requests: the gap was never detected")
-			}
-			// 3 surviving receivers; in the suppressed scheme requests are
-			// shared multicasts so the total should be lower still.
-			const perReceiverCap = 40
-			if limit := uint64(3 * perReceiverCap); requests > limit {
-				t.Errorf("%d recovery requests over 30s exceed the backoff bound %d",
-					requests, limit)
-			}
-			t.Logf("suppress=%v: %d recovery requests over 30s", suppress, requests)
-		})
+	requests := deadSenderRun(t)
+	if requests == 0 {
+		t.Fatal("no recovery requests: the gap was never detected")
 	}
+	// 3 surviving receivers; requests are shared multicasts, so the
+	// total should be lower still.
+	const perReceiverCap = 40
+	if limit := uint64(3 * perReceiverCap); requests > limit {
+		t.Errorf("%d recovery requests over 30s exceed the backoff bound %d", requests, limit)
+	}
+	t.Logf("%d recovery requests over 30s", requests)
 }

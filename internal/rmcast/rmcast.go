@@ -10,8 +10,9 @@
 // Every member numbers its multicasts per view (1, 2, ...). Receivers
 // track the contiguous prefix received from each sender; gaps detected via
 // later messages or via the periodic stability gossip (which carries each
-// member's delivery horizon) trigger NACKs to the original sender, which
-// answers with retransmissions from its history buffer.
+// member's delivery horizon) trigger multicast repair requests, answered
+// from the history buffer of the sender or of any member holding the data
+// (suppress.go).
 //
 // Ordering is layered on top of the reliable per-sender streams:
 //
@@ -19,15 +20,11 @@
 //   - FIFO delivers each sender's stream in sequence order.
 //   - Causal stamps messages with a vector clock over the view's member
 //     ranks and delays delivery until causally deliverable.
-//   - Total routes all delivery through slots assigned by per-shard
-//     sequencers. Each message's stream label hashes to a shard and each
-//     shard to a sequencer member (shard 0 is the view coordinator, so
-//     OrderShards=1 degenerates to the classic single sequencer). A
-//     sequencer assigns contiguous slot ranges per (sender, seq-run) and
-//     announces them as pipelined KindOrderRange decisions — many ranges
-//     in flight before earlier ones finish delivering — while the view
-//     coordinator interleaves the per-shard slot spaces into the one
-//     global delivery order with merge directives on the same wire kind.
+//   - Total routes all delivery through slots assigned by one sequencer,
+//     the view coordinator. It assigns contiguous slot ranges per
+//     (sender, seq-run) and announces them as pipelined KindOrderRange
+//     decisions — many ranges in flight before earlier ones finish
+//     delivering (window.go decides when an announcement leaves).
 //
 // Stability gossip (KindStable) carries, for every sender, the highest
 // contiguously delivered sequence number. A message acknowledged by every
@@ -129,20 +126,11 @@ type Config struct {
 	Group id.Group
 	// Ordering selects the delivery discipline. Defaults to FIFO.
 	Ordering Ordering
-	// OrderShards splits total-order sequencing across this many
-	// members: each message's stream label (MulticastStream) hashes to a
-	// shard, each shard to a sequencer member — shard 0 is the view
-	// coordinator — and the coordinator's merge directives fix one
-	// global delivery order across the shard slot spaces. 0 or 1 keeps
-	// the classic single-sequencer semantics. Forced to 1 unless
-	// Ordering is Total, and under DisableBatching (the legacy per-slot
-	// wire protocol has no shard field). Capped at 256.
-	OrderShards int
 	// OnDeliver receives application messages. Called from the event
 	// loop; must not block.
 	OnDeliver func(Delivery)
-	// ResendAfter is the gap age that triggers a NACK and the re-NACK
-	// interval. Defaults to DefaultResendAfter.
+	// ResendAfter is the base interval of total-order slot re-requests.
+	// Defaults to DefaultResendAfter.
 	ResendAfter time.Duration
 	// StabilizeEvery is the stability gossip period. Defaults to
 	// DefaultStabilizeEvery.
@@ -153,18 +141,6 @@ type Config struct {
 	// history buffers drain even in quiescence. Defaults to
 	// DefaultKeepaliveFactor * StabilizeEvery.
 	StableKeepalive time.Duration
-	// DisableBatching reverts control traffic to one datagram per event:
-	// singleton NACKs, one ORDER announcement per slot, and stability
-	// gossip on every period regardless of change. The zero value —
-	// batching on — coalesces NACK ranges per (destination, tick),
-	// aggregates sequencer slots into one KindOrderBatch per tick, and
-	// suppresses gossip while the ack vector is unchanged. The unbatched
-	// mode exists for the T3 ablation baseline.
-	DisableBatching bool
-	// NoPiggyback stops attaching the ack vector to outgoing data
-	// messages. With piggybacking on (the zero value), active senders
-	// propagate stability for free and skip standalone gossip entirely.
-	NoPiggyback bool
 	// Metrics, when non-nil, receives live protocol counters under names
 	// prefixed with MetricsPrefix. When nil the engine still counts (the
 	// Counters accessor keeps working) but registers nothing.
@@ -177,17 +153,11 @@ type Config struct {
 	// deliveries, NACKs, retransmissions, gossip) into the flight
 	// recorder ring. Nil disables recording at zero cost.
 	Flight *flightrec.Recorder
-	// Suppression tunes the SRM-style scalable loss recovery that is on
-	// by default: randomized suppression timers for multicast repair
-	// requests, sampled multicast local repair, duplicate-repair damping
-	// and capped exponential request backoff (see suppress.go). Zero
-	// fields take defaults.
+	// Suppression tunes the SRM-style scalable loss recovery: randomized
+	// suppression timers for multicast repair requests, sampled multicast
+	// local repair, duplicate-repair damping and capped exponential
+	// request backoff (see suppress.go). Zero fields take defaults.
 	Suppression Suppression
-	// DisableSuppression reverts loss recovery to the flat baseline:
-	// unicast NACKs straight to the original sender, re-fired with
-	// capped exponential backoff. The ablation arm for the T7
-	// recovery-traffic experiment.
-	DisableSuppression bool
 	// Distance estimates the one-way delay to a peer, scaling the
 	// suppression timers so nearer receivers request (and nearer holders
 	// repair) first. Live stacks can wire it to clock-sync RTT samples;
@@ -235,14 +205,13 @@ type Counters struct {
 	Retransmits  uint64 // retransmissions received
 	FlushResends uint64 // messages re-sent by Flush
 	OrdersSent   uint64 // sequencer slot assignments (messages sequenced)
-	OrderRanges  uint64 // ordering units + merge directives broadcast
+	OrderRanges  uint64 // ordering units broadcast
 	PiggyAcks    uint64 // ack vectors piggybacked on outgoing data
 	GossipAcks   uint64 // standalone stability gossip broadcasts
 
 	// Scalable-recovery counters (see suppress.go). NacksSent and
 	// NacksServed count request/repair events — one per multicast, not
-	// per fan-out datagram — so flat and suppressed runs compare under
-	// the IP-multicast cost model.
+	// per fan-out datagram: the IP-multicast cost model.
 	NacksSuppressed   uint64 // pending requests cancelled on hearing an equivalent one
 	RepairsSuppressed uint64 // armed repair timers cancelled on hearing the repair
 	LocalRepairs      uint64 // repairs served by a member other than the original sender
@@ -336,22 +305,23 @@ type queuedSend struct {
 	payload []byte
 }
 
-// shardState is one ordering shard: the receiver-side decision log and
-// delivery cursor for the shard's slot space, plus the sequencer-side
-// assignment buffer used when this node sequences the shard.
+// orderState is the total-order plane of one view: the receiver-side
+// decision log and delivery cursor for the slot space, plus the
+// assignment buffer used when this node is the sequencer.
 //
 // Decisions are immutable units (wire.OrderRange values): a unit is
 // announced once, re-served verbatim during recovery, and never split or
 // coalesced after the flush that numbered it. Receivers therefore dedup
 // by slot position alone — a unit starting below decideNext is known in
 // full — and the log needs no per-slot index.
-type shardState struct {
+type orderState struct {
 	decideNext uint64                     // lowest slot not covered by log
 	log        []wire.OrderRange          // contiguous admitted units, slot order
 	pend       map[uint64]wire.OrderRange // out-of-order units by SlotFrom
 	logIdx     int                        // delivery cursor: index into log
 	logOff     uint32                     // delivery cursor: offset into log[logIdx]
-	waiting    int                        // reliable messages queued on this shard
+	delivered  uint64                     // messages delivered in total order
+	waiting    int                        // reliable messages queued undelivered
 
 	// Sequencer state: seq-runs accumulated since the last flush. Slots
 	// are assigned at flush time (SlotFrom stays unset in assign), so a
@@ -370,21 +340,14 @@ type peerState struct {
 	early   map[uint64]bool          // delivered ahead of order (Unordered mode)
 	horizon uint64                   // highest sequence known to exist
 
-	// Total ordering: per-shard FIFO queues of reliable-but-undelivered
-	// messages. A sender's messages on one shard are sequenced in seq
-	// order, so the queue front is always the next message any ordering
-	// unit for (sender, shard) can reference — delivery is a cursor pop,
-	// no per-message map. Indexed by shard; allocated only under Total.
-	oq     [][]queuedMsg
-	oqHead []int
+	// Total ordering: the FIFO queue of reliable-but-undelivered messages.
+	// A sender's messages are sequenced in seq order, so the queue front
+	// is always the next message any ordering unit for the sender can
+	// reference — delivery is a cursor pop, no per-message map.
+	oq     []queuedMsg
+	oqHead int
 
-	// Flat-recovery state: unicast re-NACK pacing with capped
-	// exponential backoff (DisableSuppression mode).
-	lastNack    time.Time
-	nackBackoff uint8  // backoff exponent of the next re-NACK interval
-	nackMark    uint64 // next at the last NACK; progress past it resets backoff
-
-	// Suppressed-recovery state: the armed randomized request timer.
+	// Recovery state: the armed randomized request timer.
 	reqAt      time.Time // when the pending repair request fires; zero = disarmed
 	reqBackoff uint8     // backoff exponent of the next request interval
 	reqMark    uint64    // next at the last request; progress past it resets backoff
@@ -419,35 +382,12 @@ type Engine struct {
 	// Causal holding pool: reliable-but-not-yet-deliverable messages.
 	causalPool []*wire.Message
 
-	// Total-order state: per-shard decision logs and sequencer-side
-	// assignment buffers (see shardState), plus the global merge stream
-	// that interleaves shard slot spaces when sharding is on.
-	nshards     int
-	shards      []shardState
-	totalNext   uint64 // global messages delivered in total order
-	pendingData int    // reliable messages queued undelivered across shards
-
-	// Merge stream (only used when nshards > 1). The view coordinator
-	// covers newly decided slots with MergeEntry directives; receivers
-	// admit them contiguously by From and consume shard logs
-	// accordingly, so every member interleaves shards identically.
-	mergeNext uint64 // lowest merge-stream index not covered by mergeLog
-	mergeLog  []wire.MergeEntry
-	mergePend map[uint64]wire.MergeEntry // out-of-order directives by From
-	mergeIdx  int                        // delivery cursor: index into mergeLog
-	mergeOff  uint32                     // delivery cursor: offset into mergeLog[mergeIdx]
-	mergeSeq  uint64                     // coordinator: next merge-stream index to cover
-	pendMerge []wire.MergeEntry          // coordinator: directives awaiting broadcast
-	// Coordinator: foreign sequencers' units relayed for rebroadcast.
-	// Non-coordinator sequencers unicast their flushed ranges here
-	// instead of broadcasting, so the whole group sees one ordering
-	// datagram stream (ranges + merges together) rather than one
-	// broadcast per shard plus a separate merge broadcast.
-	pendRanges []wire.OrderRange
+	// Total-order state (see orderState), rebuilt per view.
+	ord orderState
 
 	// Ordering cadence (see window.go): whether the runtime closes the
-	// windows, the current mode, and the messages this node sequenced — or,
-	// as coordinator, took over from other sequencers — in the open window.
+	// windows, the current mode, and the messages this node sequenced in
+	// the open window.
 	windowed  bool
 	cadence   bool
 	windowSeq int
@@ -468,9 +408,7 @@ type Engine struct {
 	ackScratch   []wire.AckEntry
 	bodyScratch  []byte
 	rangeScratch []wire.OrderRange
-	mergeScratch []wire.MergeEntry
 	decRanges    []wire.OrderRange // KindOrderRange decode scratch
-	decMerges    []wire.MergeEntry
 
 	// Messages for a view newer than the installed one, replayed after
 	// installation.
@@ -492,8 +430,8 @@ type Engine struct {
 	recentRepairs map[msgKey]time.Time
 	rng           *rand.Rand
 
-	// Total-order slot re-request backoff (mirrors the per-sender NACK
-	// backoff; resets when totalNext advances).
+	// Total-order slot re-request backoff (mirrors the per-sender request
+	// backoff; resets when ordered delivery advances).
 	orderNackBackoff uint8
 	orderNackMark    uint64
 
@@ -534,12 +472,6 @@ func New(env proto.Env, cfg Config) *Engine {
 	if cfg.MetricsPrefix == "" {
 		cfg.MetricsPrefix = "rmcast."
 	}
-	if cfg.OrderShards < 1 || cfg.Ordering != Total || cfg.DisableBatching {
-		cfg.OrderShards = 1
-	}
-	if cfg.OrderShards > 256 {
-		cfg.OrderShards = 256 // the wire shard field is a uint8
-	}
 	if cfg.SlowAfter <= 0 {
 		if cfg.FlowWindow > 0 {
 			cfg.SlowAfter = cfg.FlowWindow
@@ -552,7 +484,6 @@ func New(env proto.Env, cfg Config) *Engine {
 		cfg:           cfg,
 		met:           newEngMetrics(cfg.Metrics, cfg.MetricsPrefix),
 		rank:          -1,
-		nshards:       cfg.OrderShards,
 		peers:         make(map[id.Node]*peerState),
 		history:       make(map[msgKey]*wire.Message),
 		histMin:       make(map[id.Node]uint64),
@@ -567,24 +498,13 @@ func New(env proto.Env, cfg Config) *Engine {
 		// and any rerun of it — draws the same timer sequence.
 		rng: rand.New(rand.NewSource(int64(mix64(uint64(env.Self()) + 0x5eed)))),
 	}
-	e.resetShards()
+	e.resetOrder()
 	return e
 }
 
-// resetShards rebuilds the per-shard total-order state for a new view.
-func (e *Engine) resetShards() {
-	e.shards = make([]shardState, e.nshards)
-	for i := range e.shards {
-		e.shards[i].openRun = make(map[id.Node]int)
-	}
-	e.totalNext = 0
-	e.pendingData = 0
-	e.mergeNext, e.mergeSeq = 0, 0
-	e.mergeIdx, e.mergeOff = 0, 0
-	e.mergeLog = nil
-	e.mergePend = nil
-	e.pendMerge = e.pendMerge[:0]
-	e.pendRanges = e.pendRanges[:0]
+// resetOrder rebuilds the total-order state for a new view.
+func (e *Engine) resetOrder() {
+	e.ord = orderState{openRun: make(map[id.Node]int)}
 }
 
 // Counters returns a copy of the protocol event counters.
@@ -634,7 +554,7 @@ func (e *Engine) SetView(v member.View) {
 	clear(e.histMin)
 	clear(e.histMax)
 	e.causalPool = nil
-	e.resetShards()
+	e.resetOrder()
 	e.ackMatrix = make(map[id.Node]map[id.Node]uint64)
 	e.frozen = false
 	e.ackDirty = false
@@ -697,9 +617,8 @@ func (e *Engine) SetView(v member.View) {
 // gate every surviving member holds the same blocked set, so the policy
 // below keeps delivery sequences identical across members:
 //
-//   - Total: queued messages whose ordering decisions died with a shard
-//     sequencer (or were never assigned, or whose merge directives the
-//     old coordinator never issued) are delivered in (sender, seq)
+//   - Total: queued messages whose ordering decisions died with the
+//     sequencer (or were never assigned) are delivered in (sender, seq)
 //     order — the same order everywhere, appended after the same
 //     delivered prefix the flush-convergence gate equalized.
 //   - Causal: pool remnants are dropped. A remnant's dependency was
@@ -709,15 +628,13 @@ func (e *Engine) SetView(v member.View) {
 //   - FIFO/unordered gap buffers are dropped for the same reason: the
 //     gap message exists nowhere among the survivors.
 func (e *Engine) drainForViewChange() {
-	if e.view.ID == 0 || e.cfg.Ordering != Total || e.pendingData == 0 {
+	if e.view.ID == 0 || e.cfg.Ordering != Total || e.ord.waiting == 0 {
 		return
 	}
-	rest := make([]*wire.Message, 0, e.pendingData)
+	rest := make([]*wire.Message, 0, e.ord.waiting)
 	for _, st := range e.peers {
-		for s := range st.oq {
-			for i := st.oqHead[s]; i < len(st.oq[s]); i++ {
-				rest = append(rest, st.oq[s][i].m)
-			}
+		for _, q := range st.oq[st.oqHead:] {
+			rest = append(rest, q.m)
 		}
 	}
 	sort.Slice(rest, func(i, j int) bool {
@@ -729,7 +646,7 @@ func (e *Engine) drainForViewChange() {
 	for _, m := range rest {
 		e.deliver(m)
 	}
-	e.pendingData = 0
+	e.ord.waiting = 0
 }
 
 // Freeze defers new multicasts and new sequencer slot assignments until
@@ -745,7 +662,7 @@ func (e *Engine) Freeze() { e.frozen = true }
 // layer's flush-convergence gate: the per-sender contiguously delivered
 // counts and, under total ordering, the number of slots delivered.
 func (e *Engine) StabilityVector() ([]wire.AckEntry, uint64) {
-	return e.ackVector(), e.totalNext
+	return e.ackVector(), e.ord.delivered
 }
 
 // HistoryLen returns the number of delivered-but-unstable messages held,
@@ -891,13 +808,8 @@ func (e *Engine) Multicast(payload []byte) error {
 	return e.MulticastStream(0, payload)
 }
 
-// MulticastStream sends payload labelled with a media stream. Under
-// total ordering with sequencer sharding the label selects the shard —
-// and with it the sequencer member — that orders the message, so
-// independent streams stop serializing through one node while each
-// stream stays totally ordered and the coordinator's merge rule fixes
-// one global order across streams. Other orderings carry the label
-// through to Delivery untouched.
+// MulticastStream sends payload labelled with a media stream. The label
+// is carried through to Delivery untouched; it has no protocol effect.
 func (e *Engine) MulticastStream(stream id.Stream, payload []byte) error {
 	return e.multicast(stream, payload, true)
 }
@@ -962,15 +874,13 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 		// synchronously); the history copy stays piggyback-free so
 		// retransmissions never carry a stale ack vector.
 		out := *msg
-		if !e.cfg.NoPiggyback {
-			e.ackScratch = e.appendAckRows(e.ackScratch[:0])
-			if len(e.ackScratch) > 0 {
-				out.Flags |= wire.FlagPiggyAck
-				out.Acks = e.ackScratch
-				e.lastGossip = e.env.Now()
-				e.ackDirty = false
-				e.met.piggyAcks.Inc()
-			}
+		e.ackScratch = e.appendAckRows(e.ackScratch[:0])
+		if len(e.ackScratch) > 0 {
+			out.Flags |= wire.FlagPiggyAck
+			out.Acks = e.ackScratch
+			e.lastGossip = e.env.Now()
+			e.ackDirty = false
+			e.met.piggyAcks.Inc()
 		}
 		for _, m := range e.view.Members {
 			if m == e.env.Self() {
@@ -993,9 +903,7 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 	case wire.KindData, wire.KindRetrans:
 		if msg.Kind == wire.KindRetrans {
 			e.met.retransmits.Inc()
-			if !e.cfg.DisableSuppression {
-				e.noteRetrans(msg)
-			}
+			e.noteRetrans(msg)
 		}
 		if msg.Flags&wire.FlagPiggyAck != 0 {
 			if msg.View == e.view.ID && e.view.Contains(from) {
@@ -1007,13 +915,11 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 			msg.Acks = nil
 		}
 		e.routeData(msg)
-	case wire.KindNack:
-		e.onNack(from, msg)
 	case wire.KindNackBatch:
 		e.onNackBatch(from, msg)
 	case wire.KindRepairReq:
 		e.onRepairReq(from, msg)
-	case wire.KindOrder, wire.KindOrderBatch, wire.KindOrderRange:
+	case wire.KindOrderRange:
 		e.routeOrder(msg)
 	case wire.KindStable:
 		e.onStable(from, msg)
@@ -1038,14 +944,7 @@ func (e *Engine) routeData(msg *wire.Message) {
 func (e *Engine) routeOrder(msg *wire.Message) {
 	switch {
 	case msg.View == e.view.ID && e.view.ID != 0:
-		switch msg.Kind {
-		case wire.KindOrderRange:
-			e.onOrderRange(msg)
-		case wire.KindOrderBatch:
-			e.onOrderBatch(msg)
-		default:
-			e.onOrder(msg)
-		}
+		e.onOrderRange(msg)
 	case msg.View > e.view.ID:
 		if len(e.futureBuf) < 4096 {
 			e.futureBuf = append(e.futureBuf, msg)
@@ -1055,14 +954,7 @@ func (e *Engine) routeOrder(msg *wire.Message) {
 
 // dispatch runs the reliability stage for a current-view message.
 func (e *Engine) dispatch(msg *wire.Message) {
-	switch msg.Kind {
-	case wire.KindOrder:
-		e.onOrder(msg)
-		return
-	case wire.KindOrderBatch:
-		e.onOrderBatch(msg)
-		return
-	case wire.KindOrderRange:
+	if msg.Kind == wire.KindOrderRange { // replayed from futureBuf
 		e.onOrderRange(msg)
 		return
 	}
@@ -1124,11 +1016,9 @@ func (e *Engine) contiguous(msg *wire.Message, st *peerState) {
 		e.causalPool = append(e.causalPool, msg)
 		e.drainCausal()
 	case Total:
-		shard := e.shardOf(msg.Stream)
-		st.oq[shard] = append(st.oq[shard], queuedMsg{m: msg, at: e.env.Now().UnixNano()})
-		e.shards[shard].waiting++
-		e.pendingData++
-		e.offerTotal(shard, msg)
+		st.oq = append(st.oq, queuedMsg{m: msg, at: e.env.Now().UnixNano()})
+		e.ord.waiting++
+		e.offerTotal(msg)
 		e.drainTotal()
 	}
 }
@@ -1176,36 +1066,19 @@ func (e *Engine) drainCausal() {
 	}
 }
 
-// shardOf maps a stream label to its ordering shard. Stream 0 — plain
-// Multicast — always lands on shard 0, so unlabelled traffic keeps the
-// single-sequencer behavior regardless of OrderShards.
-func (e *Engine) shardOf(stream id.Stream) int {
-	if e.nshards <= 1 {
-		return 0
-	}
-	return int((uint32(stream) * 0x9e3779b1) % uint32(e.nshards))
-}
-
-// sequencerOf returns the member sequencing a shard in the current view.
-// Shard 0 maps to the view coordinator, preserving the classic layout
-// when OrderShards is 1.
-func (e *Engine) sequencerOf(shard int) id.Node {
-	return e.view.Members[shard%e.view.Size()]
-}
-
 // rangeFlushThreshold caps how many sequenced messages accumulate before
 // the sequencer flushes mid-tick. Under sustained load this keeps
 // multiple ranges in flight (pipelining) and bounds sequencer-side
 // latency; at low rate the per-tick flush bounds latency instead.
 const rangeFlushThreshold = 256
 
-// offerTotal is the sequencer half of total-order reception: when this
-// node sequences the message's shard, the message joins the shard's open
-// seq-run for its sender and receives a slot at the next flush. Runs
-// grow while a sender's sequence numbers on the shard stay contiguous,
-// so ordering metadata is O(runs), not O(messages).
-func (e *Engine) offerTotal(shard int, msg *wire.Message) {
-	if e.frozen || e.view.Size() == 0 || e.sequencerOf(shard) != e.env.Self() {
+// offerTotal is the sequencer half of total-order reception: at the view
+// coordinator the message joins the open seq-run for its sender and
+// receives a slot at the next flush. Runs grow while a sender's sequence
+// numbers stay contiguous, so ordering metadata is O(runs), not
+// O(messages).
+func (e *Engine) offerTotal(msg *wire.Message) {
+	if e.frozen || e.view.Coordinator() != e.env.Self() {
 		// No new assignments during a view change: every slot assigned
 		// before the freeze is reflected in the sequencer's own
 		// delivered-slot count, so the flush-convergence check forces
@@ -1213,279 +1086,112 @@ func (e *Engine) offerTotal(shard int, msg *wire.Message) {
 		// the check. Unassigned messages drain at SetView.
 		return
 	}
-	sh := &e.shards[shard]
+	o := &e.ord
 	e.met.ordersSent.Inc()
 	e.windowSeq++
-	if e.cfg.DisableBatching {
-		// Legacy per-slot path (T3 ablation): assign and announce
-		// immediately, one KindOrder datagram per message per member.
-		slot := sh.seqSlot
-		sh.seqSlot++
-		e.broadcastOrder(slot, msgKey{sender: msg.Sender, seq: msg.Seq})
-		e.admitRange(wire.OrderRange{
-			SlotFrom: slot, Sender: msg.Sender, SeqFrom: msg.Seq, Count: 1,
-		})
-		return
+	o.assignMsgs++
+	if i, ok := o.openRun[msg.Sender]; ok && o.assign[i].SeqFrom+uint64(o.assign[i].Count) == msg.Seq {
+		o.assign[i].Count++
+	} else {
+		o.assign = append(o.assign, wire.OrderRange{Sender: msg.Sender, SeqFrom: msg.Seq, Count: 1})
+		o.openRun[msg.Sender] = len(o.assign) - 1
 	}
-	if i, ok := sh.openRun[msg.Sender]; ok {
-		if r := &sh.assign[i]; r.SeqFrom+uint64(r.Count) == msg.Seq {
-			r.Count++
-			sh.assignMsgs++
-			e.maybeFlushMidTick(sh)
-			return
-		}
-	}
-	sh.assign = append(sh.assign, wire.OrderRange{
-		Shard: uint8(shard), Sender: msg.Sender, SeqFrom: msg.Seq, Count: 1,
-	})
-	sh.openRun[msg.Sender] = len(sh.assign) - 1
-	sh.assignMsgs++
-	e.maybeFlushMidTick(sh)
-}
-
-// maybeFlushMidTick flushes between ticks once enough assignments are
-// pending — the pipelining half of range ordering — and immediately in a
-// singleton view, where announcements reach nobody and deferring would
-// only delay local delivery.
-func (e *Engine) maybeFlushMidTick(sh *shardState) {
-	if sh.assignMsgs >= rangeFlushThreshold || e.view.Size() == 1 {
+	// Flush between ticks once enough assignments are pending — the
+	// pipelining half of range ordering — and immediately in a singleton
+	// view, where announcements reach nobody and deferring would only
+	// delay local delivery.
+	if o.assignMsgs >= rangeFlushThreshold || e.view.Size() == 1 {
 		e.flushOrders()
 	}
 }
 
-// broadcastOrder announces one slot assignment to the other members
-// (legacy per-slot path, DisableBatching only).
-func (e *Engine) broadcastOrder(slot uint64, key msgKey) {
-	for _, m := range e.view.Members {
-		if m == e.env.Self() {
-			continue
-		}
-		e.env.Send(m, &wire.Message{
-			Kind:   wire.KindOrder,
-			Group:  e.cfg.Group,
-			View:   e.view.ID,
-			Sender: key.sender,
-			Seq:    key.seq,
-			Aux:    slot,
-		})
-	}
-}
-
-// onOrder records one legacy per-slot assignment (shard 0).
-func (e *Engine) onOrder(msg *wire.Message) {
-	e.admitRange(wire.OrderRange{
-		SlotFrom: msg.Aux, Sender: msg.Sender, SeqFrom: msg.Seq, Count: 1,
-	})
-	e.drainTotal()
-}
-
-// onOrderBatch records every assignment in a legacy aggregated
-// announcement (shard 0), then drains once.
-func (e *Engine) onOrderBatch(msg *wire.Message) {
-	entries, _, err := wire.DecodeOrderBatch(msg.Body)
-	if err != nil {
-		return
-	}
-	for _, o := range entries {
-		e.admitRange(wire.OrderRange{
-			SlotFrom: o.Slot, Sender: o.Sender, SeqFrom: o.Seq, Count: 1,
-		})
-	}
-	e.drainTotal()
-}
-
-// onOrderRange admits every ordering unit and merge directive in a
-// pipelined range announcement, then drains once.
+// onOrderRange admits every ordering unit in a pipelined range
+// announcement, then drains once.
 func (e *Engine) onOrderRange(msg *wire.Message) {
-	rs, ms, _, err := wire.AppendDecodedOrderRanges(e.decRanges[:0], e.decMerges[:0], msg.Body)
+	rs, err := wire.AppendDecodedOrderRanges(e.decRanges[:0], msg.Body)
 	if err != nil {
 		return
 	}
-	e.decRanges, e.decMerges = rs, ms
+	e.decRanges = rs
 	for _, r := range rs {
 		e.admitRange(r)
 	}
-	for _, m := range ms {
-		e.admitMerge(m)
-	}
-	// Units relayed by a foreign sequencer (Aux marks the relay; recovery
-	// replies share the wire kind but carry Aux 0) are queued for the
-	// coordinator's combined rebroadcast — the rest of the group learns
-	// them from the same datagrams as the merge directives covering them.
-	if msg.Aux == orderRelayTag && e.nshards > 1 &&
-		e.view.Coordinator() == e.env.Self() {
-		e.pendRanges = append(e.pendRanges, rs...)
-		for _, r := range rs {
-			e.windowSeq += int(r.Count)
-		}
-	}
-	// The coordinator covers other shards' decisions with merge
-	// directives as they arrive; push them out without waiting for the
-	// tick once enough accumulate, so cross-shard delivery pipelines at
-	// the same cadence as the shard announcements feeding it.
-	if len(e.pendMerge)+len(e.pendRanges) >= rangeFlushThreshold {
-		e.flushOrders()
-	}
 	e.drainTotal()
 }
 
-// admitRange installs one immutable ordering unit into its shard's
-// decision log. A unit starting below decideNext is a duplicate in full:
-// units are never split or re-coalesced after flush, so partial overlap
-// cannot occur. At the view coordinator each newly contiguous unit also
-// extends the global merge stream when sharding is on. Callers drain.
+// admitRange installs one immutable ordering unit into the decision log.
+// A unit starting below decideNext is a duplicate in full: units are
+// never split or re-coalesced after flush, so partial overlap cannot
+// occur. Callers drain.
 func (e *Engine) admitRange(r wire.OrderRange) {
-	if int(r.Shard) >= len(e.shards) || r.Count == 0 {
-		return
+	o := &e.ord
+	if r.Count == 0 || r.SlotFrom < o.decideNext {
+		return // empty or duplicate
 	}
-	sh := &e.shards[r.Shard]
-	if r.SlotFrom < sh.decideNext {
-		return // duplicate
-	}
-	if r.SlotFrom > sh.decideNext {
-		if sh.pend == nil {
-			sh.pend = make(map[uint64]wire.OrderRange)
+	if r.SlotFrom > o.decideNext {
+		if o.pend == nil {
+			o.pend = make(map[uint64]wire.OrderRange)
 		}
-		if _, ok := sh.pend[r.SlotFrom]; !ok {
-			sh.pend[r.SlotFrom] = r
+		if _, ok := o.pend[r.SlotFrom]; !ok {
+			o.pend[r.SlotFrom] = r
 		}
 		return
 	}
-	grew := uint32(0)
 	for {
-		sh.log = append(sh.log, r)
-		sh.decideNext = r.SlotFrom + uint64(r.Count)
-		grew += r.Count
+		o.log = append(o.log, r)
+		o.decideNext = r.SlotFrom + uint64(r.Count)
 		// A decision proves the data exists: bump the sender's horizon
-		// so missing data is NACKed promptly.
+		// so missing data is requested promptly.
 		st := e.peer(r.Sender)
 		if hz := r.SeqFrom + uint64(r.Count) - 1; hz > st.horizon {
 			st.horizon = hz
 		}
-		nr, ok := sh.pend[sh.decideNext]
-		if !ok {
-			break
-		}
-		delete(sh.pend, sh.decideNext)
-		r = nr
-	}
-	if e.nshards > 1 && !e.frozen && e.view.Coordinator() == e.env.Self() {
-		e.mergeCover(int(r.Shard), grew)
-	}
-}
-
-// mergeCover extends the coordinator's global merge stream over count
-// newly decided slots of a shard, coalescing with the pending tail when
-// it targets the same shard. One coordinator generates the merge stream
-// per view, so every member interleaves the shard slot spaces
-// identically — that is the whole determinism argument.
-func (e *Engine) mergeCover(shard int, count uint32) {
-	if n := len(e.pendMerge); n > 0 && int(e.pendMerge[n-1].Shard) == shard {
-		e.pendMerge[n-1].Count += count
-		e.mergeSeq += uint64(count)
-		return
-	}
-	e.pendMerge = append(e.pendMerge, wire.MergeEntry{
-		Shard: uint8(shard), From: e.mergeSeq, Count: count,
-	})
-	e.mergeSeq += uint64(count)
-}
-
-// admitMerge installs one merge directive into the global merge log.
-// Like ordering units, broadcast directives are immutable and admitted
-// contiguously by From. Callers drain.
-func (e *Engine) admitMerge(m wire.MergeEntry) {
-	if len(e.shards) < 2 || int(m.Shard) >= len(e.shards) || m.Count == 0 {
-		return
-	}
-	if m.From < e.mergeNext {
-		return // duplicate
-	}
-	if m.From > e.mergeNext {
-		if e.mergePend == nil {
-			e.mergePend = make(map[uint64]wire.MergeEntry)
-		}
-		if _, ok := e.mergePend[m.From]; !ok {
-			e.mergePend[m.From] = m
-		}
-		return
-	}
-	for {
-		e.mergeLog = append(e.mergeLog, m)
-		e.mergeNext = m.From + uint64(m.Count)
-		nm, ok := e.mergePend[e.mergeNext]
+		nr, ok := o.pend[o.decideNext]
 		if !ok {
 			return
 		}
-		delete(e.mergePend, e.mergeNext)
-		m = nm
+		delete(o.pend, o.decideNext)
+		r = nr
 	}
 }
 
-// drainTotal delivers every queued message whose global order is now
-// determined. With one shard the shard log IS the global order; with
-// sharding the merge stream dictates how many slots to consume from
-// which shard next.
+// drainTotal delivers every queued message whose order is now determined:
+// it walks the decision log from the delivery cursor, popping each
+// referenced message off its sender's FIFO queue, and stalls when the
+// next unit is unknown or its data has not become reliable yet.
 func (e *Engine) drainTotal() {
-	if len(e.shards) == 1 {
-		e.consumeShard(&e.shards[0], ^uint32(0))
-		return
-	}
-	for e.mergeIdx < len(e.mergeLog) {
-		m := e.mergeLog[e.mergeIdx]
-		done := e.consumeShard(&e.shards[m.Shard], m.Count-e.mergeOff)
-		e.mergeOff += done
-		if e.mergeOff == m.Count {
-			e.mergeIdx++
-			e.mergeOff = 0
-			continue
-		}
-		return // stalled: decision or data still missing on this shard
-	}
-}
-
-// consumeShard delivers up to max messages from the front of the shard's
-// decision log, popping each referenced message off its sender's
-// per-shard FIFO queue. Delivery stalls when the next unit is unknown or
-// its data has not become reliable yet. Returns the delivered count.
-func (e *Engine) consumeShard(sh *shardState, max uint32) uint32 {
-	var n uint32
+	o := &e.ord
 	var now int64 // read once per call, on the first delivery
-	for n < max && sh.logIdx < len(sh.log) {
-		r := sh.log[sh.logIdx]
+	for o.logIdx < len(o.log) {
+		r := o.log[o.logIdx]
 		st, ok := e.peers[r.Sender]
 		if !ok {
-			return n
+			return
 		}
-		shard := int(r.Shard)
-		q := st.oq[shard]
-		h := st.oqHead[shard]
-		if h >= len(q) || q[h].m.Seq != r.SeqFrom+uint64(sh.logOff) {
-			return n // data not reliable yet (or not at the queue front)
+		h := st.oqHead
+		if h >= len(st.oq) || st.oq[h].m.Seq != r.SeqFrom+uint64(o.logOff) {
+			return // data not reliable yet (or not at the queue front)
 		}
-		m := q[h].m
+		m := st.oq[h].m
 		if now == 0 {
 			now = e.env.Now().UnixNano()
 		}
-		e.met.orderWait.Observe(float64(now-q[h].at) / 1e6)
-		if h+1 == len(q) {
-			st.oq[shard] = q[:0] // reuse the backing array
-			st.oqHead[shard] = 0
+		e.met.orderWait.Observe(float64(now-st.oq[h].at) / 1e6)
+		if h+1 == len(st.oq) {
+			st.oq = st.oq[:0] // reuse the backing array
+			st.oqHead = 0
 		} else {
-			st.oqHead[shard] = h + 1
+			st.oqHead = h + 1
 		}
-		sh.logOff++
-		if sh.logOff == r.Count {
-			sh.logIdx++
-			sh.logOff = 0
+		o.logOff++
+		if o.logOff == r.Count {
+			o.logIdx++
+			o.logOff = 0
 		}
-		sh.waiting--
-		e.pendingData--
-		e.totalNext++
-		n++
+		o.waiting--
+		o.delivered++
 		e.deliver(m)
 	}
-	return n
 }
 
 // peer returns the receive state for a sender, creating it on first use.
@@ -1497,34 +1203,14 @@ func (e *Engine) peer(n id.Node) *peerState {
 			buf:   make(map[uint64]*wire.Message),
 			early: make(map[uint64]bool),
 		}
-		if e.cfg.Ordering == Total {
-			st.oq = make([][]queuedMsg, e.nshards)
-			st.oqHead = make([]int, e.nshards)
-		}
 		e.peers[n] = st
 	}
 	return st
 }
 
-// onNack serves a retransmission request for [msg.Seq, msg.Aux] of our own
-// traffic (or of any sender's traffic we still hold, which covers flush
-// assistance after the original sender failed). A NACK with Sender ==
-// id.None is an order request: any member that knows the ordering state
-// re-announces it from slot msg.Seq upward; msg.Aux selects the shard
-// (or, as mergeReqTag, the merge stream).
-func (e *Engine) onNack(from id.Node, msg *wire.Message) {
-	if msg.View != e.view.ID {
-		return
-	}
-	e.rec(flightrec.EvNackRecv, uint64(from), msg.Seq)
-	if msg.Sender == id.None {
-		e.serveOrderRequest(from, msg.Seq, msg.Aux)
-		return
-	}
-	e.serveRetrans(from, msg.Sender, msg.Seq, msg.Aux)
-}
-
-// onNackBatch serves every range in a coalesced retransmission request.
+// onNackBatch serves a total-order slot request: a range with Sender ==
+// id.None asks for the ordering state from slot From upward. (Data gaps
+// travel as KindRepairReq, see suppress.go.)
 func (e *Engine) onNackBatch(from id.Node, msg *wire.Message) {
 	if msg.View != e.view.ID {
 		return
@@ -1536,104 +1222,39 @@ func (e *Engine) onNackBatch(from id.Node, msg *wire.Message) {
 	e.rec(flightrec.EvNackRecv, uint64(from), uint64(len(ranges)))
 	for _, r := range ranges {
 		if r.Sender == id.None {
-			// Order request: To carries the shard index (or mergeReqTag),
-			// so legacy requests with To == 0 land on shard 0.
-			e.serveOrderRequest(from, r.From, r.To)
-			continue
+			e.serveOrderRequest(from, r.From)
 		}
-		e.serveRetrans(from, r.Sender, r.From, r.To)
 	}
 }
 
 // orderServeWindow caps ordering units served per request.
 const orderServeWindow = 512
 
-// mergeReqTag marks an order request for the global merge stream rather
-// than one shard's decision log.
-const mergeReqTag = ^uint64(0)
-
 // serveOrderRequest re-announces known ordering state from fromSlot
-// upward. Any member that admitted a unit answers, not only its
+// upward. Any member that admitted a unit answers, not only the
 // sequencer: this keeps total order recoverable after a sequencer crash.
-// tag selects a shard's decision log or, as mergeReqTag, the merge
-// stream. Units are immutable and re-served verbatim — always in the
-// range encoding (per-slot KindOrder replies only under
-// DisableBatching), so recovery rides the same compact wire path as
-// first announcement.
-func (e *Engine) serveOrderRequest(from id.Node, fromSlot, tag uint64) {
+// Units are immutable and re-served verbatim, so recovery rides the same
+// compact wire path as first announcement.
+func (e *Engine) serveOrderRequest(from id.Node, fromSlot uint64) {
 	if e.cfg.Ordering != Total {
 		return
 	}
-	if tag == mergeReqTag {
-		if len(e.shards) < 2 {
-			return
-		}
-		ms := e.mergeScratch[:0]
-		i := sort.Search(len(e.mergeLog), func(i int) bool {
-			m := e.mergeLog[i]
-			return m.From+uint64(m.Count) > fromSlot
-		})
-		for ; i < len(e.mergeLog) && len(ms) < orderServeWindow; i++ {
-			ms = append(ms, e.mergeLog[i])
-		}
-		ms = appendPendingMerges(ms, e.mergePend)
-		e.mergeScratch = ms
-		if len(ms) == 0 {
-			return
-		}
-		e.met.nacksServed.Add(uint64(len(ms)))
-		e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], nil, ms)
-		e.env.Send(from, &wire.Message{
-			Kind:  wire.KindOrderRange,
-			Group: e.cfg.Group,
-			View:  e.view.ID,
-			Body:  e.bodyScratch,
-		})
-		return
-	}
-	if tag >= uint64(len(e.shards)) {
-		return
-	}
-	sh := &e.shards[tag]
-	i := sort.Search(len(sh.log), func(i int) bool {
-		r := sh.log[i]
+	o := &e.ord
+	i := sort.Search(len(o.log), func(i int) bool {
+		r := o.log[i]
 		return r.SlotFrom+uint64(r.Count) > fromSlot
 	})
-	if e.cfg.DisableBatching {
-		// Legacy ablation: expand units back into per-slot KindOrder
-		// datagrams.
-		served := 0
-		for ; i < len(sh.log) && served < orderServeWindow; i++ {
-			r := sh.log[i]
-			for k := uint64(0); k < uint64(r.Count) && served < orderServeWindow; k++ {
-				if r.SlotFrom+k < fromSlot {
-					continue
-				}
-				served++
-				e.met.nacksServed.Inc()
-				e.env.Send(from, &wire.Message{
-					Kind:   wire.KindOrder,
-					Group:  e.cfg.Group,
-					View:   e.view.ID,
-					Sender: r.Sender,
-					Seq:    r.SeqFrom + k,
-					Aux:    r.SlotFrom + k,
-				})
-			}
-		}
-		return
-	}
 	rs := e.rangeScratch[:0]
-	for ; i < len(sh.log) && len(rs) < orderServeWindow; i++ {
-		rs = append(rs, sh.log[i])
+	for ; i < len(o.log) && len(rs) < orderServeWindow; i++ {
+		rs = append(rs, o.log[i])
 	}
-	rs = appendPendingRanges(rs, sh.pend)
+	rs = appendPendingRanges(rs, o.pend)
 	e.rangeScratch = rs
 	if len(rs) == 0 {
 		return
 	}
 	e.met.nacksServed.Add(uint64(len(rs)))
-	e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], rs, nil)
+	e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], rs)
 	e.env.Send(from, &wire.Message{
 		Kind:  wire.KindOrderRange,
 		Group: e.cfg.Group,
@@ -1642,9 +1263,9 @@ func (e *Engine) serveOrderRequest(from id.Node, fromSlot, tag uint64) {
 	})
 }
 
-// appendPendingRanges appends a shard's out-of-order units in SlotFrom
-// order (deterministic wire bytes under seeded simulation), capped at
-// the serve window. Recovery path only — the key sort may allocate.
+// appendPendingRanges appends the out-of-order units in SlotFrom order
+// (deterministic wire bytes under seeded simulation), capped at the serve
+// window. Recovery path only — the key sort may allocate.
 func appendPendingRanges(dst []wire.OrderRange, pend map[uint64]wire.OrderRange) []wire.OrderRange {
 	if len(pend) == 0 || len(dst) >= orderServeWindow {
 		return dst
@@ -1661,43 +1282,6 @@ func appendPendingRanges(dst []wire.OrderRange, pend map[uint64]wire.OrderRange)
 		dst = append(dst, pend[k])
 	}
 	return dst
-}
-
-// appendPendingMerges is appendPendingRanges for merge directives.
-func appendPendingMerges(dst []wire.MergeEntry, pend map[uint64]wire.MergeEntry) []wire.MergeEntry {
-	if len(pend) == 0 || len(dst) >= orderServeWindow {
-		return dst
-	}
-	keys := make([]uint64, 0, len(pend))
-	for k := range pend {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if len(dst) >= orderServeWindow {
-			break
-		}
-		dst = append(dst, pend[k])
-	}
-	return dst
-}
-
-// serveRetrans answers a retransmission request for [fromSeq, toSeq] of
-// sender's traffic that we still hold (covering flush assistance after
-// the original sender failed). The responder caps work per range.
-func (e *Engine) serveRetrans(from id.Node, sender id.Node, fromSeq, toSeq uint64) {
-	for seq := fromSeq; seq <= toSeq && seq-fromSeq < 1024; seq++ {
-		key := msgKey{sender: sender, seq: seq}
-		m, ok := e.history[key]
-		if !ok {
-			continue
-		}
-		r := *m
-		r.Kind = wire.KindRetrans
-		e.env.Send(from, &r)
-		e.met.nacksServed.Inc()
-		e.rec(flightrec.EvRetransmit, uint64(sender), seq)
-	}
 }
 
 // onStable merges a member's ack vector and garbage-collects stable state.
@@ -1829,8 +1413,8 @@ func (e *Engine) collectStable() {
 }
 
 // OnTick closes the ordering window (unless the runtime does, see
-// OnWindow), sends coalesced NACKs and gossips stability when the local
-// vector warrants it.
+// OnWindow), runs the recovery timers and gossips stability when the
+// local vector warrants it.
 func (e *Engine) OnTick(now time.Time) {
 	if e.view.ID == 0 {
 		return
@@ -1838,12 +1422,8 @@ func (e *Engine) OnTick(now time.Time) {
 	if !e.windowed {
 		e.closeWindow()
 	}
-	if e.cfg.DisableSuppression {
-		e.scanGaps(now)
-	} else {
-		e.scanGapsSuppressed(now)
-		e.fireRepairs(now)
-	}
+	e.scanGapsSuppressed(now)
+	e.fireRepairs(now)
 	e.scanOrderGaps(now)
 	e.flushNacks()
 	if now.Sub(e.lastStableTry) >= e.cfg.StabilizeEvery {
@@ -1853,8 +1433,7 @@ func (e *Engine) OnTick(now time.Time) {
 		// but re-send after StableKeepalive so a lost final vector still
 		// reaches everyone and history buffers drain.
 		due := now.Sub(e.lastGossip) >= e.cfg.StabilizeEvery
-		if e.cfg.DisableBatching ||
-			(due && (e.ackDirty || now.Sub(e.lastGossip) >= e.cfg.StableKeepalive)) {
+		if due && (e.ackDirty || now.Sub(e.lastGossip) >= e.cfg.StableKeepalive) {
 			e.lastGossip = now
 			e.ackDirty = false
 			e.gossipStability()
@@ -1876,115 +1455,42 @@ func (e *Engine) OnTick(now time.Time) {
 
 // flushOrders is the pipelined range flush: the sequencer numbers the
 // seq-runs accumulated since the last flush with contiguous slot ranges,
-// admits them locally — the units become immutable here — and broadcasts
-// them as KindOrderRange datagrams together with any merge directives
-// the coordinator owes, without waiting for delivery of earlier ranges.
-// While frozen no new slots are assigned, but directives covering
-// pre-freeze decisions still go out. It reports whether anything was sent.
+// admits them locally — the units become immutable here, so every
+// member's decision log holds the same units and recovery can re-serve
+// them verbatim — and broadcasts them as KindOrderRange datagrams, without
+// waiting for delivery of earlier ranges. While frozen no slots are
+// assigned. It reports whether anything was sent.
 func (e *Engine) flushOrders() bool {
-	if e.cfg.Ordering != Total || e.cfg.DisableBatching || e.view.ID == 0 {
+	o := &e.ord
+	if e.frozen || len(o.assign) == 0 {
 		return false
 	}
 	rs := e.rangeScratch[:0]
-	if !e.frozen {
-		for s := range e.shards {
-			sh := &e.shards[s]
-			if len(sh.assign) == 0 {
-				continue
-			}
-			for i := range sh.assign {
-				sh.assign[i].SlotFrom = sh.seqSlot
-				sh.seqSlot += uint64(sh.assign[i].Count)
-				rs = append(rs, sh.assign[i])
-			}
-			sh.assign = sh.assign[:0]
-			sh.assignMsgs = 0
-			clear(sh.openRun)
-		}
-		// Self-admission happens at flush, not assignment, so every
-		// member's decision log holds the same immutable units and
-		// recovery can re-serve them verbatim. At the coordinator this
-		// also extends pendMerge, so the merge directives covering these
-		// ranges ride the same datagrams.
-		for _, r := range rs {
-			e.admitRange(r)
-		}
+	for i := range o.assign {
+		o.assign[i].SlotFrom = o.seqSlot
+		o.seqSlot += uint64(o.assign[i].Count)
+		rs = append(rs, o.assign[i])
 	}
 	e.rangeScratch = rs
-	if e.nshards > 1 {
-		if coord := e.view.Coordinator(); coord != e.env.Self() {
-			// Relay mode: a non-coordinator sequencer hands its new
-			// units to the coordinator alone, which folds them into its
-			// next combined range+merge broadcast. One unicast plus one
-			// shared broadcast replaces a per-shard broadcast plus the
-			// coordinator's separate merge broadcast.
-			if len(rs) > 0 {
-				e.relayOrderRanges(coord, rs)
-				e.met.orderFlushes.Inc()
-			}
-			e.drainTotal()
-			return len(rs) > 0
-		}
-		if len(e.pendRanges) > 0 {
-			rs = append(rs, e.pendRanges...)
-			e.rangeScratch = rs
-			e.pendRanges = e.pendRanges[:0]
-		}
+	o.assign = o.assign[:0]
+	o.assignMsgs = 0
+	clear(o.openRun)
+	for _, r := range rs {
+		e.admitRange(r)
 	}
-	ms := e.pendMerge
-	if len(rs) == 0 && len(ms) == 0 {
-		return false
-	}
-	e.broadcastOrderRanges(rs, ms)
+	e.broadcastOrderRanges(rs)
 	e.met.orderFlushes.Inc()
-	for _, m := range ms {
-		e.admitMerge(m)
-	}
-	e.pendMerge = e.pendMerge[:0]
 	e.drainTotal()
 	return true
 }
 
-// orderRelayTag in a KindOrderRange's Aux marks a sequencer-to-
-// coordinator relay; the coordinator rebroadcasts those units to the
-// group. Recovery replies leave Aux 0 so they are never re-relayed.
-const orderRelayTag = 1
-
-// relayOrderRanges unicasts freshly flushed ordering units to the view
-// coordinator, chunked under the datagram limit.
-func (e *Engine) relayOrderRanges(coord id.Node, rs []wire.OrderRange) {
+// broadcastOrderRanges announces ordering units to every other member,
+// chunked under the datagram limit.
+func (e *Engine) broadcastOrderRanges(rs []wire.OrderRange) {
 	const chunkMax = 1024
 	for len(rs) > 0 {
-		nr := len(rs)
-		if nr > chunkMax {
-			nr = chunkMax
-		}
-		e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], rs[:nr], nil)
-		e.env.Send(coord, &wire.Message{
-			Kind:  wire.KindOrderRange,
-			Group: e.cfg.Group,
-			View:  e.view.ID,
-			Aux:   orderRelayTag,
-			Body:  e.bodyScratch,
-		})
-		e.met.orderRanges.Add(uint64(nr))
-		rs = rs[nr:]
-	}
-}
-
-// broadcastOrderRanges announces ordering units and merge directives to
-// every other member, chunked under the datagram limit.
-func (e *Engine) broadcastOrderRanges(rs []wire.OrderRange, ms []wire.MergeEntry) {
-	const chunkMax = 1024
-	for len(rs) > 0 || len(ms) > 0 {
-		nr, nm := len(rs), len(ms)
-		if nr > chunkMax {
-			nr = chunkMax
-		}
-		if nm > chunkMax {
-			nm = chunkMax
-		}
-		e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], rs[:nr], ms[:nm])
+		nr := min(len(rs), chunkMax)
+		e.bodyScratch = wire.AppendOrderRanges(e.bodyScratch[:0], rs[:nr])
 		msg := wire.Message{
 			Kind:  wire.KindOrderRange,
 			Group: e.cfg.Group,
@@ -1997,8 +1503,8 @@ func (e *Engine) broadcastOrderRanges(rs []wire.OrderRange, ms []wire.MergeEntry
 			}
 			e.env.Send(m, &msg)
 		}
-		e.met.orderRanges.Add(uint64(nr + nm))
-		rs, ms = rs[nr:], ms[nm:]
+		e.met.orderRanges.Add(uint64(nr))
+		rs = rs[nr:]
 	}
 }
 
@@ -2036,16 +1542,14 @@ func (e *Engine) flushNacks() {
 
 // scanOrderGaps requests missing ordering state when reliable messages
 // are queued undelivered. Requests go to every member, not only the
-// responsible sequencer: after a sequencer crash the survivors
-// collectively still know every unit any of them admitted, and whoever
-// knows answers. Every shard with queued data is requested from its
-// decision horizon; under sharding the merge stream is requested too,
-// since either a missing unit or a missing directive can stall delivery.
+// sequencer: after a sequencer crash the survivors collectively still
+// know every unit any of them admitted, and whoever knows answers.
 func (e *Engine) scanOrderGaps(now time.Time) {
-	if e.cfg.Ordering != Total || e.pendingData == 0 {
+	o := &e.ord
+	if o.waiting == 0 {
 		return
 	}
-	if e.totalNext > e.orderNackMark {
+	if o.delivered > e.orderNackMark {
 		e.orderNackBackoff = 0 // delivery advanced since the last request
 	}
 	ival := e.backoffStretch(e.cfg.ResendAfter, e.orderNackBackoff)
@@ -2056,7 +1560,7 @@ func (e *Engine) scanOrderGaps(now time.Time) {
 		return
 	}
 	e.lastOrderNack = now
-	e.orderNackMark = e.totalNext
+	e.orderNackMark = o.delivered
 	if e.orderNackBackoff < maxBackoffShift {
 		e.orderNackBackoff++
 	}
@@ -2064,86 +1568,9 @@ func (e *Engine) scanOrderGaps(now time.Time) {
 		if m == e.env.Self() {
 			continue
 		}
-		for s := range e.shards {
-			sh := &e.shards[s]
-			if sh.waiting == 0 {
-				continue
-			}
-			if e.cfg.DisableBatching {
-				e.env.Send(m, &wire.Message{
-					Kind:   wire.KindNack,
-					Group:  e.cfg.Group,
-					View:   e.view.ID,
-					Sender: id.None, // order request marker
-					Seq:    sh.decideNext,
-					Aux:    uint64(s),
-				})
-			} else {
-				e.queueNack(m, wire.NackRange{Sender: id.None, From: sh.decideNext, To: uint64(s)})
-			}
-		}
-		if len(e.shards) > 1 {
-			e.queueNack(m, wire.NackRange{Sender: id.None, From: e.mergeNext, To: mergeReqTag})
-		}
+		e.queueNack(m, wire.NackRange{Sender: id.None, From: o.decideNext})
 		e.met.nacksSent.Inc()
-		e.rec(flightrec.EvNackSent, uint64(id.None), e.totalNext)
-	}
-}
-
-// scanGaps NACKs senders with reception gaps older than ResendAfter.
-// Re-NACKs toward a sender that keeps not answering back off
-// exponentially with jitter up to Suppression.BackoffCap — a permanently
-// dead sender must not draw unbounded NACK traffic — and the backoff
-// resets as soon as the stream progresses. Senders are visited in ID
-// order so the datagram sequence is the same on every run of a seeded
-// simulation.
-func (e *Engine) scanGaps(now time.Time) {
-	senders := make([]id.Node, 0, len(e.peers))
-	for n := range e.peers {
-		senders = append(senders, n)
-	}
-	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-	for _, n := range senders {
-		st := e.peers[n]
-		if n == e.env.Self() {
-			continue
-		}
-		if st.horizon < st.next {
-			st.nackBackoff = 0
-			continue // no known gap
-		}
-		if st.next > st.nackMark {
-			st.nackBackoff = 0 // the stream moved since the last NACK
-		}
-		ival := e.backoffStretch(e.cfg.ResendAfter, st.nackBackoff)
-		if st.nackBackoff > 0 {
-			// Jitter only the backed-off retries; the first NACK keeps
-			// the prompt fixed-interval recovery latency.
-			ival += time.Duration(e.rng.Int63n(int64(ival)/2 + 1))
-		}
-		if now.Sub(st.lastNack) < ival {
-			continue
-		}
-		st.lastNack = now
-		st.nackMark = st.next
-		if st.nackBackoff < maxBackoffShift {
-			st.nackBackoff++
-		}
-		// Request the full missing range; the responder caps work.
-		if e.cfg.DisableBatching {
-			e.env.Send(n, &wire.Message{
-				Kind:   wire.KindNack,
-				Group:  e.cfg.Group,
-				View:   e.view.ID,
-				Sender: n,
-				Seq:    st.next,
-				Aux:    st.horizon,
-			})
-		} else {
-			e.queueNack(n, wire.NackRange{Sender: n, From: st.next, To: st.horizon})
-		}
-		e.met.nacksSent.Inc()
-		e.rec(flightrec.EvNackSent, uint64(n), st.next)
+		e.rec(flightrec.EvNackSent, uint64(id.None), o.delivered)
 	}
 }
 

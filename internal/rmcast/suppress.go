@@ -72,8 +72,7 @@ type Suppression struct {
 	// Damp is how long a member refuses to re-serve a (sender, seq) it
 	// just served or heard served. Defaults to 4·DefaultDistance.
 	Damp time.Duration
-	// BackoffCap bounds the exponential re-request interval, and equally
-	// the legacy unicast re-NACK interval (see Config.DisableSuppression).
+	// BackoffCap bounds the exponential re-request interval.
 	BackoffCap time.Duration
 }
 
@@ -184,10 +183,9 @@ func (e *Engine) holdsAny(sender id.Node, from, to uint64) bool {
 	return false
 }
 
-// scanGapsSuppressed is the scalable-recovery counterpart of scanGaps:
-// instead of NACKing the sender directly, gapped receivers arm randomized
-// suppression timers and multicast one repair request when they fire.
-// Senders are visited in ID order for seeded-run determinism.
+// scanGapsSuppressed is the data-gap scheduler: gapped receivers arm
+// randomized suppression timers and multicast one repair request when
+// they fire. Senders are visited in ID order for seeded-run determinism.
 func (e *Engine) scanGapsSuppressed(now time.Time) {
 	senders := make([]id.Node, 0, len(e.peers))
 	for n := range e.peers {

@@ -18,7 +18,7 @@ import (
 // request count (request events, one per multicast — see Counters) plus
 // the lost-datagram count, after verifying exactly-once delivery
 // everywhere.
-func suppressRun(t *testing.T, n, domains int, suppress bool, seed int64) (requests, lost uint64) {
+func suppressRun(t *testing.T, n, domains int, seed int64) (requests, lost uint64) {
 	t.Helper()
 	link := netsim.Link{
 		Delay:     time.Millisecond,
@@ -45,10 +45,9 @@ func suppressRun(t *testing.T, n, domains int, suppress bool, seed int64) (reque
 		logs[m] = make(map[msgKey]int)
 		s.AddNode(m, func(env proto.Env) proto.Handler {
 			eng := New(env, Config{
-				Group:              1,
-				Ordering:           FIFO,
-				DisableSuppression: !suppress,
-				OnDeliver:          func(d Delivery) { logs[m][msgKey{d.Sender, d.Seq}]++ },
+				Group:     1,
+				Ordering:  FIFO,
+				OnDeliver: func(d Delivery) { logs[m][msgKey{d.Sender, d.Seq}]++ },
 			})
 			eng.SetView(view)
 			engines[m] = eng
@@ -78,13 +77,12 @@ func suppressRun(t *testing.T, n, domains int, suppress bool, seed int64) (reque
 
 	for nd, log := range logs {
 		if len(log) != senders*per {
-			t.Fatalf("suppress=%v seed %d: node %s delivered %d of %d messages",
-				suppress, seed, nd, len(log), senders*per)
+			t.Fatalf("seed %d: node %s delivered %d of %d messages",
+				seed, nd, len(log), senders*per)
 		}
 		for k, c := range log {
 			if c != 1 {
-				t.Fatalf("suppress=%v seed %d: node %s delivered %v %d times",
-					suppress, seed, nd, k, c)
+				t.Fatalf("seed %d: node %s delivered %v %d times", seed, nd, k, c)
 			}
 		}
 	}
@@ -95,21 +93,23 @@ func suppressRun(t *testing.T, n, domains int, suppress bool, seed int64) (reque
 }
 
 // TestPropertySuppressedRecoveryScales is the scalable-recovery property:
-// under random correlated loss, duplication and reordering, both recovery
-// schemes converge to exactly-once delivery, but the number of recovery
-// requests per lost multicast differs asymptotically. Each loss event
-// gaps one whole domain (n/domains receivers), so per-receiver NACKs cost
-// ~domain-size requests per event, while randomized suppression must stay
-// within O(log n) — measured here against the flat baseline in the same
-// run, same seed, same loss pattern.
+// under random correlated loss, duplication and reordering, recovery
+// converges to exactly-once delivery with O(log n) requests per loss
+// event. Each loss event gaps one whole domain (n/domains receivers), so
+// per-receiver NACKs cost ~domain-size requests per event. That flat
+// scheduler was deleted from the engine; its request and loss counts on
+// this workload and these seeds are the ones it measured last (commit
+// 386e799), and the seeded simulator makes them exact.
 func TestPropertySuppressedRecoveryScales(t *testing.T) {
 	const n, domains = 64, 8 // 8-receiver loss domains
+	// seed -> the flat scheduler's requests and lost datagrams.
+	flat := map[int64][2]uint64{19: {238, 211}, 83: {349, 326}}
 	for _, seed := range []int64{19, 83} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			flatReq, flatLost := suppressRun(t, n, domains, false, seed)
-			supReq, supLost := suppressRun(t, n, domains, true, seed)
-			if flatLost == 0 || supLost == 0 {
+			flatReq, flatLost := flat[seed][0], flat[seed][1]
+			supReq, supLost := suppressRun(t, n, domains, seed)
+			if supLost == 0 {
 				t.Fatal("no losses: the property measured nothing")
 			}
 			domainSize := float64(n / domains)
@@ -117,18 +117,14 @@ func TestPropertySuppressedRecoveryScales(t *testing.T) {
 			// Loss events ≈ lost datagrams / receivers per domain.
 			flatPerEvent := float64(flatReq) / (float64(flatLost) / domainSize)
 			supPerEvent := float64(supReq) / (float64(supLost) / domainSize)
-			t.Logf("flat: %d requests / %d lost (%.1f per loss event); suppressed: %d / %d (%.1f per loss event)",
+			t.Logf("flat (recorded): %d requests / %d lost (%.1f per loss event); suppressed: %d / %d (%.1f per loss event)",
 				flatReq, flatLost, flatPerEvent, supReq, supLost, supPerEvent)
 			if supPerEvent > logN {
 				t.Errorf("suppressed requests per loss event %.2f exceed log2(n)=%.1f",
 					supPerEvent, logN)
 			}
-			// The bound must be meaningful: the flat baseline on the same
-			// run sits above it, scaling with domain size instead.
-			if flatPerEvent <= logN {
-				t.Errorf("flat baseline %.2f requests per loss event did not exceed log2(n)=%.1f — workload too tame to discriminate",
-					flatPerEvent, logN)
-			}
+			// The bound is meaningful: the flat baseline sat above it (9.0
+			// and 8.6 per loss event), scaling with domain size instead.
 			if supReq*2 >= flatReq {
 				t.Errorf("suppressed total requests %d not under half the flat baseline %d",
 					supReq, flatReq)

@@ -31,7 +31,7 @@ const (
 // Window implements proto.Windowed: only a total-order engine holds
 // decisions back, so only it asks for the two calls.
 func (e *Engine) Window() time.Duration {
-	if e.cfg.Ordering != Total || e.cfg.DisableBatching {
+	if e.cfg.Ordering != Total {
 		return 0
 	}
 	return OrderWindow

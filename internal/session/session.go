@@ -132,10 +132,6 @@ type Config struct {
 	// Ordering is the control/application multicast discipline;
 	// defaults to Causal, so directory updates respect causality.
 	Ordering rmcast.Ordering
-	// OrderShards splits total-order sequencing across this many members
-	// by stream label; see rmcast.Config.OrderShards. Only meaningful
-	// when Ordering is Total.
-	OrderShards int
 	// OnEvent receives session notifications from the event loop.
 	OnEvent func(Event)
 
@@ -146,11 +142,9 @@ type Config struct {
 	JoinRetry      time.Duration
 	ResendAfter    time.Duration
 	StabilizeEvery time.Duration
-	// Suppression tunes the SRM-style randomized loss-recovery timers
-	// and DisableSuppression ablates them back to per-receiver NACK
-	// scheduling; see rmcast.Config.
-	Suppression        rmcast.Suppression
-	DisableSuppression bool
+	// Suppression tunes the SRM-style randomized loss-recovery timers;
+	// see rmcast.Config.
+	Suppression rmcast.Suppression
 	// Distance estimates one-way delay to a peer for the suppression
 	// timers; a clocksync.Engine's Distance method is a ready-made
 	// implementation. Nil or zero falls back to
@@ -296,44 +290,42 @@ func New(env proto.Env, cfg Config) *Engine {
 		}
 	}
 	e.stack = core.NewStack(env, core.Config{
-		Group:              cfg.Group,
-		Contact:            cfg.Contact,
-		Ordering:           cfg.Ordering,
-		OrderShards:        cfg.OrderShards,
-		HeartbeatEvery:     cfg.HeartbeatEvery,
-		SuspectAfter:       cfg.SuspectAfter,
-		FlushTimeout:       cfg.FlushTimeout,
-		JoinRetry:          cfg.JoinRetry,
-		ResendAfter:        cfg.ResendAfter,
-		StabilizeEvery:     cfg.StabilizeEvery,
-		Suppression:        cfg.Suppression,
-		DisableSuppression: cfg.DisableSuppression,
-		Distance:           cfg.Distance,
-		JoinBackoffMax:     cfg.JoinBackoffMax,
-		JoinAttempts:       cfg.JoinAttempts,
-		AdvertiseAddr:      cfg.AdvertiseAddr,
-		OnPeerAddr:         cfg.OnPeerAddr,
-		PrimaryPartition:   cfg.PrimaryPartition,
-		FlowWindow:         cfg.FlowWindow,
-		FlowWindowBytes:    cfg.FlowWindowBytes,
-		SlowAfter:          cfg.SlowAfter,
-		SlowPolicy:         cfg.SlowPolicy,
-		SlowGrace:          cfg.SlowGrace,
-		OnFlowOpen:         cfg.OnFlowOpen,
-		OnSlow:             onSlow,
-		AutoHier:           cfg.AutoHier,
-		HierFanOut:         cfg.HierFanOut,
-		HierForm:           cfg.HierForm,
-		Metrics:            cfg.Metrics,
-		Flight:             cfg.Flight,
-		OnView:             e.onView,
-		OnDeliver:          e.onDeliver,
-		OnEvicted:          e.onEvicted,
-		OnJoinFailed:       e.onJoinFailed,
-		Snapshot:           e.snapshotState,
-		OnState:            e.installState,
-		OnObject:           e.onObject,
-		OnObjectProgress:   e.onObjectProgress,
+		Group:            cfg.Group,
+		Contact:          cfg.Contact,
+		Ordering:         cfg.Ordering,
+		HeartbeatEvery:   cfg.HeartbeatEvery,
+		SuspectAfter:     cfg.SuspectAfter,
+		FlushTimeout:     cfg.FlushTimeout,
+		JoinRetry:        cfg.JoinRetry,
+		ResendAfter:      cfg.ResendAfter,
+		StabilizeEvery:   cfg.StabilizeEvery,
+		Suppression:      cfg.Suppression,
+		Distance:         cfg.Distance,
+		JoinBackoffMax:   cfg.JoinBackoffMax,
+		JoinAttempts:     cfg.JoinAttempts,
+		AdvertiseAddr:    cfg.AdvertiseAddr,
+		OnPeerAddr:       cfg.OnPeerAddr,
+		PrimaryPartition: cfg.PrimaryPartition,
+		FlowWindow:       cfg.FlowWindow,
+		FlowWindowBytes:  cfg.FlowWindowBytes,
+		SlowAfter:        cfg.SlowAfter,
+		SlowPolicy:       cfg.SlowPolicy,
+		SlowGrace:        cfg.SlowGrace,
+		OnFlowOpen:       cfg.OnFlowOpen,
+		OnSlow:           onSlow,
+		AutoHier:         cfg.AutoHier,
+		HierFanOut:       cfg.HierFanOut,
+		HierForm:         cfg.HierForm,
+		Metrics:          cfg.Metrics,
+		Flight:           cfg.Flight,
+		OnView:           e.onView,
+		OnDeliver:        e.onDeliver,
+		OnEvicted:        e.onEvicted,
+		OnJoinFailed:     e.onJoinFailed,
+		Snapshot:         e.snapshotState,
+		OnState:          e.installState,
+		OnObject:         e.onObject,
+		OnObjectProgress: e.onObjectProgress,
 	})
 	return e
 }

@@ -158,7 +158,7 @@ func appendAckVector(dst []AckEntry, buf []byte) ([]AckEntry, int, error) {
 // NackRange is one element of a batched retransmission request: the
 // receiver is missing [From, To] of Sender's stream. A range with
 // Sender == 0 (id.None) requests total-order slot assignments from slot
-// From upward instead, mirroring the singleton KindNack marker.
+// From upward instead.
 type NackRange struct {
 	Sender   id.Node
 	From, To uint64
@@ -206,163 +206,73 @@ func DecodeNackRanges(buf []byte) ([]NackRange, int, error) {
 	return ranges, need, nil
 }
 
-// OrderEntry is one element of a batched sequencer announcement: slot
-// Slot is assigned to the multicast (Sender, Seq).
-type OrderEntry struct {
-	Slot   uint64
-	Sender id.Node
-	Seq    uint64
-}
-
-// AppendOrderBatch appends a length-prefixed slot-assignment list to dst;
-// it is the body of a KindOrderBatch message.
-func AppendOrderBatch(dst []byte, orders []OrderEntry) []byte {
-	var n [8]byte
-	binary.BigEndian.PutUint32(n[:4], uint32(len(orders)))
-	dst = append(dst, n[:4]...)
-	for _, o := range orders {
-		binary.BigEndian.PutUint64(n[:], o.Slot)
-		dst = append(dst, n[:]...)
-		binary.BigEndian.PutUint64(n[:], uint64(o.Sender))
-		dst = append(dst, n[:]...)
-		binary.BigEndian.PutUint64(n[:], o.Seq)
-		dst = append(dst, n[:]...)
-	}
-	return dst
-}
-
-// DecodeOrderBatch parses a slot-assignment list from buf and returns it
-// and the number of bytes consumed.
-func DecodeOrderBatch(buf []byte) ([]OrderEntry, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, ErrShortMessage
-	}
-	count := int(binary.BigEndian.Uint32(buf))
-	if count > MaxListEntries {
-		return nil, 0, fmt.Errorf("%w: order batch %d entries", ErrTooLarge, count)
-	}
-	need := 4 + 24*count
-	if len(buf) < need {
-		return nil, 0, ErrShortMessage
-	}
-	orders := make([]OrderEntry, count)
-	off := 4
-	for i := range orders {
-		orders[i].Slot = binary.BigEndian.Uint64(buf[off:])
-		orders[i].Sender = id.Node(binary.BigEndian.Uint64(buf[off+8:]))
-		orders[i].Seq = binary.BigEndian.Uint64(buf[off+16:])
-		off += 24
-	}
-	return orders, need, nil
-}
-
-// OrderRange is one pipelined sequencer decision: the ordering shard's
-// slots [SlotFrom, SlotFrom+Count) are assigned, in order, to Sender's
+// OrderRange is one pipelined sequencer decision: slots
+// [SlotFrom, SlotFrom+Count) are assigned, in order, to Sender's
 // multicasts [SeqFrom, SeqFrom+Count). Ranges are immutable announcement
 // units — recovery replies re-serve the exact units originally flushed —
 // so admission can deduplicate on SlotFrom alone.
 type OrderRange struct {
-	Shard    uint8
 	SlotFrom uint64
 	Sender   id.Node
 	SeqFrom  uint64
 	Count    uint32
 }
 
-// MergeEntry is one cross-shard merge directive from the view
-// coordinator: global deliveries [From, From+Count) consume the next
-// Count decided messages of shard Shard, in slot order. The directive
-// stream is the agreed interleaving of the per-shard slot spaces; like
-// OrderRange values, entries are immutable once flushed.
-type MergeEntry struct {
-	Shard uint8
-	From  uint64
-	Count uint32
-}
-
-// Encoded entry widths of the KindOrderRange body sections.
-const (
-	orderRangeWidth = 1 + 8 + 8 + 8 + 4 // shard|slotFrom|sender|seqFrom|count
-	mergeEntryWidth = 1 + 8 + 4         // shard|from|count
-)
+// orderRangeWidth is the encoded width of one KindOrderRange body entry.
+const orderRangeWidth = 8 + 8 + 8 + 4 // slotFrom|sender|seqFrom|count
 
 // AppendOrderRanges appends the body of a KindOrderRange message to dst:
-// a length-prefixed OrderRange list followed by a length-prefixed
-// MergeEntry list. Either section may be empty.
-func AppendOrderRanges(dst []byte, ranges []OrderRange, merges []MergeEntry) []byte {
+// a length-prefixed OrderRange list.
+func AppendOrderRanges(dst []byte, ranges []OrderRange) []byte {
 	var n [8]byte
 	binary.BigEndian.PutUint32(n[:4], uint32(len(ranges)))
 	dst = append(dst, n[:4]...)
 	for _, r := range ranges {
-		dst = append(dst, r.Shard)
 		binary.BigEndian.PutUint64(n[:], r.SlotFrom)
 		dst = append(dst, n[:]...)
 		binary.BigEndian.PutUint64(n[:], uint64(r.Sender))
 		dst = append(dst, n[:]...)
 		binary.BigEndian.PutUint64(n[:], r.SeqFrom)
 		dst = append(dst, n[:]...)
-		binary.BigEndian.PutUint32(n[:4], uint32(r.Count))
-		dst = append(dst, n[:4]...)
-	}
-	binary.BigEndian.PutUint32(n[:4], uint32(len(merges)))
-	dst = append(dst, n[:4]...)
-	for _, m := range merges {
-		dst = append(dst, m.Shard)
-		binary.BigEndian.PutUint64(n[:], m.From)
-		dst = append(dst, n[:]...)
-		binary.BigEndian.PutUint32(n[:4], uint32(m.Count))
+		binary.BigEndian.PutUint32(n[:4], r.Count)
 		dst = append(dst, n[:4]...)
 	}
 	return dst
 }
 
-// DecodeOrderRanges parses a KindOrderRange body and returns both
-// sections and the number of bytes consumed.
-func DecodeOrderRanges(buf []byte) ([]OrderRange, []MergeEntry, int, error) {
-	return AppendDecodedOrderRanges(nil, nil, buf)
+// DecodeOrderRanges parses a KindOrderRange body.
+func DecodeOrderRanges(buf []byte) ([]OrderRange, error) {
+	return AppendDecodedOrderRanges(nil, buf)
 }
 
 // AppendDecodedOrderRanges is DecodeOrderRanges appending into caller
 // scratch (reusing capacity), so a steady-state decode allocates nothing.
-func AppendDecodedOrderRanges(rs []OrderRange, ms []MergeEntry, buf []byte) ([]OrderRange, []MergeEntry, int, error) {
+// The list is the whole body: bytes after it are an error.
+func AppendDecodedOrderRanges(rs []OrderRange, buf []byte) ([]OrderRange, error) {
 	if len(buf) < 4 {
-		return nil, nil, 0, ErrShortMessage
+		return nil, ErrShortMessage
 	}
 	count := int(binary.BigEndian.Uint32(buf))
 	if count > MaxListEntries {
-		return nil, nil, 0, fmt.Errorf("%w: order ranges %d entries", ErrTooLarge, count)
+		return nil, fmt.Errorf("%w: order ranges %d entries", ErrTooLarge, count)
+	}
+	switch need := 4 + orderRangeWidth*count; {
+	case len(buf) < need:
+		return nil, ErrShortMessage
+	case len(buf) > need:
+		return nil, fmt.Errorf("%w: order ranges: %d bytes after the list", ErrTooLarge, len(buf)-need)
 	}
 	off := 4
-	if len(buf) < off+orderRangeWidth*count+4 {
-		return nil, nil, 0, ErrShortMessage
-	}
 	for i := 0; i < count; i++ {
 		rs = append(rs, OrderRange{
-			Shard:    buf[off],
-			SlotFrom: binary.BigEndian.Uint64(buf[off+1:]),
-			Sender:   id.Node(binary.BigEndian.Uint64(buf[off+9:])),
-			SeqFrom:  binary.BigEndian.Uint64(buf[off+17:]),
-			Count:    binary.BigEndian.Uint32(buf[off+25:]),
+			SlotFrom: binary.BigEndian.Uint64(buf[off:]),
+			Sender:   id.Node(binary.BigEndian.Uint64(buf[off+8:])),
+			SeqFrom:  binary.BigEndian.Uint64(buf[off+16:]),
+			Count:    binary.BigEndian.Uint32(buf[off+24:]),
 		})
 		off += orderRangeWidth
 	}
-	mcount := int(binary.BigEndian.Uint32(buf[off:]))
-	if mcount > MaxListEntries {
-		return nil, nil, 0, fmt.Errorf("%w: merge directives %d entries", ErrTooLarge, mcount)
-	}
-	off += 4
-	if len(buf) < off+mergeEntryWidth*mcount {
-		return nil, nil, 0, ErrShortMessage
-	}
-	for i := 0; i < mcount; i++ {
-		ms = append(ms, MergeEntry{
-			Shard: buf[off],
-			From:  binary.BigEndian.Uint64(buf[off+1:]),
-			Count: binary.BigEndian.Uint32(buf[off+9:]),
-		})
-		off += mergeEntryWidth
-	}
-	return rs, ms, off, nil
+	return rs, nil
 }
 
 // ViewBody is the payload of JoinAck, ViewPropose and ViewCommit messages:

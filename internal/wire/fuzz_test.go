@@ -22,6 +22,10 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range seeds {
 		f.Add(m.Marshal())
 	}
+	for _, buf := range goldenRejected() {
+		f.Add(buf)
+	}
+	f.Add((&Message{Kind: KindOrderRange, From: 1, View: 3, Body: trailingOrderRanges()}).Marshal())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,10 +53,8 @@ func FuzzDecodeBodies(f *testing.F) {
 		Addrs: []string{"192.0.2.1:7000", ""}}))
 	f.Add(AppendJoinBody(nil, "192.0.2.9:7000"))
 	f.Add(AppendNackRanges(nil, []NackRange{{Sender: 2, From: 3, To: 7}, {From: 11, To: 11}}))
-	f.Add(AppendOrderBatch(nil, []OrderEntry{{Slot: 1, Sender: 4, Seq: 2}}))
-	f.Add(AppendOrderRanges(nil,
-		[]OrderRange{{Shard: 1, SlotFrom: 3, Sender: 4, SeqFrom: 2, Count: 5}},
-		[]MergeEntry{{Shard: 1, From: 0, Count: 5}}))
+	f.Add(AppendOrderRanges(nil, []OrderRange{{SlotFrom: 3, Sender: 4, SeqFrom: 2, Count: 5}}))
+	f.Add(trailingOrderRanges())
 	f.Add([]byte{0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if nodes, _, err := DecodeNodeList(data); err == nil {
@@ -86,17 +88,10 @@ func FuzzDecodeBodies(f *testing.F) {
 				t.Fatalf("nack range round trip: %v %d %v", back, n2, err)
 			}
 		}
-		if orders, _, err := DecodeOrderBatch(data); err == nil {
-			back, n2, err := DecodeOrderBatch(AppendOrderBatch(nil, orders))
-			if err != nil || len(back) != len(orders) || n2 != 4+24*len(orders) {
-				t.Fatalf("order batch round trip: %v %d %v", back, n2, err)
-			}
-		}
-		if rs, ms, _, err := DecodeOrderRanges(data); err == nil {
-			br, bm, n2, err := DecodeOrderRanges(AppendOrderRanges(nil, rs, ms))
-			if err != nil || len(br) != len(rs) || len(bm) != len(ms) ||
-				n2 != 8+29*len(rs)+13*len(ms) {
-				t.Fatalf("order range round trip: %v %v %d %v", br, bm, n2, err)
+		if rs, err := DecodeOrderRanges(data); err == nil {
+			again := AppendOrderRanges(nil, rs)
+			if back, err := DecodeOrderRanges(again); err != nil || len(back) != len(rs) || !bytes.Equal(again, data) {
+				t.Fatalf("order range round trip: %v %v, %d bytes in, %d out", back, err, len(data), len(again))
 			}
 		}
 	})

@@ -18,9 +18,7 @@ func goldenMessages() []*Message {
 		Addrs: []string{"192.0.2.1:7000", "", "[2001:db8::3]:7000"}})
 	return []*Message{
 		{Kind: KindData, Sender: 3, Seq: 9, View: 2, Group: 7, Body: []byte("payload")},
-		{Kind: KindNack, Sender: 4, Seq: 10, Aux: 14},
 		{Kind: KindRetrans, Sender: 4, Seq: 10, From: 2, Body: []byte("again")},
-		{Kind: KindOrder, Sender: 5, Seq: 3, Aux: 17},
 		{Kind: KindStable, From: 6, Body: AppendAckVector(nil, []AckEntry{{Sender: 1, Seq: 5}, {Sender: 2, Seq: 9}})},
 		{Kind: KindHeartbeat, From: 2, Group: 1, Aux: 77},
 		{Kind: KindJoinReq, From: 9, Group: 4},
@@ -39,9 +37,6 @@ func goldenMessages() []*Message {
 		{Kind: KindReport, From: 4, Stream: 5, Aux: 3},
 		{Kind: KindNackBatch, From: 3, Body: AppendNackRanges(nil, []NackRange{
 			{Sender: 2, From: 3, To: 7}, {Sender: 0, From: 11, To: 11},
-		})},
-		{Kind: KindOrderBatch, From: 1, Body: AppendOrderBatch(nil, []OrderEntry{
-			{Slot: 4, Sender: 2, Seq: 1}, {Slot: 5, Sender: 3, Seq: 6},
 		})},
 		{Kind: KindRepairReq, From: 8, Sender: 4, Seq: 10, Aux: 14},
 		// Overlay formation control: a distance-vector report (op 1) and a
@@ -62,25 +57,58 @@ func goldenMessages() []*Message {
 		{Kind: KindBulkSym, From: 2, Sender: 1, Group: 4, Seq: 0x42,
 			Aux: 1<<32 | 5, Flags: FlagBulkFan, Body: []byte("coded-symbol-bytes")},
 		{Kind: KindBulkReq, From: 7, Group: 4, Seq: 0x42, Aux: 2<<32 | 3},
-		// Pipelined range ordering: a shard sequencer's run announcements,
-		// the coordinator's cross-shard merge directives, and a combined
-		// datagram carrying both sections.
-		{Kind: KindOrderRange, From: 1, View: 3, Body: AppendOrderRanges(nil,
-			[]OrderRange{
-				{Shard: 0, SlotFrom: 12, Sender: 2, SeqFrom: 5, Count: 9},
-				{Shard: 1, SlotFrom: 0, Sender: 3, SeqFrom: 1, Count: 1},
-			}, nil)},
-		{Kind: KindOrderRange, From: 1, View: 3, Body: AppendOrderRanges(nil, nil,
-			[]MergeEntry{{Shard: 0, From: 0, Count: 4}, {Shard: 3, From: 4, Count: 2}})},
+		// Pipelined range ordering: the sequencer's run announcements for
+		// two senders, an empty list, and a single-unit recovery reply.
+		{Kind: KindOrderRange, From: 1, View: 3, Body: AppendOrderRanges(nil, []OrderRange{
+			{SlotFrom: 12, Sender: 2, SeqFrom: 5, Count: 9},
+			{SlotFrom: 21, Sender: 3, SeqFrom: 1, Count: 1},
+		})},
+		{Kind: KindOrderRange, From: 1, View: 3, Body: AppendOrderRanges(nil, nil)},
 		{Kind: KindOrderRange, From: 2, View: 4, Body: AppendOrderRanges(nil,
-			[]OrderRange{{Shard: 2, SlotFrom: 7, Sender: 4, SeqFrom: 11, Count: 3}},
-			[]MergeEntry{{Shard: 2, From: 9, Count: 3}})},
+			[]OrderRange{{SlotFrom: 7, Sender: 4, SeqFrom: 11, Count: 3}})},
 		// Piggybacked-ack variants: a data message and a causal data message
 		// each carrying a stability vector after the body.
 		{Kind: KindData, Flags: FlagPiggyAck, Sender: 3, Seq: 10, Body: []byte("pb"),
 			Acks: []AckEntry{{Sender: 1, Seq: 4}, {Sender: 3, Seq: 9}}},
 		{Kind: KindData, Flags: FlagPiggyAck | FlagCausal, Sender: 1, Seq: 2,
 			TS: vclock.VC{2, 0, 1}, Acks: []AckEntry{{Sender: 2, Seq: 1}}},
+	}
+}
+
+// trailingOrderRanges is a well-formed one-unit KindOrderRange body
+// followed by bytes the list does not account for — what the parent
+// revision's second (merge) section would look like to this decoder.
+func trailingOrderRanges() []byte {
+	body := AppendOrderRanges(nil, []OrderRange{{SlotFrom: 7, Sender: 4, SeqFrom: 11, Count: 3}})
+	return append(body, 0, 0, 0, 0)
+}
+
+// goldenRejected returns datagrams the envelope decoder must refuse with
+// ErrBadKind: the first kind number above kindMax, and 27, the top of the
+// enumeration before three kinds were retired.
+func goldenRejected() [][]byte {
+	var out [][]byte
+	for _, k := range []Kind{kindMax + 1, 27} {
+		buf := (&Message{Kind: KindData, Sender: 3, Seq: 9, Body: []byte("payload")}).Marshal()
+		buf[0] = byte(k)
+		out = append(out, buf)
+	}
+	return out
+}
+
+// TestGoldenRejected pins the two refusals the 24-kind enumeration and
+// the single-section order-range body add.
+func TestGoldenRejected(t *testing.T) {
+	if kindMax != 24 {
+		t.Fatalf("kindMax = %d, want 24", kindMax)
+	}
+	for _, buf := range goldenRejected() {
+		if _, err := Decode(buf); !errors.Is(err, ErrBadKind) {
+			t.Errorf("kind %d: err = %v, want ErrBadKind", buf[0], err)
+		}
+	}
+	if _, err := DecodeOrderRanges(trailingOrderRanges()); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("order ranges with bytes after the list: err = %v, want ErrTooLarge", err)
 	}
 }
 

@@ -25,13 +25,8 @@ type Kind uint8
 const (
 	// KindData carries an application multicast payload.
 	KindData Kind = iota + 1
-	// KindNack requests retransmission of the sequence range [Seq, Aux].
-	KindNack
 	// KindRetrans carries a retransmitted data message.
 	KindRetrans
-	// KindOrder is a sequencer announcement assigning total-order slot Aux
-	// to the message (Sender, Seq).
-	KindOrder
 	// KindStable gossips the receiver's delivered-prefix for buffer GC;
 	// the body encodes per-sender acknowledged sequence numbers.
 	KindStable
@@ -63,7 +58,7 @@ const (
 	KindSessionCtl
 	// KindAck is a positive cumulative acknowledgment: the receiver has
 	// contiguously delivered Sender's stream up to Seq. Used by the
-	// ACK-based baseline multicast (rmcast.AckEngine).
+	// ACK-based baseline multicast of the A2 ablation (internal/experiments).
 	KindAck
 	// KindClockProbe and KindClockReply carry the clock-synchronization
 	// substrate's request/response pair; Aux echoes the probe nonce and
@@ -76,16 +71,13 @@ const (
 	// KindNackBatch coalesces several retransmission requests into one
 	// datagram; the body is a NackRange list (see AppendNackRanges). A
 	// range with Sender == 0 is a total-order slot request from slot
-	// From upward, like the singleton KindNack marker.
+	// From upward.
 	KindNackBatch
-	// KindOrderBatch aggregates several sequencer slot assignments into
-	// one datagram; the body is an OrderEntry list (AppendOrderBatch).
-	KindOrderBatch
-	// KindRepairReq is a multicast retransmission request (SRM-style):
-	// unlike KindNack it is addressed to the whole group so that (a) other
-	// receivers sharing the gap suppress their own requests and (b) any
-	// member holding the data may answer with a multicast repair. Sender,
-	// Seq and Aux carry the gapped sender and the range [Seq, Aux].
+	// KindRepairReq is a multicast retransmission request (SRM-style): it
+	// is addressed to the whole group so that (a) other receivers sharing
+	// the gap suppress their own requests and (b) any member holding the
+	// data may answer with a multicast repair. Sender, Seq and Aux carry
+	// the gapped sender and the range [Seq, Aux].
 	KindRepairReq
 	// KindHierCtl carries overlay-formation control traffic for the
 	// self-organizing hierarchy (internal/hier): distance-vector reports
@@ -105,11 +97,8 @@ const (
 	// generation<<32|index of one wanted symbol.
 	KindBulkReq
 	// KindOrderRange carries pipelined total-order decisions: contiguous
-	// slot ranges assigned per (sender, seq-run) by a shard sequencer,
-	// plus — from the view coordinator when sequencing is sharded — merge
-	// directives interleaving the per-shard slot spaces into the one
-	// global delivery order. The body is an OrderRange list followed by a
-	// MergeEntry list (see AppendOrderRanges).
+	// slot ranges assigned per (sender, seq-run) by the sequencer. The
+	// body is an OrderRange list (see AppendOrderRanges).
 	KindOrderRange
 )
 
@@ -121,12 +110,8 @@ func (k Kind) String() string {
 	switch k {
 	case KindData:
 		return "data"
-	case KindNack:
-		return "nack"
 	case KindRetrans:
 		return "retrans"
-	case KindOrder:
-		return "order"
 	case KindStable:
 		return "stable"
 	case KindHeartbeat:
@@ -161,8 +146,6 @@ func (k Kind) String() string {
 		return "report"
 	case KindNackBatch:
 		return "nack-batch"
-	case KindOrderBatch:
-		return "order-batch"
 	case KindRepairReq:
 		return "repair-req"
 	case KindHierCtl:

@@ -211,20 +211,9 @@ type Config struct {
 	JoinBackoffMax time.Duration
 	// Ordering is the session multicast discipline; defaults to Causal.
 	Ordering Ordering
-	// OrderShards splits total-order sequencing across this many members
-	// when Ordering is Total: each message's stream label hashes to a
-	// shard, each shard to a sequencer member, and a deterministic merge
-	// rule fixes one global delivery order across shards, so independent
-	// streams stop serializing through one node. 0 or 1 keeps the
-	// classic single-sequencer semantics. Ignored for other orderings.
-	OrderShards int
 	// Suppression tunes the SRM-style randomized loss-recovery timers.
 	// The zero value takes the defaults; see rmcast.Suppression.
 	Suppression Suppression
-	// DisableSuppression reverts loss recovery to the per-receiver NACK
-	// scheduler: every receiver asks the original sender directly on its
-	// own timer, with no request suppression or local repair.
-	DisableSuppression bool
 	// PrimaryPartition applies the membership majority rule: a view
 	// only installs on the side holding a strict majority of the old
 	// view (an even split is won by the side holding the old view's
@@ -417,30 +406,28 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.runner = noderun.Start(n.ep, func(env proto.Env) proto.Handler {
 		n.sess = session.New(env, session.Config{
-			Group:              cfg.Group,
-			Contact:            cfg.Contact,
-			Ordering:           cfg.Ordering,
-			OrderShards:        cfg.OrderShards,
-			Suppression:        cfg.Suppression,
-			DisableSuppression: cfg.DisableSuppression,
-			PrimaryPartition:   cfg.PrimaryPartition,
-			AutoHier:           cfg.AutoHier,
-			HierFanOut:         cfg.HierFanOut,
-			HeartbeatEvery:     cfg.HeartbeatEvery,
-			SuspectAfter:       cfg.SuspectAfter,
-			JoinAttempts:       cfg.JoinAttempts,
-			JoinBackoffMax:     cfg.JoinBackoffMax,
-			AdvertiseAddr:      advertise,
-			OnPeerAddr:         onPeerAddr,
-			FlowWindow:         cfg.FlowWindow,
-			FlowWindowBytes:    cfg.FlowWindowBytes,
-			SlowAfter:          cfg.SlowAfter,
-			SlowPolicy:         cfg.SlowPolicy,
-			SlowGrace:          cfg.SlowGrace,
-			OnFlowOpen:         n.flowOpened,
-			Metrics:            n.reg,
-			Flight:             n.flight,
-			OnEvent:            n.onEvent,
+			Group:            cfg.Group,
+			Contact:          cfg.Contact,
+			Ordering:         cfg.Ordering,
+			Suppression:      cfg.Suppression,
+			PrimaryPartition: cfg.PrimaryPartition,
+			AutoHier:         cfg.AutoHier,
+			HierFanOut:       cfg.HierFanOut,
+			HeartbeatEvery:   cfg.HeartbeatEvery,
+			SuspectAfter:     cfg.SuspectAfter,
+			JoinAttempts:     cfg.JoinAttempts,
+			JoinBackoffMax:   cfg.JoinBackoffMax,
+			AdvertiseAddr:    advertise,
+			OnPeerAddr:       onPeerAddr,
+			FlowWindow:       cfg.FlowWindow,
+			FlowWindowBytes:  cfg.FlowWindowBytes,
+			SlowAfter:        cfg.SlowAfter,
+			SlowPolicy:       cfg.SlowPolicy,
+			SlowGrace:        cfg.SlowGrace,
+			OnFlowOpen:       n.flowOpened,
+			Metrics:          n.reg,
+			Flight:           n.flight,
+			OnEvent:          n.onEvent,
 		})
 		n.mux = proto.NewMux(n.sess)
 		return n.mux

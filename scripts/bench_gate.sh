@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark-regression gate: re-runs the data-plane microbenchmarks
 # (including the UDP batch/fallback throughput pair, the netsim
-# node-step cost and the sharded total-order multicast path) plus the
-# table benchmarks (T2b adds the sustained sharded total-order
+# node-step cost and the total-order multicast path) plus the
+# table benchmarks (T2b adds the sustained total-order
 # throughput metric, gated higher-is-better; T10 adds the
 # sender-history-peak bounded-memory metric), writes the results to
 # BENCH_<pr>.json, and fails on a regression against the checked-in

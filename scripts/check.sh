@@ -39,8 +39,9 @@ echo "==> short chaos sweep"
 go test -short -count=1 ./internal/chaos
 
 # Bounded slice of the T7 scalable-recovery experiment: one seed at
-# n=256, flat vs suppressed, full delivery plus a real request reduction.
-# The 1024-node acceptance run lives in the full (non-short) suite.
+# n=256, full delivery plus a real request reduction against the recorded
+# per-receiver NACK baseline. The 1024-node acceptance run lives in the
+# full (non-short) suite.
 echo "==> T7 recovery smoke (n=256)"
 go test -count=1 -run 'TestT7Smoke256' ./internal/experiments
 
@@ -58,10 +59,11 @@ go test -count=1 -run 'TestT9Smoke64' ./internal/experiments
 echo "==> T10 overload smoke (n=32, one receiver stalled)"
 go test -count=1 -run 'TestT10Smoke32' ./internal/experiments
 
-# Total-order safety smoke: a 16-member group with four sequencer shards
+# Total-order safety smoke: a 16-member group spraying four stream labels
 # must deliver every message in one identical global sequence at every
-# member (the pipelined range + merge-stream path under light loss).
-echo "==> total-order smoke (n=16, shards=4)"
+# member, each sender in send order across labels (the pipelined range
+# path through the one sequencer, under light loss).
+echo "==> total-order smoke (n=16)"
 go test -count=1 -run 'TestTotalOrderSmoke16' ./internal/experiments
 
 # Total-order latency smoke: with the simulator making the runner's
