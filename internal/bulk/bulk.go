@@ -15,24 +15,35 @@
 // the manifest wait in a small bounded stash and are replayed when it
 // arrives. A relay's duty does not depend on its own progress: a flagged
 // symbol is re-fanned exactly once whether or not the relay still needs
-// it. The scatter itself leaves through a token bucket — a burst that the
-// receivers' socket buffers can hold, then a fixed rate — so a large
-// object neither floods the group nor stalls the publisher's event loop.
+// it.
+//
+// The scatter is clocked by its receivers. Every receiver tells the origin
+// how far the scatter has reached it — sparsely: a few reports per window,
+// one at completion — and the origin keeps no more symbol payload ahead
+// of the slowest reporting member than the receivers' socket buffers hold
+// (scatterWindowBytes). An object within the window leaves in one pass; a
+// larger one is paced by the drain rate of the slowest live receiver on
+// whatever path it sits behind, not by a rate tuned to one host. A member
+// that reports nothing while the window waits for it stops counting after
+// Config.RequestEvery, and its share falls to the pull path.
 //
 // Receivers reconstruct each generation from ANY k of its k+r symbols —
 // as soon as its k data symbols are in, or on the next tick when repair
-// symbols have to stand in for one that is not coming; whatever the
-// scatter and loss leave missing is pulled with unicast symbol requests. The pull is self-clocked: Config.MaxRequests requests
-// are kept outstanding, every reply or decoded generation tops the window
-// up at once, and Config.RequestEvery is only the timeout after which an
+// symbols have to stand in for one that is not coming. Whatever the
+// scatter and loss leave missing is pulled with unicast symbol requests.
+// The pull is self-clocked too: Config.MaxRequests requests are kept
+// outstanding, every reply or decoded generation tops the window up at
+// once, and Config.RequestEvery is only the timeout after which an
 // unanswered request moves to its next target — the designated relay if
 // it was seen sourcing the object, the origin, then the remaining peers
 // — so one crashed relay never strands a transfer. A peer that does not
 // hold a requested symbol says so (a body-less symbol), which moves the
-// request on after one round trip instead of one timeout. Under Config.RelayPlan
-// the re-fan follows the hierarchical overlay: a relay fans to its own
-// cluster plus the remote cluster coordinators (FlagBulkFan), and each
-// coordinator re-fans locally, bounding relay depth at two hops.
+// request on after one round trip instead of one timeout.
+//
+// Under Config.RelayPlan the re-fan follows the hierarchical overlay: a
+// relay fans to its own cluster plus the remote cluster coordinators
+// (FlagBulkFan), and each coordinator re-fans locally, bounding relay
+// depth at two hops.
 //
 // The engine is a proto.Handler like every other layer: synchronous,
 // deterministic (no randomness; request targets rotate by symbol and
@@ -43,6 +54,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,18 +99,30 @@ const (
 	stashMaxAge    = 2 * time.Second
 )
 
-// Scatter budget. What a publisher scatters in one go has to fit the
-// receivers' socket buffers (every receiver sees each scattered symbol
-// once, straight or relayed; the transport asks the kernel for 4 MiB), and
-// a scatter is background traffic on a node that also runs membership,
-// ordering and media. So symbols leave through a token bucket:
-// scatterBurstBytes of symbol payload at once — a 1 MiB object and its
-// repair symbols go out in a single pass — and scatterRateBytes per second
-// (100 Mbit/s) once that is spent. The pace of back-to-back publishes is
-// then set by the clock, not by how much CPU happens to be spare.
+// Scatter window. Every receiver sees each scattered symbol once, straight
+// from the origin or one relay hop later, so what the origin has sent and
+// a receiver has not yet taken off its socket sits in that receiver's
+// socket buffer. The transport asks the kernel for 4 MiB, and the kernel
+// charges a datagram its buffer, not its payload — about 2.3 KiB for a
+// 1 KiB symbol — so half of that in payload is what the buffer holds with
+// room to spare: 16 MiB objects on loopback lost 200 to 1 100 datagrams
+// each to RcvbufErrors with a 4 MiB window, some with 3 MiB, none with 2.
+// scatterWindowBytes is that memory bound — not a rate: the origin stops
+// when the symbol payload it has sent beyond the slowest gating member's
+// reported position, summed over the scatters in progress, reaches it, and
+// goes on when a report moves that position.
+//
+// A scatter position is gen·(K+R)+idx, the order symbols are sent in. A
+// receiver reports the first position it has not seen yet (highest seen
+// plus one, so loss below it does not hold the report back): whenever that
+// has moved a scatterReportsPerWindow-th of the window since its last
+// report, on a tick when it has moved at all and RequestEvery/2 has passed
+// (so a receiver behind a slow link keeps gating however slow the link),
+// and at completion, which reports the whole object seen. A report is a
+// KindBulkReq carrying FlagBulkReport, Aux = gen<<32|idx of that position.
 const (
-	scatterBurstBytes = 4 << 20
-	scatterRateBytes  = 12_500_000
+	scatterWindowBytes      = 2 << 20
+	scatterReportsPerWindow = 4
 )
 
 // Errors.
@@ -137,8 +161,10 @@ type Config struct {
 	// MaxRequests is the window of symbol requests a transfer keeps
 	// outstanding; a reply or a decoded generation refills it at once.
 	// RequestEvery is the timeout after which an unanswered request is
-	// re-sent to its next target, and the quiet period after which a
-	// scattered object starts pulling what the scatter left missing.
+	// re-sent to its next target, the quiet period — no advance of the
+	// scatter — after which a scattered object starts pulling what the
+	// scatter left missing, and the silence after which the origin stops
+	// waiting for a member's progress report.
 	RequestEvery time.Duration
 	MaxRequests  int
 	// MaxObjects bounds retained objects.
@@ -207,19 +233,61 @@ type object struct {
 	ripe bool
 	// Pull state: once pulling, out holds at most MaxRequests outstanding
 	// requests and cursor is the first generation that may still need one.
-	// A scattered object starts pulling when nothing unsolicited has
-	// arrived by quiet.
+	// A scattered object starts pulling when its scatter has not advanced
+	// by quiet, and asks for nothing new while it advances again: a
+	// scatter that stalled on a silent member resumes just as its receivers
+	// lose patience, and a pull racing it would fetch the rest of the
+	// object from the origin a second time.
 	pulling bool
 	quiet   time.Time
 	cursor  int
 	out     []request
+	// Scatter progress: top is the first scatter position not yet seen
+	// (unsolicited symbols only; zero until the scatter reaches this node),
+	// reported its value in the last report to the origin, sent at
+	// reportedAt.
+	top, reported int
+	reportedAt    time.Time
 }
 
-// scatter is one published object's progress through Scatter: next counts
-// the symbols already sent, in generation-then-index order.
+// scatter is one published object's progress through Scatter, kept from
+// the Scatter call until every gating member has seen all of it: positions
+// below next have been sent, total is one past the last.
 type scatter struct {
-	obj  uint64
-	next int
+	obj         uint64
+	next, total int
+	symbolSize  int
+	// gates are the members whose reports hold this scatter's share of the
+	// window: everyone in the view when the scatter began, minus those
+	// that left it or fell silent since.
+	gates []gate
+}
+
+// gate is one member's reported progress through a scatter.
+type gate struct {
+	member id.Node
+	seen   int       // first position the member has not reported seeing
+	at     time.Time // when seen last moved, or the scatter began
+}
+
+// floor returns the slowest gating member's reported position; the
+// scatter must have a gate.
+func (sc *scatter) floor() int {
+	floor := sc.gates[0].seen
+	for _, g := range sc.gates[1:] {
+		floor = min(floor, g.seen)
+	}
+	return floor
+}
+
+// inflight returns the symbol payload sent beyond the slowest gating
+// member's reported position. A scatter nobody gates has nothing in flight
+// that anything waits for.
+func (sc *scatter) inflight() int {
+	if len(sc.gates) == 0 {
+		return 0
+	}
+	return max(0, sc.next-sc.floor()) * sc.symbolSize
 }
 
 // stashed is one symbol that arrived before its manifest.
@@ -244,6 +312,12 @@ type metrics struct {
 	requestsTimedOut   *stats.Counter // requests re-targeted after RequestEvery
 	objectsCompleted   *stats.Counter // objects reconstructed here
 	transferMs         *stats.Histogram
+	reportsSent        *stats.Counter // progress reports sent to an origin
+	reportsRx          *stats.Counter // progress reports that moved a gate here
+	scatterWaits       *stats.Counter // times the scatter stopped on a shut window
+	scatterUngated     *stats.Counter // members dropped from a scatter's gates for silence
+	scatterInflight    *stats.Gauge   // payload bytes sent beyond the slowest gating member
+	scatterInflightMax *stats.Gauge   // its peak
 }
 
 func newMetrics(reg *stats.Registry) metrics {
@@ -258,6 +332,12 @@ func newMetrics(reg *stats.Registry) metrics {
 		requestsTimedOut:   reg.Counter("bulk.requests_timed_out"),
 		objectsCompleted:   reg.Counter("bulk.objects_completed"),
 		transferMs:         reg.Histogram("bulk.transfer_ms"),
+		reportsSent:        reg.Counter("bulk.reports_sent"),
+		reportsRx:          reg.Counter("bulk.reports_rx"),
+		scatterWaits:       reg.Counter("bulk.scatter_window_waits"),
+		scatterUngated:     reg.Counter("bulk.scatter_ungated"),
+		scatterInflight:    reg.Gauge("bulk.scatter_inflight_bytes"),
+		scatterInflightMax: reg.Gauge("bulk.scatter_inflight_peak_bytes"),
 	}
 }
 
@@ -277,10 +357,13 @@ type Engine struct {
 	stash      []stashed // arrival order
 	stashBytes int
 
-	// Scatters in progress, oldest first, and the budget they draw on.
+	// Scatters in progress, oldest first, and the window they share: the
+	// bound on their summed inflight. sentAt is when a scattered symbol last
+	// left; shut is set while the last pump ended on a shut window.
 	scatters []scatter
-	budget   int       // bytes of symbol payload that may leave now
-	budgetAt time.Time // when budget was last brought up to date
+	window   int
+	sentAt   time.Time
+	shut     bool
 
 	out   wire.Message // scratch for every send; Env.Send does not retain it
 	cands []id.Node    // rank scratch
@@ -313,7 +396,7 @@ func New(env proto.Env, cfg Config) *Engine {
 		cfg:     cfg,
 		m:       newMetrics(stats.NewRegistry()),
 		objects: make(map[uint64]*object),
-		budget:  scatterBurstBytes,
+		window:  scatterWindowBytes,
 	}
 }
 
@@ -326,7 +409,8 @@ func (e *Engine) SetMetrics(reg *stats.Registry) {
 }
 
 // SetMembers installs the current group membership, the universe symbols
-// scatter over and repair requests rotate through.
+// scatter over and repair requests rotate through. A member that left
+// stops gating the scatters in progress, which move on at once.
 func (e *Engine) SetMembers(ms []id.Node) {
 	e.members = e.members[:0]
 	for _, m := range ms {
@@ -334,7 +418,18 @@ func (e *Engine) SetMembers(ms []id.Node) {
 			e.members = append(e.members, m)
 		}
 	}
-	sort.Slice(e.members, func(i, j int) bool { return e.members[i] < e.members[j] })
+	slices.Sort(e.members)
+	if len(e.scatters) == 0 {
+		return
+	}
+	for i := range e.scatters {
+		sc := &e.scatters[i]
+		sc.gates = slices.DeleteFunc(sc.gates, func(g gate) bool {
+			_, member := slices.BinarySearch(e.members, g.member)
+			return !member
+		})
+	}
+	e.pumpScatter(e.env.Now())
 }
 
 // genHash is the per-generation content hash: FNV-1a over the k padded
@@ -418,50 +513,144 @@ func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 // Scatter stripes the coded symbols of an object this node published
 // across the group: each symbol goes to its designated relay, flagged so
 // the relay re-fans it to everyone else. Call it after the manifest is on
-// its way. Symbols leave at once while the node's scatter budget lasts and
-// at scatterRateBytes from then on (OnTick).
+// its way. Symbols leave at once while the scatter window has room, and
+// from then on as the receivers' reports make room (OnMessage; OnTick only
+// times silent members out).
 func (e *Engine) Scatter(objID uint64) {
 	o, ok := e.objects[objID]
 	if !ok || !o.complete || o.man.Origin != e.env.Self() {
 		return
 	}
-	e.scatters = append(e.scatters, scatter{obj: objID})
-	e.pumpScatter(e.env.Now())
+	now := e.env.Now()
+	sc := scatter{obj: objID, total: len(o.gens) * (o.man.K + o.man.R), symbolSize: o.man.SymbolSize}
+	for _, m := range e.members {
+		if m != o.man.Origin {
+			sc.gates = append(sc.gates, gate{member: m, at: now})
+		}
+	}
+	e.scatters = append(e.scatters, sc)
+	e.pumpScatter(now)
 }
 
-// pumpScatter sends what the budget allows of the scatters in progress.
+// pumpScatter sends what the window allows of the scatters in progress,
+// oldest first, and stops when the window is shut. A gating member that
+// owes a report and has brought none for RequestEvery since the last
+// symbol left stops gating: a stalled or crashed receiver costs a scatter
+// one timeout, and pulls what it missed when it comes back.
 func (e *Engine) pumpScatter(now time.Time) {
 	if len(e.scatters) == 0 {
 		return
 	}
-	// Bring the budget up to date; past the burst's worth of time it is
-	// simply full, which also keeps the product below from overflowing. A
-	// tick can carry a time earlier than the last call's (the ticker stamps
-	// it when it fires, not when it is handled): the clock only moves on.
-	const fill = time.Duration(scatterBurstBytes) * time.Second / scatterRateBytes
-	if since := now.Sub(e.budgetAt); since >= fill {
-		e.budget, e.budgetAt = scatterBurstBytes, now
-	} else if since > 0 {
-		e.budget = min(e.budget+int(int64(since)*scatterRateBytes/int64(time.Second)), scatterBurstBytes)
-		e.budgetAt = now
+	sent, shut := e.sendScatters(now)
+	for e.ungateSilent(now) {
+		var n int
+		n, shut = e.sendScatters(now)
+		sent += n
 	}
-	for len(e.scatters) > 0 {
-		sc := &e.scatters[0]
-		o := e.objects[sc.obj] // nil once evicted: drop what is left of it
-		for o != nil && sc.next < len(o.gens)*(o.man.K+o.man.R) {
-			if e.budget < o.man.SymbolSize {
-				return
-			}
-			g, i := sc.next/(o.man.K+o.man.R), sc.next%(o.man.K+o.man.R)
-			sc.next++
-			relay := e.relayOf(o.man, g, i) // never this node: it is the origin
-			if relay == id.None {
-				continue
-			}
-			e.budget -= o.man.SymbolSize
-			e.sendSym(relay, o.man, g, i, o.gens[g].shards[i], wire.FlagBulkFan)
+	if shut && (sent > 0 || !e.shut) {
+		e.m.scatterWaits.Inc() // once per stop, not per tick spent waiting
+	}
+	e.shut = shut
+	// Retire the scatters with nothing left to send or to wait for.
+	inflight := 0
+	e.scatters = slices.DeleteFunc(e.scatters, func(sc scatter) bool {
+		n := sc.inflight()
+		inflight += n
+		return sc.next == sc.total && n == 0
+	})
+	e.m.scatterInflight.Set(int64(inflight))
+	e.m.scatterInflightMax.Set(max(e.m.scatterInflightMax.Value(), int64(inflight)))
+}
+
+// sendScatters sends symbols while the window has room and reports how
+// many, and whether it stopped on a shut window with symbols left to send.
+func (e *Engine) sendScatters(now time.Time) (sent int, shut bool) {
+	inflight := 0
+	for i := range e.scatters {
+		inflight += e.scatters[i].inflight()
+	}
+	for i := range e.scatters {
+		sc := &e.scatters[i]
+		inflight -= sc.inflight() // of the other scatters, from here on
+		o := e.objects[sc.obj]
+		if o == nil || len(sc.gates) == 0 {
+			// Evicted, or nobody left who reports on it: every receiver is
+			// on the pull path already, and sending the rest blind would
+			// flood whatever made them silent.
+			sc.next, sc.gates = sc.total, nil
+			continue
 		}
-		e.scatters = append(e.scatters[:0], e.scatters[1:]...)
+		// The first position the window does not cover: what the other
+		// scatters leave of it, counted from this one's slowest member.
+		limit := sc.floor() + (e.window-inflight)/sc.symbolSize
+		for w := o.man.K + o.man.R; sc.next < sc.total; sc.next++ {
+			if sc.next >= limit {
+				return sent, true
+			}
+			g, i := sc.next/w, sc.next%w
+			// Never this node, it is the origin; nobody once the view is
+			// down to the origin alone.
+			if relay := e.relayOf(o.man, g, i); relay != id.None {
+				e.sentAt = now
+				e.sendSym(relay, o.man, g, i, o.gens[g].shards[i], wire.FlagBulkFan)
+				sent++
+			}
+		}
+		inflight += sc.inflight()
+	}
+	return sent, false
+}
+
+// ungateSilent drops the gates that owe a report and have brought none for
+// RequestEvery — counted from the last symbol sent, so never while the
+// scatter is moving — and reports whether it dropped any.
+func (e *Engine) ungateSilent(now time.Time) (dropped bool) {
+	for i := range e.scatters {
+		sc := &e.scatters[i]
+		sc.gates = slices.DeleteFunc(sc.gates, func(g gate) bool {
+			since := e.sentAt
+			if g.at.After(since) {
+				since = g.at
+			}
+			if g.seen >= sc.next || now.Sub(since) < e.cfg.RequestEvery {
+				return false
+			}
+			e.m.scatterUngated.Inc()
+			dropped = true
+			return true
+		})
+	}
+	return dropped
+}
+
+// onReport takes a receiver's progress report: it moves the member's gate
+// in the object's scatter and sends at once what that makes room for.
+func (e *Engine) onReport(from id.Node, msg *wire.Message) {
+	moved := false
+	now := e.env.Now()
+	for i := range e.scatters {
+		sc := &e.scatters[i]
+		o := e.objects[sc.obj]
+		if sc.obj != msg.Seq || o == nil {
+			continue
+		}
+		// The position is clamped rather than checked: a receiver that
+		// decoded the last generation early reports the whole object seen
+		// before the origin has sent all of it.
+		seen := sc.total
+		if p := (msg.Aux>>32)*uint64(o.man.K+o.man.R) + msg.Aux&0xffffffff; p < uint64(sc.total) {
+			seen = int(p)
+		}
+		for j := range sc.gates {
+			if g := &sc.gates[j]; g.member == from && seen > g.seen {
+				g.seen, g.at = seen, now
+				moved = true
+			}
+		}
+	}
+	if moved {
+		e.m.reportsRx.Inc()
+		e.pumpScatter(now)
 	}
 }
 
@@ -589,12 +778,13 @@ func (e *Engine) begin(man Manifest, pull bool) {
 			return
 		}
 		o = &object{
-			man:     man,
-			rs:      rs,
-			gens:    make([]generation, man.Generations()),
-			began:   now,
-			sources: make(map[id.Node]bool),
-			quiet:   now.Add(e.cfg.RequestEvery),
+			man:        man,
+			rs:         rs,
+			gens:       make([]generation, man.Generations()),
+			began:      now,
+			sources:    make(map[id.Node]bool),
+			quiet:      now.Add(e.cfg.RequestEvery),
+			reportedAt: now,
 		}
 		w := man.K + man.R
 		tables := make([][]byte, len(o.gens)*w)
@@ -605,7 +795,7 @@ func (e *Engine) begin(man Manifest, pull bool) {
 		e.replayStash(o)
 	}
 	if pull && !o.complete && !o.pulling {
-		o.pulling = true
+		o.pulling, o.quiet = true, now
 		e.refreshNear()
 		e.pump(o, now)
 	}
@@ -659,7 +849,11 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 			e.stashSymbol(from, msg)
 		}
 	case wire.KindBulkReq:
-		e.onRequest(from, msg)
+		if msg.Flags&wire.FlagBulkReport != 0 {
+			e.onReport(from, msg)
+		} else {
+			e.onRequest(from, msg)
+		}
 	}
 }
 
@@ -753,8 +947,11 @@ func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 	solicited := g.asked.has(idx)
 	if solicited {
 		e.settle(o, gen, idx)
-	} else {
-		// The scatter is still landing: hold the pull back.
+	} else if p := gen*(o.man.K+o.man.R) + idx + 1; p > o.top {
+		// The scatter is still landing, and this is how far it has come:
+		// hold the pull back. (A late second answer to a request is
+		// unsolicited too, but lands below top and holds nothing back.)
+		o.top = p
 		o.quiet = now.Add(e.cfg.RequestEvery)
 	}
 	if g.done || g.shards[idx] != nil {
@@ -781,6 +978,24 @@ func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 	if solicited || g.done {
 		e.pump(o, now)
 	}
+	if !o.complete && (o.top-o.reported)*o.man.SymbolSize >= e.window/scatterReportsPerWindow {
+		e.report(o, now)
+	}
+}
+
+// report tells the origin how far its scatter has reached this node.
+func (e *Engine) report(o *object, now time.Time) {
+	w := o.man.K + o.man.R
+	o.reported, o.reportedAt = o.top, now
+	e.out = wire.Message{
+		Kind:  wire.KindBulkReq,
+		Flags: wire.FlagBulkReport,
+		Group: e.cfg.Group,
+		Seq:   o.man.Object,
+		Aux:   uint64(o.top/w)<<32 | uint64(o.top%w),
+	}
+	e.env.Send(o.man.Origin, &e.out)
+	e.m.reportsSent.Inc()
 }
 
 // reconstruct decodes one generation from any K held symbols, verifies
@@ -837,8 +1052,15 @@ func (e *Engine) assemble(o *object) {
 	o.data = data[:o.man.Size]
 	o.complete = true
 	o.out, o.sources = nil, nil
+	now := e.env.Now()
 	e.m.objectsCompleted.Inc()
-	e.m.transferMs.Observe(float64(e.env.Now().Sub(o.began)) / float64(time.Millisecond))
+	e.m.transferMs.Observe(float64(now.Sub(o.began)) / float64(time.Millisecond))
+	if o.top > 0 {
+		// A scatter reached this node: whatever of it is still to come, or
+		// was lost, no longer needs room here.
+		o.top = len(o.gens) * (o.man.K + o.man.R)
+		e.report(o, now)
+	}
 	if e.cfg.OnObject != nil {
 		e.cfg.OnObject(Object{ID: o.man.Object, Origin: o.man.Origin, Data: o.data})
 	}
@@ -877,11 +1099,12 @@ func (e *Engine) onNotHeld(o *object, from id.Node, gen, idx int) {
 	}
 }
 
-// OnTick does what no arrival can: it continues a scatter that outran its
-// budget, decodes the generations that held k symbols but waited for
-// their data symbols in vain, opens the pull of a scattered object whose
-// scatter has gone quiet, moves every request unanswered for RequestEvery
-// to its next target, and ages the stash.
+// OnTick does what no arrival can: it times silent members out of a shut
+// scatter window, decodes the generations that held k symbols but waited
+// for their data symbols in vain, reports slow scatter progress, opens the
+// pull of a scattered object whose scatter has gone quiet, moves every
+// request unanswered for RequestEvery to its next target, and ages the
+// stash.
 func (e *Engine) OnTick(now time.Time) {
 	e.pumpScatter(now)
 	refreshed := false
@@ -898,7 +1121,13 @@ func (e *Engine) OnTick(now time.Time) {
 				}
 			}
 		}
-		if o.complete || (!o.pulling && now.Before(o.quiet)) {
+		if o.complete {
+			continue
+		}
+		if o.top > o.reported && now.Sub(o.reportedAt) >= e.cfg.RequestEvery/2 {
+			e.report(o, now)
+		}
+		if !o.pulling && now.Before(o.quiet) {
 			continue
 		}
 		if !refreshed {
@@ -955,7 +1184,7 @@ func (e *Engine) refreshNear() {
 // Only data symbols are requested: any completed peer holds all of them,
 // while repair symbols survive only where the scatter put them.
 func (e *Engine) pump(o *object, now time.Time) {
-	if !o.pulling || o.complete {
+	if !o.pulling || o.complete || now.Before(o.quiet) {
 		return
 	}
 	for o.cursor < len(o.gens) && o.gens[o.cursor].done {

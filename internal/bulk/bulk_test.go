@@ -390,10 +390,12 @@ func (r *recEnv) Send(to id.Node, m *wire.Message) {
 	r.sent = append(r.sent, sentMsg{to, m.Kind, m.Flags, m.Seq, m.Aux, len(m.Body)})
 }
 
+// count returns how many datagrams of a kind were sent; progress reports,
+// which share KindBulkReq with symbol requests, are not counted as either.
 func (r *recEnv) count(kind wire.Kind) int {
 	n := 0
 	for _, s := range r.sent {
-		if s.kind == kind {
+		if s.kind == kind && s.flags&wire.FlagBulkReport == 0 {
 			n++
 		}
 	}
@@ -546,48 +548,242 @@ func TestDecodeWaitsForDataSymbols(t *testing.T) {
 	}
 }
 
-// TestScatterPaced pins the scatter budget: objects within the burst leave
-// in the activation that scatters them, and once the burst is spent the
-// symbols leave at scatterRateBytes, whatever the tick cadence and however
-// late a tick is handled.
-func TestScatterPaced(t *testing.T) {
+// reportMsg builds the progress report a receiver sends the origin once
+// the scatter of objID has reached it up to (not including) position pos.
+func reportMsg(e *Engine, objID uint64, pos int) *wire.Message {
+	o := e.objects[objID]
+	w := o.man.K + o.man.R
+	return &wire.Message{
+		Kind: wire.KindBulkReq, Flags: wire.FlagBulkReport, Group: e.cfg.Group,
+		Seq: objID, Aux: uint64(pos/w)<<32 | uint64(pos%w),
+	}
+}
+
+// TestScatterWindowed pins the scatter window: an object within it leaves
+// in the activation that scatters it; a larger one stops at the window and
+// each report releases exactly the symbols up to the slowest member's
+// position plus the window, never more.
+func TestScatterWindowed(t *testing.T) {
 	env := &recEnv{self: 1, now: time.Unix(1000, 0)}
 	e := New(env, Config{Group: 1})
 	e.SetMembers([]id.Node{1, 2, 3, 4})
 	const objSize = 1 << 20
 	perObject := objSize / DefaultSymbolSize * (DefaultDataShards + DefaultRepairShards) / DefaultDataShards
-	burst := scatterBurstBytes / DefaultSymbolSize
-	objects := burst/perObject + 2 // the last two cannot leave at once
-	for i := 1; i <= objects; i++ {
+	for i := 1; i <= scatterWindowBytes/DefaultSymbolSize/perObject; i++ {
 		if _, err := e.Publish(uint64(i), testObject(objSize, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		e.Scatter(uint64(i))
-		if i <= burst/perObject && env.count(wire.KindBulkSym) != i*perObject {
-			t.Fatalf("object %d within the burst: %d symbols sent, want %d", i, env.count(wire.KindBulkSym), i*perObject)
+		if n := env.count(wire.KindBulkSym); n != i*perObject {
+			t.Fatalf("object %d within the window: %d symbols sent, want %d", i, n, i*perObject)
 		}
 	}
-	if n := env.count(wire.KindBulkSym); n != burst {
-		t.Fatalf("%d symbols left at once, want the burst of %d", n, burst)
+
+	const window = 64 // symbols
+	env = &recEnv{self: 1, now: time.Unix(1000, 0)}
+	e = New(env, Config{Group: 1})
+	e.window = window * DefaultSymbolSize
+	e.SetMembers([]id.Node{1, 2, 3, 4})
+	if _, err := e.Publish(9, testObject(objSize, 9)); err != nil {
+		t.Fatal(err)
 	}
-	start := env.now
-	perSecond := scatterRateBytes / DefaultSymbolSize
-	for _, step := range []time.Duration{10 * time.Millisecond, 3 * time.Millisecond, 50 * time.Millisecond, 10 * time.Millisecond} {
-		env.now = env.now.Add(step)
-		e.OnTick(env.now)
-		e.OnTick(env.now.Add(-time.Millisecond)) // a tick stamped before the last one adds nothing
-		want := burst + int(env.now.Sub(start).Seconds()*float64(perSecond))
-		if n := env.count(wire.KindBulkSym); n < want-1 || n > want {
-			t.Fatalf("%v after the burst: %d symbols sent, want %d", env.now.Sub(start), n, want)
+	e.Scatter(9)
+	seen := map[id.Node]int{2: 0, 3: 0, 4: 0}
+	check := func(when string) {
+		t.Helper()
+		floor := min(seen[2], seen[3], seen[4])
+		want := min(floor+window, perObject)
+		if n := env.count(wire.KindBulkSym); n != want {
+			t.Fatalf("%s: %d symbols sent with the slowest member at %d, want %d", when, n, floor, want)
+		}
+		if got := e.m.scatterInflight.Value(); got != int64((want-min(floor, want))*DefaultSymbolSize) {
+			t.Fatalf("%s: in-flight gauge %d with %d sent beyond position %d", when, got, want, floor)
 		}
 	}
-	env.now = env.now.Add(time.Minute)
-	e.OnTick(env.now)
-	if n := env.count(wire.KindBulkSym); n != objects*perObject {
-		t.Fatalf("scatter finished with %d symbols sent, want %d", n, objects*perObject)
+	check("after Scatter")
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; seen[2] < perObject || seen[3] < perObject || seen[4] < perObject; step++ {
+		m := id.Node(2 + rng.Intn(3))
+		// A member cannot have seen what has not been sent.
+		seen[m] = min(seen[m]+rng.Intn(window), env.count(wire.KindBulkSym))
+		if step%7 == 0 {
+			e.OnMessage(m, reportMsg(e, 9, seen[m]/2)) // a reordered older report changes nothing
+		}
+		e.OnMessage(m, reportMsg(e, 9, seen[m]))
+		check("after a report")
+	}
+	if peak := e.m.scatterInflightMax.Value(); peak != window*DefaultSymbolSize {
+		t.Fatalf("in-flight peak %d, want the window of %d", peak, window*DefaultSymbolSize)
+	}
+	if len(e.scatters) != 0 {
+		t.Fatalf("%d scatters still queued after every member saw all of it", len(e.scatters))
+	}
+	if waits := e.m.scatterWaits.Value(); waits == 0 {
+		t.Fatal("bulk.scatter_window_waits did not count the shut window")
+	}
+}
+
+// TestScatterSurvivesReceiverLeave removes a receiver from the view while
+// the window is shut on it: the scatter must finish in that activation,
+// not wait for a report that will never come.
+func TestScatterSurvivesReceiverLeave(t *testing.T) {
+	env := &recEnv{self: 1, now: time.Unix(1000, 0)}
+	e := New(env, Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2})
+	e.window = 16 * 256
+	e.SetMembers([]id.Node{1, 2, 3, 4})
+	if _, err := e.Publish(3, testObject(40_000, 51)); err != nil {
+		t.Fatal(err)
+	}
+	total := len(e.objects[3].gens) * 10
+	e.Scatter(3)
+	for _, m := range []id.Node{2, 3} {
+		e.OnMessage(m, reportMsg(e, 3, total)) // complete: the whole object seen
+	}
+	if n := env.count(wire.KindBulkSym); n != 16 {
+		t.Fatalf("%d symbols sent while n4 holds the window shut, want 16", n)
+	}
+	e.SetMembers([]id.Node{1, 2, 3})
+	if n := env.count(wire.KindBulkSym); n != total {
+		t.Fatalf("%d of %d symbols sent after n4 left the view", n, total)
 	}
 	if len(e.scatters) != 0 {
 		t.Fatalf("%d scatters still queued", len(e.scatters))
+	}
+	for _, s := range env.sent[16:] {
+		if s.to == 4 {
+			t.Fatalf("symbol %#x striped to the departed n4", s.aux)
+		}
+	}
+}
+
+// shrinkWindow gives every engine of the fleet a scatter window of bytes.
+func (f *fleet) shrinkWindow(bytes int) {
+	for _, e := range f.engines {
+		e.window = bytes
+	}
+}
+
+// TestScatterSilentReceiverStopsGating cuts one receiver off while an
+// object larger than the window is scattered: the origin waits for it one
+// RequestEvery, not longer, the others complete, and the silent one pulls
+// the object once it is reachable again.
+func TestScatterSilentReceiverStopsGating(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	f := newFleet(t, 4, 7, netsim.LANProfile(time.Millisecond, 0, 0), cfg)
+	f.shrinkWindow(32 * 256)
+	for _, from := range f.nodes[:3] {
+		f.sim.BlockDirected(from, 4)
+	}
+	data := testObject(100_000, 52)
+	f.publish(t, 1, 21, data, true)
+	origin := f.engines[1]
+	f.sim.At(10*time.Millisecond+DefaultRequestEvery/2, func() {
+		if len(origin.scatters) != 1 || !origin.shut {
+			t.Errorf("half a timeout in: %d scatters, shut=%v; want the window shut on n4", len(origin.scatters), origin.shut)
+		}
+	})
+	f.sim.At(10*time.Millisecond+DefaultRequestEvery+10*time.Millisecond, func() {
+		if origin.m.scatterUngated.Value() != 1 || origin.scatters[0].next <= 32 {
+			t.Errorf("one timeout in: %d ungated, scatter at position %d; want it moving again without n4",
+				origin.m.scatterUngated.Value(), origin.scatters[0].next)
+		}
+	})
+	f.sim.At(500*time.Millisecond, func() {
+		if len(origin.scatters) != 0 {
+			t.Errorf("scatter still in progress at 500ms")
+		}
+		for _, node := range []id.Node{2, 3} {
+			if _, ok := f.engines[node].Object(21); !ok {
+				t.Errorf("node %s incomplete at 500ms", node)
+			}
+		}
+		for _, from := range f.nodes[:3] {
+			f.sim.UnblockDirected(from, 4)
+		}
+	})
+	f.sim.Run(3 * time.Second)
+	f.assertAllComplete(t, 21, data, nil)
+	if n := origin.m.scatterUngated.Value(); n != 1 {
+		t.Fatalf("bulk.scatter_ungated = %d, want 1", n)
+	}
+	if n := f.engines[4].m.requestsSent.Value(); n == 0 {
+		t.Fatal("the silent member completed without pulling")
+	}
+}
+
+// TestScatterReportLoss scatters an object larger than the window through
+// 5 % loss in both directions, so symbols and reports both go missing: the
+// window must keep moving on the reports that do arrive, and the losses
+// must not turn into a storm of timed-out requests.
+func TestScatterReportLoss(t *testing.T) {
+	f := newFleet(t, 4, 8, netsim.LANProfile(time.Millisecond, 200*time.Microsecond, 0.05), Config{Group: 1})
+	data := testObject(6<<20, 53)
+	f.publish(t, 1, 22, data, true)
+	f.sim.Run(10 * time.Second)
+	f.assertAllComplete(t, 22, data, nil)
+	var timedOut, reports uint64
+	for _, node := range f.nodes[1:] {
+		timedOut += f.engines[node].m.requestsTimedOut.Value()
+		reports += f.engines[node].m.reportsSent.Value()
+	}
+	origin := f.engines[1]
+	t.Logf("completed at %v; %d reports sent, %d moved a gate, %d window waits, %d ungated, %d requests timed out",
+		f.doneAt, reports, origin.m.reportsRx.Value(), origin.m.scatterWaits.Value(), origin.m.scatterUngated.Value(), timedOut)
+	if timedOut > 200 {
+		t.Errorf("%d requests timed out, want <= 200", timedOut)
+	}
+	if origin.m.scatterWaits.Value() == 0 {
+		t.Error("a 6 MiB object never found the window shut")
+	}
+	if peak := origin.m.scatterInflightMax.Value(); peak > scatterWindowBytes {
+		t.Errorf("in-flight peak %d above the window", peak)
+	}
+}
+
+// TestScatterBottleneckLink puts one receiver behind 1.25 MB/s links (10
+// Mbit/s) and scatters 8 MiB: the origin must neither overrun that
+// receiver — its in-flight bytes stay within the window, and the receiver
+// never has to pull — nor stall it: it completes within 1.3 x the time
+// its links need. netsim limits each directed link, and each of the three
+// links into the receiver carries a third of the coded object.
+func TestScatterBottleneckLink(t *testing.T) {
+	const (
+		slow      = id.Node(4)
+		bandwidth = 1.25e6
+		size      = 8 << 20
+	)
+	lan := netsim.Link{Delay: time.Millisecond}
+	f := newFleet(t, 4, 9, func(_, to id.Node) netsim.Link {
+		l := lan
+		if to == slow {
+			l.Bandwidth = bandwidth
+		}
+		return l
+	}, Config{Group: 1})
+	f.shrinkWindow(256 << 10)
+	data := testObject(size, 54)
+	f.publish(t, 1, 23, data, true)
+	f.sim.Run(20 * time.Second)
+	f.assertAllComplete(t, 23, data, nil)
+	origin := f.engines[1]
+	perLink := float64(size) * (DefaultDataShards + DefaultRepairShards) / DefaultDataShards / 3
+	limit := time.Duration(1.3 * perLink / bandwidth * float64(time.Second))
+	took := f.doneAt[slow] - 10*time.Millisecond
+	t.Logf("slow receiver done after %v (limit %v), the others at %v; peak in flight %d; %d window waits",
+		took, limit, f.doneAt, origin.m.scatterInflightMax.Value(), origin.m.scatterWaits.Value())
+	if took > limit {
+		t.Errorf("slow receiver completed after %v, want <= %v", took, limit)
+	}
+	if peak := origin.m.scatterInflightMax.Value(); peak > 256<<10 {
+		t.Errorf("in-flight peak %d above the window of %d", peak, 256<<10)
+	}
+	if n := origin.m.scatterUngated.Value(); n != 0 {
+		t.Errorf("%d members stopped gating: the slow receiver was overrun, not waited for", n)
+	}
+	for _, node := range f.nodes[1:] {
+		if n := f.engines[node].m.requestsSent.Value(); n != 0 {
+			t.Errorf("node %s pulled %d symbols on a lossless path", node, n)
+		}
 	}
 }
 

@@ -18,10 +18,14 @@ var bulkChaosSeed = flag.Int64("bulk.chaos.seed", -1, "replay a single bulk chao
 // with its striped symbol share lost — and checks every surviving node
 // still reconstructs the object exactly. The crash lands while the
 // scatter is in flight, so the repair path (not the relay fan) must
-// carry the crashed relay's share.
+// carry the crashed relay's share. Every seed runs twice: with the object
+// inside the scatter window, and with the window shrunk to an eighth of
+// the object, so that the crash lands while the origin is waiting for
+// reports — the crashed relay's among them.
 func TestBulkChaos(t *testing.T) {
 	if *bulkChaosSeed >= 0 {
-		runBulkChaos(t, *bulkChaosSeed)
+		runBulkChaos(t, *bulkChaosSeed, false)
+		runBulkChaos(t, *bulkChaosSeed, true)
 		return
 	}
 	n := int64(8)
@@ -32,12 +36,17 @@ func TestBulkChaos(t *testing.T) {
 		seed := 7000 + i
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runBulkChaos(t, seed)
+			for _, windowed := range []bool{false, true} {
+				t.Run(fmt.Sprintf("windowed=%v", windowed), func(t *testing.T) {
+					t.Parallel()
+					runBulkChaos(t, seed, windowed)
+				})
+			}
 		})
 	}
 }
 
-func runBulkChaos(t *testing.T, seed int64) {
+func runBulkChaos(t *testing.T, seed int64, windowed bool) {
 	nodes := 8 + int(seed)%9 // 8..16
 	loss := 0.02 + float64(seed%4)*0.02
 	crashed := id.Node(2 + seed%int64(nodes-1)) // never the origin (node 1)
@@ -48,6 +57,9 @@ func runBulkChaos(t *testing.T, seed int64) {
 	// receivers, the regime the repair rotation has to dig out of.
 	f.sim.SetLossDomains(func(n id.Node) int { return int(n) % 4 })
 	data := testObject(25_000, seed)
+	if windowed {
+		f.shrinkWindow(16 * cfg.SymbolSize) // of 130 symbols
+	}
 	f.publish(t, 1, 77, data, true)
 	// Crash one relay mid-transfer: the scatter began at t=10ms and the
 	// first symbols are still fanning out at 12ms.
@@ -59,4 +71,11 @@ func runBulkChaos(t *testing.T, seed int64) {
 		}
 	}()
 	f.assertAllComplete(t, 77, data, map[id.Node]bool{crashed: true})
+	origin := f.engines[1]
+	if len(origin.scatters) != 0 {
+		t.Fatalf("%d scatters still in progress at the origin", len(origin.scatters))
+	}
+	if windowed && origin.m.scatterWaits.Value() == 0 {
+		t.Fatal("the shrunk window never bound")
+	}
 }

@@ -39,14 +39,19 @@ func (m Manifest) Generations() int { return len(m.GenHashes) }
 // ErrBadManifest reports a malformed or self-inconsistent manifest.
 var ErrBadManifest = errors.New("bulk: bad manifest")
 
-// maxGenerations bounds the symbol space a manifest may declare, which
-// with default geometry caps objects well above anything the media
-// experiments ship; it exists so a malformed manifest cannot make a
-// receiver allocate unbounded tracking state.
-const maxGenerations = 1 << 16
+// maxGenerations and maxSymbols bound the symbol space a manifest may
+// declare — generations, and symbol slots over all of them. A MaxObjectSize
+// object at the default geometry has 16 384 generations and 327 680 slots;
+// the bounds exist so a malformed manifest cannot make a receiver allocate
+// tracking state out of proportion to the largest object it would accept.
+const (
+	maxGenerations = 1 << 16
+	maxSymbols     = 1 << 22
+)
 
-// Validate checks internal consistency: supported geometry and a size
-// that fits the declared generations.
+// Validate checks internal consistency: supported geometry, a size no
+// publisher could exceed (MaxObjectSize) and one that fills the declared
+// generations.
 func (m Manifest) Validate() error {
 	if m.K < 1 || m.R < 0 || m.K+m.R > 255 {
 		return fmt.Errorf("%w: k=%d r=%d", ErrBadManifest, m.K, m.R)
@@ -55,11 +60,11 @@ func (m Manifest) Validate() error {
 		return fmt.Errorf("%w: symbol size %d", ErrBadManifest, m.SymbolSize)
 	}
 	gens := len(m.GenHashes)
-	if gens < 1 || gens > maxGenerations {
+	if gens < 1 || gens > maxGenerations || gens*(m.K+m.R) > maxSymbols {
 		return fmt.Errorf("%w: %d generations", ErrBadManifest, gens)
 	}
 	perGen := uint64(m.K) * uint64(m.SymbolSize)
-	if m.Size == 0 || m.Size > perGen*uint64(gens) || m.Size <= perGen*uint64(gens-1) {
+	if m.Size == 0 || m.Size > MaxObjectSize || m.Size > perGen*uint64(gens) || m.Size <= perGen*uint64(gens-1) {
 		return fmt.Errorf("%w: size %d does not fill %d generations", ErrBadManifest, m.Size, gens)
 	}
 	return nil

@@ -60,6 +60,7 @@ type Detector struct {
 
 	peers    map[id.Node]*peerState
 	lastBeat time.Time
+	lastTick time.Time
 	beats    uint64
 }
 
@@ -147,6 +148,19 @@ func (d *Detector) OnTick(now time.Time) {
 		peers = append(peers, p)
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	// Ticks come every few milliseconds. One that comes a heartbeat period
+	// or more after the last means this node did not run — a stopped
+	// process, a frozen VM — and whatever its peers sent meanwhile is lost
+	// or still queued behind this tick. Silence the node could not have
+	// heard is no evidence against them: every deadline moves out by the
+	// gap. (All members of a group frozen together used to wake up and
+	// evict each other.)
+	if gap := now.Sub(d.lastTick); !d.lastTick.IsZero() && gap >= d.cfg.HeartbeatEvery {
+		for _, st := range d.peers {
+			st.lastHeard = st.lastHeard.Add(gap)
+		}
+	}
+	d.lastTick = now
 	if now.Sub(d.lastBeat) >= d.cfg.HeartbeatEvery {
 		d.lastBeat = now
 		d.beats++

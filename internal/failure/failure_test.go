@@ -291,3 +291,47 @@ func TestHeartbeatCrowdingSchedule(t *testing.T) {
 		t.Error("peer never suspected after its traffic stopped for good")
 	}
 }
+
+// manualEnv is a proto.Env whose clock the test moves by hand.
+type manualEnv struct {
+	now time.Time
+}
+
+func (e *manualEnv) Self() id.Node               { return 1 }
+func (e *manualEnv) Now() time.Time              { return e.now }
+func (e *manualEnv) Send(id.Node, *wire.Message) {}
+
+// TestOwnFreezeIsNotPeerSilence stops the detector's own clock source for
+// a second — a SIGSTOPped process, a VM frozen by its host — and checks
+// that waking up does not suspect the peers it could not have heard,
+// while a peer that stays silent afterwards is still caught on time.
+func TestOwnFreezeIsNotPeerSilence(t *testing.T) {
+	env := &manualEnv{now: time.Unix(1000, 0)}
+	var events []Event
+	d := New(env, Config{Group: 1, OnEvent: func(ev Event) { events = append(events, ev) }})
+	d.SetPeers([]id.Node{1, 2, 3})
+	beat := &wire.Message{Kind: wire.KindHeartbeat, Group: 1}
+	run := func(dur time.Duration, heard ...id.Node) {
+		for end := env.now.Add(dur); env.now.Before(end); {
+			env.now = env.now.Add(5 * time.Millisecond)
+			for _, p := range heard {
+				d.OnMessage(p, beat)
+			}
+			d.OnTick(env.now)
+		}
+	}
+	run(time.Second, 2, 3)
+	env.now = env.now.Add(time.Second) // frozen: no tick, no message
+	d.OnTick(env.now)
+	if len(events) != 0 {
+		t.Fatalf("waking from a freeze suspected peers: %+v", events)
+	}
+	run(DefaultSuspectAfter-20*time.Millisecond, 2) // n3 really is gone now
+	if len(events) != 0 {
+		t.Fatalf("n3 suspected %v early: %+v", 20*time.Millisecond, events)
+	}
+	run(40*time.Millisecond, 2)
+	if len(events) != 1 || events[0].Node != 3 || !events[0].Suspected {
+		t.Fatalf("events = %+v, want n3 suspected one timeout after the freeze", events)
+	}
+}

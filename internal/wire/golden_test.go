@@ -50,13 +50,14 @@ func goldenMessages() []*Message {
 		{Kind: KindViewPropose, View: 9, Body: viewAddrs},
 		{Kind: KindViewCommit, View: 9, Body: viewAddrs},
 		// Bulk dissemination: a coded symbol (object 0x42, generation 1,
-		// index 5), the same symbol flagged for coordinator re-fanning, and
-		// a symbol request.
+		// index 5), the same symbol flagged for coordinator re-fanning, a
+		// symbol request, and a scatter progress report.
 		{Kind: KindBulkSym, From: 2, Sender: 1, Group: 4, Seq: 0x42,
 			Aux: 1<<32 | 5, Body: []byte("coded-symbol-bytes")},
 		{Kind: KindBulkSym, From: 2, Sender: 1, Group: 4, Seq: 0x42,
 			Aux: 1<<32 | 5, Flags: FlagBulkFan, Body: []byte("coded-symbol-bytes")},
 		{Kind: KindBulkReq, From: 7, Group: 4, Seq: 0x42, Aux: 2<<32 | 3},
+		{Kind: KindBulkReq, From: 7, Group: 4, Seq: 0x42, Aux: 51<<32 | 4, Flags: FlagBulkReport},
 		// Pipelined range ordering: the sequencer's run announcements for
 		// two senders, an empty list, and a single-unit recovery reply.
 		{Kind: KindOrderRange, From: 1, View: 3, Body: AppendOrderRanges(nil, []OrderRange{

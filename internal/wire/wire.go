@@ -94,7 +94,9 @@ const (
 	KindBulkSym
 	// KindBulkReq asks a peer to (re)send symbols of a bulk object the
 	// requester is missing. Seq is the object ID, Aux packs
-	// generation<<32|index of one wanted symbol.
+	// generation<<32|index of one wanted symbol. With FlagBulkReport it
+	// asks for nothing: it tells the object's origin how far its scatter
+	// has reached the sender, Aux naming the first position not yet seen.
 	KindBulkReq
 	// KindOrderRange carries pipelined total-order decisions: contiguous
 	// slot ranges assigned per (sender, seq-run) by the sequencer. The
@@ -187,6 +189,10 @@ const (
 	// coordinator clears the flag on the local copies, bounding relay
 	// depth.
 	FlagBulkFan
+	// FlagBulkReport marks a KindBulkReq as a receiver's progress report
+	// to the origin of a scattered object instead of a symbol request
+	// (internal/bulk: the reports open the origin's scatter window).
+	FlagBulkReport
 )
 
 // Encoding limits. Messages violating them fail to decode; they bound the

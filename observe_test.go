@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,5 +270,45 @@ func TestMetricsAddrInConfig(t *testing.T) {
 	if _, err := Start(Config{Self: 10, ListenAddr: "127.0.0.1:0", Group: 3,
 		MetricsAddr: "256.0.0.1:bad"}); err == nil {
 		t.Fatal("bad MetricsAddr accepted")
+	}
+}
+
+// TestMetricsDocumented holds DESIGN.md §7 to the code: every metric name
+// the registry of a started node reports must appear there, so an operator
+// reading /metrics can look up what each figure counts. A metric added
+// without its line fails here with the names to add.
+func TestMetricsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "\n## 7. Observability")
+	if !ok {
+		t.Fatal("DESIGN.md has no §7 Observability heading")
+	}
+	section, _, _ := strings.Cut(rest, "\n## ")
+
+	// Engines resolve their metric handles at construction, so a node that
+	// has started reports every name it ever will; no traffic is needed.
+	a, _, _, _ := startFabricPair(t)
+	snap := a.Snapshot()
+	var missing []string
+	check := func(name string) {
+		if !strings.Contains(section, "`"+name+"`") {
+			missing = append(missing, name)
+		}
+	}
+	for name := range snap.Counters {
+		check(name)
+	}
+	for name := range snap.Gauges {
+		check(name)
+	}
+	for name := range snap.Histograms {
+		check(name)
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		t.Errorf("%d metrics a started node reports are not in DESIGN.md §7:\n  %s", len(missing), strings.Join(missing, "\n  "))
 	}
 }
