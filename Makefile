@@ -43,12 +43,14 @@ bench-gate:
 # The benchmark's A/B protocol: PAIRS alternating pairs of one cmd/mmload
 # workload, PARENT (a git ref, built in .bench_build/ab/) against this
 # checkout with its uncommitted changes; medians, quartiles and pairs won
-# per end-to-end metric. ≈ 1 min per pair.
+# per end-to-end metric. ≈ 1 min per pair. BENCH=BENCH_<pr>.json also
+# merges them into that file as mmload/<workload> rows.
 WORKLOAD ?= bulk-1m-udp
 PARENT ?= HEAD
 PAIRS ?= 10
+BENCH ?=
 ab:
-	./scripts/ab_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS)
+	./scripts/ab_pairs.sh $(WORKLOAD) $(PARENT) $(PAIRS) $(BENCH)
 
 # The size figures ROADMAP.md tracks (code lines, wire kinds, Config fields).
 size:

@@ -13,6 +13,7 @@ import (
 	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
 	"scalamedia/internal/rmcast"
+	"scalamedia/internal/stats"
 )
 
 // Scenario phases. Faults and workload only run inside the fault window;
@@ -71,7 +72,24 @@ type Options struct {
 	// netsim.Config.Windowed): a total-order sequencer then announces at
 	// activation ends and on its ordering window, not at its tick.
 	Windowed bool
+	// Link, when its Delay is set, replaces the base link every fault
+	// starts from (2 ms ± 1 ms, 2 % loss).
+	Link netsim.Link
+	// Burst, when positive, adds an all-senders load at the start of the
+	// fault window: for Burst, every member multicasts once per
+	// burstEvery. A windowed total-order sequencer then runs in cadence
+	// mode with every member's data echoing its progress back
+	// (rmcast/window.go); echoes beat the window only on a link whose
+	// round trip is shorter than it (see Link).
+	Burst time.Duration
+	// CrashOnEcho, when set, crashes that node at the end of the first
+	// activation in which its members' echoes opened an order flush —
+	// right after the announcement left. Restart it from the Schedule.
+	CrashOnEcho id.Node
 }
+
+// burstEvery is the per-member send interval of Options.Burst.
+const burstEvery = 250 * time.Microsecond
 
 func (o *Options) defaults() {
 	if o.Nodes <= 0 {
@@ -190,6 +208,9 @@ func Run(opts Options) *Trace {
 	}
 
 	base := netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
+	if opts.Link.Delay > 0 {
+		base = opts.Link
+	}
 	cur := base
 	// slowed holds the per-node extra delay SlowLink events impose on
 	// every link touching the node; the profile closure reads it on the
@@ -219,8 +240,15 @@ func Run(opts Options) *Trace {
 		if n == 1 {
 			contact = id.None
 		}
+		// The node CrashOnEcho names reports into a registry of its own, so
+		// its wrapper can see the echoed-flush counter move.
+		var reg *stats.Registry
+		if n == opts.CrashOnEcho {
+			reg = stats.NewRegistry()
+		}
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
 			st := core.NewStack(env, core.Config{
+				Metrics:          reg,
 				Group:            group,
 				Contact:          contact,
 				Ordering:         opts.Ordering,
@@ -244,6 +272,12 @@ func Run(opts Options) *Trace {
 				},
 			})
 			stacks[n] = st
+			if reg != nil {
+				return &echoCrash{Stack: st, echoed: reg.Counter("rmcast.order_flushes_echoed"), crash: func() {
+					nt.CrashedEver = true
+					sim.Crash(n)
+				}}
+			}
 			return st
 		})
 	}
@@ -301,28 +335,36 @@ func Run(opts Options) *Trace {
 	// joining or evicted skips its slot.
 	wl := rand.New(rand.NewSource(opts.Seed + 1))
 	counters := make(map[id.Node]uint64)
+	send := func(sender id.Node, stream id.Stream) {
+		st := stacks[sender]
+		if st == nil || !sim.Up(sender) || st.Evicted() || st.Joining() {
+			return
+		}
+		counters[sender]++
+		payload := payloadKey(sender, counters[sender])
+		// The causal-obligation prefix is captured before the send:
+		// Multicast self-delivers synchronously, and the message must
+		// not appear among its own obligations.
+		prefix := len(tr.Nodes[sender].Deliveries)
+		if err := st.MulticastStream(stream, payload); err != nil {
+			counters[sender]--
+			return
+		}
+		tr.Sent[string(payload)] = SentRec{Sender: sender, PrefixLen: prefix}
+	}
 	for i := 0; i < opts.Msgs; i++ {
 		sender := id.Node(1 + wl.Intn(opts.Nodes))
 		at := joinWindow + time.Duration(wl.Int63n(int64(opts.Window)))
 		// The workload cycles through a few stream labels: a label has no
 		// protocol effect, and the fifo invariant checks exactly that.
 		stream := id.Stream(i % workloadStreams)
-		sim.At(at, func() {
-			st := stacks[sender]
-			if st == nil || !sim.Up(sender) || st.Evicted() || st.Joining() {
-				return
+		sim.At(at, func() { send(sender, stream) })
+	}
+	for i, at := 0, time.Duration(0); at < opts.Burst; i, at = i+1, at+burstEvery {
+		sim.At(joinWindow+at, func() {
+			for _, n := range nodeIDs(opts.Nodes) {
+				send(n, id.Stream(i%workloadStreams))
 			}
-			counters[sender]++
-			payload := payloadKey(sender, counters[sender])
-			// The causal-obligation prefix is captured before the send:
-			// Multicast self-delivers synchronously, and the message must
-			// not appear among its own obligations.
-			prefix := len(tr.Nodes[sender].Deliveries)
-			if err := st.MulticastStream(stream, payload); err != nil {
-				counters[sender]--
-				return
-			}
-			tr.Sent[string(payload)] = SentRec{Sender: sender, PrefixLen: prefix}
 		})
 	}
 
@@ -339,6 +381,25 @@ func Run(opts Options) *Trace {
 	}
 	tr.Net = sim.Stats()
 	return tr
+}
+
+// echoCrash is the handler of Options.CrashOnEcho's node: its stack, plus
+// the crash that follows the first order flush its members' echoes opened.
+type echoCrash struct {
+	*core.Stack
+	echoed *stats.Counter
+	crash  func()
+	fired  bool
+}
+
+// OnActivationEnd lets the stack announce, then crashes the node if the
+// announcement was the first one opened by echoes.
+func (h *echoCrash) OnActivationEnd() {
+	h.Stack.OnActivationEnd()
+	if !h.fired && h.echoed.Value() > 0 {
+		h.fired = true
+		h.crash()
+	}
 }
 
 // applyFaults schedules a fault script on the simulator, offset by off.

@@ -8,8 +8,16 @@ import (
 
 	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
+	"scalamedia/internal/netsim"
 	"scalamedia/internal/rmcast"
 )
+
+// The echo cells' network and load: a LAN whose round trip fits the 3 ms
+// ordering window several times over, and 40 ms of every member sending
+// every 250 µs.
+var echoLAN = netsim.Link{Delay: 250 * time.Microsecond, Jitter: 100 * time.Microsecond}
+
+const echoBurst = 40 * time.Millisecond
 
 // Sweep controls: -chaos.seeds widens the sweep, -chaos.seed replays one
 // failing run. Every run is fully determined by its seed — the ordering,
@@ -147,29 +155,42 @@ func TestChaosSuppressionMatrix(t *testing.T) {
 // after the crash, and the decisions travel as pipelined ranges. The
 // windowed cells repeat it with the sequencer announcing at activation
 // ends, so the crash falls between an early announcement and the next
-// window close instead of between two ticks.
+// window close instead of between two ticks. The echo-crash cells load the
+// group from every member over a LAN whose round trip is well inside the
+// ordering window, so the sequencer's batches leave on its members'
+// echoes, and crash it at the end of the activation that sent the first
+// such batch.
 func TestChaosSequencerCrash(t *testing.T) {
 	sched := chaos.Schedule{
 		{At: 1500 * time.Millisecond, Kind: chaos.Crash, Node: 1},
 		{At: 2 * time.Second, Kind: chaos.LossBurst, Loss: 0.2, Dur: time.Second},
 		{At: 3500 * time.Millisecond, Kind: chaos.Restart, Node: 1},
 	}
-	for i := 0; i < 8; i++ {
-		seed, windowed := []int64{7, 19, 33, 57}[i%4], i >= 4
-		t.Run(fmt.Sprintf("seed=%d/windowed=%v", seed, windowed), func(t *testing.T) {
+	for i := 0; i < 12; i++ {
+		opts := chaos.Options{
+			Seed:     []int64{7, 19, 33, 57}[i%4],
+			Nodes:    5,
+			Ordering: rmcast.Total,
+			Msgs:     80,
+			Schedule: sched,
+			Windowed: i >= 4,
+		}
+		name := fmt.Sprintf("seed=%d/windowed=%v", opts.Seed, opts.Windowed)
+		if i >= 8 {
+			opts.Schedule = sched[1:] // node 1 crashes on its first echoed flush instead
+			opts.Link, opts.Burst, opts.CrashOnEcho = echoLAN, echoBurst, 1
+			name = fmt.Sprintf("echo-crash/seed=%d", opts.Seed)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			tr := chaos.Run(chaos.Options{
-				Seed:     seed,
-				Nodes:    5,
-				Ordering: rmcast.Total,
-				Msgs:     80,
-				Schedule: sched,
-				Windowed: windowed,
-			})
+			tr := chaos.Run(opts)
 			if v := tr.Violations(); len(v) > 0 {
 				t.Error(chaos.FailureReport(
-					fmt.Sprintf("(sequencer-crash schedule seed=%d windowed=%v)", seed, windowed),
+					fmt.Sprintf("(sequencer-crash schedule, cell %s)", name),
 					tr.Schedule, v, tr.Flight))
+			}
+			if opts.CrashOnEcho != 0 && !tr.Nodes[1].CrashedEver {
+				t.Error("no order flush was opened by echoes, so the sequencer never crashed")
 			}
 			sequencers := 0
 			var ranges uint64

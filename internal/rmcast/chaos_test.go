@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"testing"
+	"time"
 
 	"scalamedia/internal/chaos"
+	"scalamedia/internal/netsim"
 	"scalamedia/internal/rmcast"
 )
 
@@ -59,19 +61,30 @@ func runRmcastChaos(t *testing.T, seed int64) {
 // TestRmcastChaosWindowed re-runs the matrix's total-order cells with the
 // simulator making the proto.Windowed calls, so the same fault schedules
 // hit a sequencer that announces at activation ends and on its ordering
-// window, as it does on a live runner.
+// window, as it does on a live runner. The all-senders cells open the
+// fault window with every member sending at saturation over a LAN whose
+// round trip fits the window several times, so batches leave on the
+// members' echoes.
 func TestRmcastChaosWindowed(t *testing.T) {
 	for _, seed := range []int64{2002, 2006, 2010, 2014} {
-		opts := rmcastChaosOpts(seed)
-		opts.Windowed = true
-		t.Run(fmt.Sprintf("%s/seed=%d", opts.Ordering, seed), func(t *testing.T) {
-			t.Parallel()
-			tr := chaos.Run(opts)
-			if v := tr.Violations(); len(v) > 0 {
-				t.Error(chaos.FailureReport(
-					fmt.Sprintf("(windowed rmcast chaos, seed=%d)", seed),
-					tr.Schedule, v, tr.Flight))
+		for _, allSenders := range []bool{false, true} {
+			opts := rmcastChaosOpts(seed)
+			opts.Windowed = true
+			name := fmt.Sprintf("%s/seed=%d", opts.Ordering, seed)
+			if allSenders {
+				opts.Link = netsim.Link{Delay: 250 * time.Microsecond, Jitter: 100 * time.Microsecond}
+				opts.Burst = 40 * time.Millisecond
+				name = fmt.Sprintf("%s/all-senders/seed=%d", opts.Ordering, seed)
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				tr := chaos.Run(opts)
+				if v := tr.Violations(); len(v) > 0 {
+					t.Error(chaos.FailureReport(
+						fmt.Sprintf("(windowed rmcast chaos, cell %s)", name),
+						tr.Schedule, v, tr.Flight))
+				}
+			})
+		}
 	}
 }

@@ -248,10 +248,11 @@ type engMetrics struct {
 	stabilityLag *stats.Histogram // history depth sampled at stability rounds
 
 	// Total order (see window.go).
-	orderWait         *stats.Histogram // reliable here → delivered in total order, ms
-	orderFlushes      *stats.Counter   // flushes that announced or relayed something
-	orderFlushesEarly *stats.Counter   // of which at an activation end (latency mode)
-	orderMode         *stats.Gauge     // 0 latency, 1 cadence
+	orderWait          *stats.Histogram // reliable here → delivered in total order, ms
+	orderFlushes       *stats.Counter   // flushes that announced or relayed something
+	orderFlushesEarly  *stats.Counter   // of which at an activation end (latency mode)
+	orderFlushesEchoed *stats.Counter   // of which opened by the members' echoes (cadence mode)
+	orderMode          *stats.Gauge     // 0 latency, 1 cadence
 }
 
 // newEngMetrics resolves the counter set against reg; a nil reg gets a
@@ -261,28 +262,29 @@ func newEngMetrics(reg *stats.Registry, prefix string) engMetrics {
 		reg = stats.NewRegistry()
 	}
 	return engMetrics{
-		sent:              reg.Counter(prefix + "sent"),
-		delivered:         reg.Counter(prefix + "delivered"),
-		duplicates:        reg.Counter(prefix + "duplicates"),
-		nacksSent:         reg.Counter(prefix + "nacks_sent"),
-		nacksServed:       reg.Counter(prefix + "nacks_served"),
-		retransmits:       reg.Counter(prefix + "retransmits_recv"),
-		flushResends:      reg.Counter(prefix + "flush_resends"),
-		ordersSent:        reg.Counter(prefix + "orders_sent"),
-		orderRanges:       reg.Counter(prefix + "order_ranges"),
-		piggyAcks:         reg.Counter(prefix + "acks_piggybacked"),
-		gossipAcks:        reg.Counter(prefix + "acks_gossiped"),
-		nacksSuppressed:   reg.Counter(prefix + "nacks_suppressed"),
-		repairsSuppressed: reg.Counter(prefix + "repairs_suppressed"),
-		localRepairs:      reg.Counter(prefix + "local_repairs"),
-		flowRejected:      reg.Counter(prefix + "flow_rejected"),
-		historyLen:        reg.Gauge(prefix + "history_len"),
-		flowOcc:           reg.Gauge(prefix + "flow_occupancy"),
-		stabilityLag:      reg.Histogram(prefix + "stability_lag"),
-		orderWait:         reg.Histogram(prefix + "order_wait_ms"),
-		orderFlushes:      reg.Counter(prefix + "order_flushes"),
-		orderFlushesEarly: reg.Counter(prefix + "order_flushes_early"),
-		orderMode:         reg.Gauge(prefix + "order_mode"),
+		sent:               reg.Counter(prefix + "sent"),
+		delivered:          reg.Counter(prefix + "delivered"),
+		duplicates:         reg.Counter(prefix + "duplicates"),
+		nacksSent:          reg.Counter(prefix + "nacks_sent"),
+		nacksServed:        reg.Counter(prefix + "nacks_served"),
+		retransmits:        reg.Counter(prefix + "retransmits_recv"),
+		flushResends:       reg.Counter(prefix + "flush_resends"),
+		ordersSent:         reg.Counter(prefix + "orders_sent"),
+		orderRanges:        reg.Counter(prefix + "order_ranges"),
+		piggyAcks:          reg.Counter(prefix + "acks_piggybacked"),
+		gossipAcks:         reg.Counter(prefix + "acks_gossiped"),
+		nacksSuppressed:    reg.Counter(prefix + "nacks_suppressed"),
+		repairsSuppressed:  reg.Counter(prefix + "repairs_suppressed"),
+		localRepairs:       reg.Counter(prefix + "local_repairs"),
+		flowRejected:       reg.Counter(prefix + "flow_rejected"),
+		historyLen:         reg.Gauge(prefix + "history_len"),
+		flowOcc:            reg.Gauge(prefix + "flow_occupancy"),
+		stabilityLag:       reg.Histogram(prefix + "stability_lag"),
+		orderWait:          reg.Histogram(prefix + "order_wait_ms"),
+		orderFlushes:       reg.Counter(prefix + "order_flushes"),
+		orderFlushesEarly:  reg.Counter(prefix + "order_flushes_early"),
+		orderFlushesEchoed: reg.Counter(prefix + "order_flushes_echoed"),
+		orderMode:          reg.Gauge(prefix + "order_mode"),
 	}
 }
 
@@ -331,6 +333,11 @@ type orderState struct {
 	assign     []wire.OrderRange // open runs awaiting slot assignment
 	assignMsgs int               // messages covered by assign
 	openRun    map[id.Node]int   // sender -> growable run index in assign
+
+	// Echo clock (window.go): seqSlot as of the last flush, and per member
+	// rank the highest echo its data carried in this view.
+	annEnd uint64
+	echo   []uint64
 }
 
 // peerState tracks the reliable stream from one sender.
@@ -505,6 +512,9 @@ func New(env proto.Env, cfg Config) *Engine {
 // resetOrder rebuilds the total-order state for a new view.
 func (e *Engine) resetOrder() {
 	e.ord = orderState{openRun: make(map[id.Node]int)}
+	if e.cfg.Ordering == Total {
+		e.ord.echo = make([]uint64, e.view.Size())
+	}
 }
 
 // Counters returns a copy of the protocol event counters.
@@ -882,6 +892,9 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 			e.ackDirty = false
 			e.met.piggyAcks.Inc()
 		}
+		if e.cfg.Ordering == Total {
+			out.Aux = e.ord.decideNext // the echo the sequencer is clocked by (window.go)
+		}
 		for _, m := range e.view.Members {
 			if m == e.env.Self() {
 				continue
@@ -904,6 +917,8 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 		if msg.Kind == wire.KindRetrans {
 			e.met.retransmits.Inc()
 			e.noteRetrans(msg)
+		} else if e.cfg.Ordering == Total {
+			e.noteEcho(msg)
 		}
 		if msg.Flags&wire.FlagPiggyAck != 0 {
 			if msg.View == e.view.ID && e.view.Contains(from) {
@@ -1067,9 +1082,9 @@ func (e *Engine) drainCausal() {
 }
 
 // rangeFlushThreshold caps how many sequenced messages accumulate before
-// the sequencer flushes mid-tick. Under sustained load this keeps
-// multiple ranges in flight (pipelining) and bounds sequencer-side
-// latency; at low rate the per-tick flush bounds latency instead.
+// the sequencer flushes, whatever window.go's policy would wait for: a
+// burst heavier than one window or one echo round absorbs still leaves in
+// announcements of bounded size, several of them in flight at once.
 const rangeFlushThreshold = 256
 
 // offerTotal is the sequencer half of total-order reception: at the view
@@ -1096,8 +1111,8 @@ func (e *Engine) offerTotal(msg *wire.Message) {
 		o.assign = append(o.assign, wire.OrderRange{Sender: msg.Sender, SeqFrom: msg.Seq, Count: 1})
 		o.openRun[msg.Sender] = len(o.assign) - 1
 	}
-	// Flush between ticks once enough assignments are pending — the
-	// pipelining half of range ordering — and immediately in a singleton
+	// Flush at once when enough assignments are pending — the pipelining
+	// half of range ordering — and immediately in a singleton
 	// view, where announcements reach nobody and deferring would only
 	// delay local delivery.
 	if o.assignMsgs >= rangeFlushThreshold || e.view.Size() == 1 {
@@ -1472,6 +1487,7 @@ func (e *Engine) flushOrders() bool {
 		rs = append(rs, o.assign[i])
 	}
 	e.rangeScratch = rs
+	o.annEnd = o.seqSlot
 	o.assign = o.assign[:0]
 	o.assignMsgs = 0
 	clear(o.openRun)

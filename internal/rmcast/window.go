@@ -1,6 +1,10 @@
 package rmcast
 
-import "time"
+import (
+	"time"
+
+	"scalamedia/internal/wire"
+)
 
 // The sequencer decides a message's slot when the message arrives and
 // announces decisions in batches. When a batch leaves is chosen by the
@@ -10,16 +14,28 @@ import "time"
 //     messages: the decisions of an activation are announced at its end
 //     (OnActivationEnd), in the same transport flush as the activation's
 //     other output. A message waits for no clock.
-//   - cadence mode, otherwise: nothing is announced at activation end and
-//     the window close (OnWindow) carries the whole batch, so the
-//     announcement cost per message keeps falling as the rate rises.
+//   - cadence mode, otherwise: a batch leaves at the end of the activation
+//     in which the last announcement has been echoed by every other view
+//     member, or at the window close (OnWindow), whichever comes first.
+//
+// The echo: every total-order data message a member sends carries in Aux
+// the first slot that member has not yet admitted (multicast), and the
+// sequencer keeps the highest one per member (noteEcho). Once every other
+// member's echo has reached annEnd, the end of the last announcement, all
+// of them hold every decision made so far and the next batch can go. So
+// under load one announcement is in flight at a time and a batch is what
+// arrived during one round trip: the members' progress, not the clock,
+// sets the pace, and the window only bounds the wait. A member that sends
+// nothing — crashed, silent, or a group where only the sequencer sends —
+// never echoes, and the sequencer announces at the window close, exactly
+// as without the echo. Sparse traffic has no echo source at all, which is
+// why latency mode stays.
 //
 // Both constants were sized on the live total-1k-udp benchmark (DESIGN §13
-// has the sweep): at 3 ms a closed loop of 64 outstanding messages refills
-// inside every window, so its rate is set by the clock rather than by
-// spare CPU; below 32 messages per window (≈ 10 k msg/s) announcing per
-// activation costs three small datagrams per message, above it the
-// sequencer would announce every message or two.
+// has the sweep): below 32 messages per window (≈ 10 k msg/s) announcing
+// per activation costs three small datagrams per message, above it the
+// sequencer would announce every message or two unless a clock or the
+// echoes batch them; 3 ms is the longest a decision waits in cadence mode.
 //
 // A runtime that does not implement the proto.Windowed calls (netsim by
 // default) leaves the engine as it always was: OnTick closes the window.
@@ -37,11 +53,19 @@ func (e *Engine) Window() time.Duration {
 	return OrderWindow
 }
 
-// OnActivationEnd announces what the ending activation decided, in
-// latency mode.
+// OnActivationEnd announces what the ending activation decided in latency
+// mode, and in cadence mode what is pending once every member has echoed
+// the last announcement.
 func (e *Engine) OnActivationEnd() {
-	if !e.cadence && e.flushOrders() {
-		e.met.orderFlushesEarly.Inc()
+	switch {
+	case !e.cadence:
+		if e.flushOrders() {
+			e.met.orderFlushesEarly.Inc()
+		}
+	case len(e.ord.assign) > 0 && e.echoed():
+		if e.flushOrders() {
+			e.met.orderFlushesEchoed.Inc()
+		}
 	}
 }
 
@@ -63,4 +87,28 @@ func (e *Engine) closeWindow() {
 	} else {
 		e.met.orderMode.Set(0)
 	}
+}
+
+// noteEcho records, at the sequencer, the echo a member's total-order data
+// carries. Only first transmissions in the current view count: a
+// retransmission (KindRetrans) is a history copy and carries none, and a
+// datagram from another view speaks of another slot space.
+func (e *Engine) noteEcho(msg *wire.Message) {
+	if msg.View != e.view.ID || e.view.Coordinator() != e.env.Self() {
+		return
+	}
+	if r := e.view.Rank(msg.Sender); r >= 0 && msg.Aux > e.ord.echo[r] {
+		e.ord.echo[r] = msg.Aux
+	}
+}
+
+// echoed reports whether every other member's echo has reached the end of
+// the last announcement.
+func (e *Engine) echoed() bool {
+	for r, v := range e.ord.echo {
+		if r != e.rank && v < e.ord.annEnd {
+			return false
+		}
+	}
+	return true
 }

@@ -107,11 +107,8 @@ func TestTotalOrderCadenceMode(t *testing.T) {
 			s.At(base+time.Duration(i+1)*50*time.Microsecond, func() { seqr.Multicast([]byte("x")) })
 		}
 	}
-	// just after the close of window w (scripted actions of one instant run
-	// before the window event of that instant, so step past it)
-	after := func(w int) time.Duration { return time.Duration(w+1)*OrderWindow + time.Nanosecond }
 
-	s.Run(after(first))
+	s.Run(afterWindow(first))
 	if !seqr.cadence {
 		t.Fatalf("sequencer still in latency mode after a window of %d messages", perWin)
 	}
@@ -123,7 +120,7 @@ func TestTotalOrderCadenceMode(t *testing.T) {
 	}
 	base := s.Stats().SentByKind[wire.KindOrderRange]
 
-	s.Run(after(first + loadWin - 1))
+	s.Run(afterWindow(first + loadWin - 1))
 	if got := seqr.met.orderFlushesEarly.Value(); got != perWin {
 		t.Fatalf("cadence mode announced early: %d early flushes, want %d", got, perWin)
 	}
@@ -138,24 +135,187 @@ func TestTotalOrderCadenceMode(t *testing.T) {
 	}
 
 	// The window after the load closes empty.
-	s.Run(after(first + loadWin))
+	s.Run(afterWindow(first + loadWin))
 	if seqr.cadence || seqr.met.orderMode.Value() != 0 {
 		t.Fatal("sequencer still in cadence mode after a quiet window")
 	}
 	sent := perWin * loadWin
-	at := after(first+loadWin) + time.Millisecond
+	at := afterWindow(first+loadWin) + time.Millisecond
 	s.At(at, func() { nodes[3].eng.Multicast([]byte("y")) })
 	if !deliveredBy(s, nodes, at+2*winLink+time.Microsecond, sent+1) {
 		t.Fatal("back in latency mode, a message still missed the two-link-delay bound")
 	}
-	want := nodes[1].order
+	sameOrder(t, nodes, sent+1)
+}
+
+// saturate schedules one multicast from each sender every `every`, from
+// `from` for `span`, and returns how many it scheduled.
+func saturate(s *netsim.Sim, nodes map[id.Node]*rmNode, senders []id.Node, from, span, every time.Duration) int {
+	sent := 0
+	for at := from; at < from+span; at += every {
+		for _, m := range senders {
+			s.At(at, func() { nodes[m].eng.Multicast([]byte("x")) })
+			sent++
+		}
+	}
+	return sent
+}
+
+// sameOrder fails the test unless every node delivered want messages in
+// node 1's order.
+func sameOrder(t *testing.T, nodes map[id.Node]*rmNode, want int) {
+	t.Helper()
+	ref := nodes[1].order
 	for m, rn := range nodes {
-		for i := range want {
-			if rn.order[i] != want[i] {
-				t.Fatalf("node %s delivery %d = %s, node 1 has %s", m, i, rn.order[i], want[i])
+		if len(rn.order) != want {
+			t.Fatalf("node %s delivered %d of %d", m, len(rn.order), want)
+		}
+		for i := range ref {
+			if rn.order[i] != ref[i] {
+				t.Fatalf("node %s delivery %d = %s, node 1 has %s", m, i, rn.order[i], ref[i])
 			}
 		}
 	}
+}
+
+// afterWindow is just past the close of node 1's window w (windows close at
+// k × OrderWindow; scripted actions of one instant run before the window
+// event of that instant, so step past it).
+func afterWindow(w int) time.Duration { return time.Duration(w+1)*OrderWindow + time.Nanosecond }
+
+// TestTotalOrderEchoClocked: four members all sending at saturation. Each
+// member's data carries back how far it has admitted the order, so in
+// cadence mode the sequencer announces its next batch as soon as all three
+// others have echoed the last one — one round trip, 2 ms on this LAN —
+// instead of at the 3 ms window close. Every member still delivers the same
+// sequence. The one-second tick keeps ticks, and with them order requests,
+// out of the span.
+func TestTotalOrderEchoClocked(t *testing.T) {
+	const loadWin = 10
+	s := windowedSim(9, time.Second, true)
+	nodes := buildStatic(s, 4, Total)
+	seqr := nodes[1].eng
+	sent := saturate(s, nodes, []id.Node{1, 2, 3, 4}, OrderWindow, loadWin*OrderWindow, 100*time.Microsecond)
+	s.Run(afterWindow(loadWin + 3))
+	sameOrder(t, nodes, sent)
+	echoed, flushes := seqr.met.orderFlushesEchoed.Value(), seqr.met.orderFlushes.Value()
+	t.Logf("%d messages, %d flushes, %d of them opened by echoes", sent, flushes, echoed)
+	// The first loaded window is in latency mode; of the cadence windows
+	// after it, each should see at least one batch leave on echoes.
+	if echoed < loadWin-1 {
+		t.Fatalf("%d of %d flushes opened by echoes over %d cadence windows, want at least one per window",
+			echoed, flushes, loadWin-1)
+	}
+	if got := s.Stats().SentByKind[wire.KindNackBatch]; got != 0 {
+		t.Fatalf("%d NACK batches: a tick fell inside the measured span, pick another seed", got)
+	}
+}
+
+// TestTotalOrderSilentMemberNoEcho: one member never sends, so it never
+// echoes and no batch leaves early: in cadence mode every batch waits for
+// the window close, n−1 KindOrderRange datagrams per window, exactly as
+// TestTotalOrderCadenceMode has it for a sequencer sending alone. Once the
+// silent member sends too, echoes open flushes again.
+func TestTotalOrderSilentMemberNoEcho(t *testing.T) {
+	const (
+		n       = 4
+		loadWin = 4 // windows 1–4; the first is still in latency mode
+	)
+	s := windowedSim(9, time.Second, true)
+	nodes := buildStatic(s, n, Total)
+	seqr := nodes[1].eng
+	sent := saturate(s, nodes, []id.Node{1, 2, 3}, OrderWindow, loadWin*OrderWindow, 100*time.Microsecond)
+
+	s.Run(afterWindow(1))
+	if !seqr.cadence {
+		t.Fatal("sequencer still in latency mode after a loaded window")
+	}
+	base := s.Stats().SentByKind[wire.KindOrderRange]
+	s.Run(afterWindow(loadWin))
+	if got := seqr.met.orderFlushesEchoed.Value(); got != 0 {
+		t.Fatalf("%d flushes opened by echoes while node 4 sent nothing", got)
+	}
+	cadenceWins := uint64(loadWin - 1)
+	if got := s.Stats().SentByKind[wire.KindOrderRange] - base; got != cadenceWins*(n-1) {
+		t.Fatalf("%d KindOrderRange datagrams over %d cadence windows, want %d (n-1 per window)",
+			got, cadenceWins, cadenceWins*(n-1))
+	}
+
+	sent += saturate(s, nodes, []id.Node{1, 2, 3, 4}, afterWindow(loadWin), loadWin*OrderWindow, 100*time.Microsecond)
+	s.Run(afterWindow(2*loadWin + 3))
+	if seqr.met.orderFlushesEchoed.Value() == 0 {
+		t.Fatal("no flush opened by echoes once every member sends")
+	}
+	if got := s.Stats().SentByKind[wire.KindNackBatch]; got != 0 {
+		t.Fatalf("%d NACK batches: a tick fell inside the measured span, pick another seed", got)
+	}
+	sameOrder(t, nodes, sent)
+}
+
+// TestTotalOrderStaleEchoNoFlush: only a member's first transmission in the
+// current view, carrying at least the end of the last announcement, counts
+// as its echo. The sequencer alone keeps the group in cadence mode while
+// the three other members inject, into the sequencer only, one stale form
+// per window: a KindRetrans carrying a huge Aux, a datagram from the
+// previous view carrying the same, and current-view data whose Aux is one
+// below the last announcement's end. None opens a flush; the control window
+// after them, where the three send real data, does.
+func TestTotalOrderStaleEchoNoFlush(t *testing.T) {
+	const perWin = 40
+	s := windowedSim(9, time.Second, true)
+	nodes := buildStatic(s, 4, Total)
+	members := []id.Node{1, 2, 3, 4}
+	for _, rn := range nodes {
+		rn.eng.SetView(member.NewView(2, members)) // view 1 is the previous one
+	}
+	seqr := nodes[1].eng
+	others := []id.Node{2, 3, 4}
+	// Each other member sends once early on, so it has a message 1 that
+	// the injected copies below duplicate.
+	for _, m := range others {
+		s.At(500*time.Microsecond, func() { nodes[m].eng.Multicast([]byte("early")) })
+	}
+	// The sequencer loads windows 1–5 (window 1 is in latency mode).
+	for w := 1; w <= 5; w++ {
+		for i := 0; i < perWin; i++ {
+			s.At(time.Duration(w)*OrderWindow+time.Duration(i+1)*50*time.Microsecond,
+				func() { seqr.Multicast([]byte("x")) })
+		}
+	}
+	inject := func(w int, msg func() wire.Message) {
+		s.At(time.Duration(w)*OrderWindow+200*time.Microsecond, func() {
+			for _, m := range others {
+				d := msg()
+				d.Group, d.Sender, d.Seq, d.Flags = 1, m, 1, wire.FlagTotalOrder
+				nodes[m].env.Send(1, &d)
+			}
+		})
+	}
+	inject(2, func() wire.Message { return wire.Message{Kind: wire.KindRetrans, View: 2, Aux: 1 << 40} })
+	inject(3, func() wire.Message { return wire.Message{Kind: wire.KindData, View: 1, Aux: 1 << 40} })
+	inject(4, func() wire.Message { return wire.Message{Kind: wire.KindData, View: 2, Aux: seqr.ord.annEnd - 1} })
+	for w, form := range []string{2: "a retransmission", 3: "a previous-view datagram", 4: "an echo below annEnd"} {
+		if form == "" {
+			continue
+		}
+		s.Run(afterWindow(w))
+		if !seqr.cadence {
+			t.Fatalf("window %d: sequencer not in cadence mode", w)
+		}
+		if got := seqr.met.orderFlushesEchoed.Value(); got != 0 {
+			t.Fatalf("window %d: %s opened %d flushes", w, form, got)
+		}
+	}
+	// Control: real data from the three, sent once the window-4 announcement
+	// has reached them and arriving before window 5 closes.
+	for _, m := range others {
+		s.At(5*OrderWindow+1500*time.Microsecond, func() { nodes[m].eng.Multicast([]byte("late")) })
+	}
+	s.Run(afterWindow(8))
+	if seqr.met.orderFlushesEchoed.Value() == 0 {
+		t.Fatal("control: real data carrying the echo opened no flush")
+	}
+	sameOrder(t, nodes, 2*len(others)+5*perWin)
 }
 
 // TestFrozenSequencerAnnouncesNothing: while a view change has the

@@ -23,7 +23,10 @@ type Kind uint8
 
 // All protocol message kinds.
 const (
-	// KindData carries an application multicast payload.
+	// KindData carries an application multicast payload. On total-order
+	// data (FlagTotalOrder) Aux is the sender's echo: the first ordering
+	// slot it has not yet admitted, which clocks the sequencer's next
+	// announcement (internal/rmcast/window.go).
 	KindData Kind = iota + 1
 	// KindRetrans carries a retransmitted data message.
 	KindRetrans
@@ -229,7 +232,7 @@ type Message struct {
 	View    id.View   // view the message was sent in
 	Sender  id.Node   // original application sender
 	Seq     uint64    // sender sequence number
-	Aux     uint64    // kind-specific (order slot, nack end, hb count)
+	Aux     uint64    // kind-specific (total-order echo on data, repair-range end, hb count, ...)
 	Stream  id.Stream // media stream (KindMedia)
 	MediaTS uint32    // media clock timestamp (KindMedia)
 	TS      vclock.VC // causal timestamp (FlagCausal data)

@@ -99,6 +99,11 @@ func TestOrderMetricsSurface(t *testing.T) {
 	if mode, ok := seq.Gauges["rmcast.order_mode"]; !ok || mode != 0 {
 		t.Errorf("sequencer order_mode = %d (registered %v), want 0 (latency)", mode, ok)
 	}
+	// Echoes open flushes only in cadence mode, which one message never
+	// reaches: the counter is registered and still zero.
+	if echoed, ok := seq.Counters["rmcast.order_flushes_echoed"]; !ok || echoed != 0 {
+		t.Errorf("sequencer order_flushes_echoed = %d (registered %v), want 0", echoed, ok)
+	}
 	for i, n := range nodes {
 		if h := n.Snapshot().Histograms["rmcast.order_wait_ms"]; h.Count == 0 {
 			t.Errorf("node %d recorded no rmcast.order_wait_ms sample", i+1)

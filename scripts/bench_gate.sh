@@ -16,10 +16,11 @@
 # the newest BENCH_<n>.json when there is no ISSUE.md; BENCH_OUT overrides
 # the whole name. Commit the file with every perf-affecting PR. A PR that
 # claims a gain on a cmd/mmload workload adds that workload's before/after
-# rows (medians of its alternating pairs) to the file afterwards, as
-# "mmload/<workload>/before" and "/after" — BENCH_14.json and
-# BENCH_15.json show the shape; this script does not run the live
-# benchmark.
+# rows to the file afterwards, as "mmload/<workload>/before" and "/after":
+# `scripts/ab_pairs.sh <workload> <parent> <pairs> BENCH_<pr>.json` runs
+# the alternating pairs and merges their medians and quartiles in. This
+# script does not run the live benchmark, and it rewrites the whole file,
+# so run it first.
 #
 # After an intentional performance change, refresh the baseline with:
 #   BENCH_BASELINE_UPDATE=1 go test -run 'TestBenchGate$' -count=1 .
