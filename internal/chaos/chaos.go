@@ -72,24 +72,28 @@ type Options struct {
 	// netsim.Config.Windowed): a total-order sequencer then announces at
 	// activation ends and on its ordering window, not at its tick.
 	Windowed bool
-	// Link, when its Delay is set, replaces the base link every fault
-	// starts from (2 ms ± 1 ms, 2 % loss).
-	Link netsim.Link
-	// Burst, when positive, adds an all-senders load at the start of the
-	// fault window: for Burst, every member multicasts once per
-	// burstEvery. A windowed total-order sequencer then runs in cadence
-	// mode with every member's data echoing its progress back
-	// (rmcast/window.go); echoes beat the window only on a link whose
-	// round trip is shorter than it (see Link).
-	Burst time.Duration
+	// EchoLoad runs the scenario on echoLAN instead of the default base
+	// link (2 ms ± 1 ms, 2 % loss) and opens the fault window with
+	// echoBurst of every member multicasting once per burstEvery. A
+	// windowed total-order sequencer then runs in cadence mode with every
+	// member's data echoing its progress back (rmcast/window.go), and the
+	// LAN's round trip is short enough for echoes to beat the window.
+	EchoLoad bool
 	// CrashOnEcho, when set, crashes that node at the end of the first
 	// activation in which its members' echoes opened an order flush —
 	// right after the announcement left. Restart it from the Schedule.
 	CrashOnEcho id.Node
 }
 
-// burstEvery is the per-member send interval of Options.Burst.
-const burstEvery = 250 * time.Microsecond
+// Options.EchoLoad's network and load: a lossless LAN whose round trip
+// fits the 3 ms ordering window several times over, and 40 ms of every
+// member sending every 250 µs.
+var echoLAN = netsim.Link{Delay: 250 * time.Microsecond, Jitter: 100 * time.Microsecond}
+
+const (
+	echoBurst  = 40 * time.Millisecond
+	burstEvery = 250 * time.Microsecond
+)
 
 func (o *Options) defaults() {
 	if o.Nodes <= 0 {
@@ -208,8 +212,8 @@ func Run(opts Options) *Trace {
 	}
 
 	base := netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
-	if opts.Link.Delay > 0 {
-		base = opts.Link
+	if opts.EchoLoad {
+		base = echoLAN
 	}
 	cur := base
 	// slowed holds the per-node extra delay SlowLink events impose on
@@ -360,7 +364,7 @@ func Run(opts Options) *Trace {
 		stream := id.Stream(i % workloadStreams)
 		sim.At(at, func() { send(sender, stream) })
 	}
-	for i, at := 0, time.Duration(0); at < opts.Burst; i, at = i+1, at+burstEvery {
+	for i, at := 0, time.Duration(0); opts.EchoLoad && at < echoBurst; i, at = i+1, at+burstEvery {
 		sim.At(joinWindow+at, func() {
 			for _, n := range nodeIDs(opts.Nodes) {
 				send(n, id.Stream(i%workloadStreams))

@@ -8,16 +8,8 @@ import (
 
 	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
-	"scalamedia/internal/netsim"
 	"scalamedia/internal/rmcast"
 )
-
-// The echo cells' network and load: a LAN whose round trip fits the 3 ms
-// ordering window several times over, and 40 ms of every member sending
-// every 250 µs.
-var echoLAN = netsim.Link{Delay: 250 * time.Microsecond, Jitter: 100 * time.Microsecond}
-
-const echoBurst = 40 * time.Millisecond
 
 // Sweep controls: -chaos.seeds widens the sweep, -chaos.seed replays one
 // failing run. Every run is fully determined by its seed — the ordering,
@@ -178,7 +170,7 @@ func TestChaosSequencerCrash(t *testing.T) {
 		name := fmt.Sprintf("seed=%d/windowed=%v", opts.Seed, opts.Windowed)
 		if i >= 8 {
 			opts.Schedule = sched[1:] // node 1 crashes on its first echoed flush instead
-			opts.Link, opts.Burst, opts.CrashOnEcho = echoLAN, echoBurst, 1
+			opts.EchoLoad, opts.CrashOnEcho = true, 1
 			name = fmt.Sprintf("echo-crash/seed=%d", opts.Seed)
 		}
 		t.Run(name, func(t *testing.T) {

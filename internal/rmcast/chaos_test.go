@@ -4,10 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"testing"
-	"time"
 
 	"scalamedia/internal/chaos"
-	"scalamedia/internal/netsim"
 	"scalamedia/internal/rmcast"
 )
 
@@ -72,8 +70,7 @@ func TestRmcastChaosWindowed(t *testing.T) {
 			opts.Windowed = true
 			name := fmt.Sprintf("%s/seed=%d", opts.Ordering, seed)
 			if allSenders {
-				opts.Link = netsim.Link{Delay: 250 * time.Microsecond, Jitter: 100 * time.Microsecond}
-				opts.Burst = 40 * time.Millisecond
+				opts.EchoLoad = true
 				name = fmt.Sprintf("%s/all-senders/seed=%d", opts.Ordering, seed)
 			}
 			t.Run(name, func(t *testing.T) {

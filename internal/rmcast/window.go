@@ -14,9 +14,10 @@ import (
 //     messages: the decisions of an activation are announced at its end
 //     (OnActivationEnd), in the same transport flush as the activation's
 //     other output. A message waits for no clock.
-//   - cadence mode, otherwise: a batch leaves at the end of the activation
-//     in which the last announcement has been echoed by every other view
-//     member, or at the window close (OnWindow), whichever comes first.
+//   - cadence mode, otherwise: a batch of at least latencyModeMax
+//     messages leaves at the end of the activation in which the last
+//     announcement has been echoed by every other view member, and any
+//     batch leaves at the window close (OnWindow).
 //
 // The echo: every total-order data message a member sends carries in Aux
 // the first slot that member has not yet admitted (multicast), and the
@@ -25,11 +26,18 @@ import (
 // of them hold every decision made so far and the next batch can go. So
 // under load one announcement is in flight at a time and a batch is what
 // arrived during one round trip: the members' progress, not the clock,
-// sets the pace, and the window only bounds the wait. A member that sends
-// nothing — crashed, silent, or a group where only the sequencer sends —
-// never echoes, and the sequencer announces at the window close, exactly
-// as without the echo. Sparse traffic has no echo source at all, which is
-// why latency mode stays.
+// sets the pace, and the window only bounds the wait.
+//
+// A batch opened by echoes still holds latencyModeMax messages, the least
+// a cadence-mode window sequences, so echoes never announce more often per
+// message than the window does at the mode threshold. Without that floor a
+// round trip far shorter than the window, at rates between the threshold
+// and saturation, would send many small batches of n−1 datagrams each.
+//
+// A member that sends nothing — crashed, silent, or a group where only the
+// sequencer sends — never echoes, and the sequencer announces at the
+// window close, exactly as without the echo. Sparse traffic has no echo
+// source at all, which is why latency mode stays.
 //
 // Both constants were sized on the live total-1k-udp benchmark (DESIGN §13
 // has the sweep): below 32 messages per window (≈ 10 k msg/s) announcing
@@ -54,15 +62,15 @@ func (e *Engine) Window() time.Duration {
 }
 
 // OnActivationEnd announces what the ending activation decided in latency
-// mode, and in cadence mode what is pending once every member has echoed
-// the last announcement.
+// mode, and in cadence mode a batch of at least latencyModeMax once every
+// member has echoed the last announcement.
 func (e *Engine) OnActivationEnd() {
 	switch {
 	case !e.cadence:
 		if e.flushOrders() {
 			e.met.orderFlushesEarly.Inc()
 		}
-	case len(e.ord.assign) > 0 && e.echoed():
+	case e.ord.assignMsgs >= latencyModeMax && e.echoed():
 		if e.flushOrders() {
 			e.met.orderFlushesEchoed.Inc()
 		}
@@ -90,9 +98,10 @@ func (e *Engine) closeWindow() {
 }
 
 // noteEcho records, at the sequencer, the echo a member's total-order data
-// carries. Only first transmissions in the current view count: a
-// retransmission (KindRetrans) is a history copy and carries none, and a
-// datagram from another view speaks of another slot space.
+// carries. Only first transmissions in the current view count: the caller
+// skips KindRetrans, whose Aux may hold a stale echo (a repair served from
+// a receiver's copy of the data), and a datagram from another view speaks
+// of another slot space.
 func (e *Engine) noteEcho(msg *wire.Message) {
 	if msg.View != e.view.ID || e.view.Coordinator() != e.env.Self() {
 		return

@@ -211,6 +211,53 @@ func TestTotalOrderEchoClocked(t *testing.T) {
 	}
 }
 
+// TestTotalOrderEchoMidBand: every member sending, 40 and 100 messages per
+// window in all — above the cadence threshold, below saturation — on a LAN
+// whose round trip (0.2 ms) fits the window fifteen times. Echoes come back
+// long before a window's worth of data has arrived, so unless an echoed
+// batch has a floor the sequencer announces a few messages at a time, n−1
+// KindOrderRange datagrams each. Measured against the window alone (n−1
+// per cadence window), the extra KindOrderRange datagrams must stay within
+// 6 % of all datagrams sent, the budget the benchmark allows the echo.
+func TestTotalOrderEchoMidBand(t *testing.T) {
+	const (
+		n       = 4
+		loadWin = 20
+		budget  = 0.06
+	)
+	for _, every := range []time.Duration{300 * time.Microsecond, 120 * time.Microsecond} {
+		t.Run(fmt.Sprintf("perWin=%d", n*int(OrderWindow/every)), func(t *testing.T) {
+			s := netsim.New(netsim.Config{
+				Seed:     9,
+				Tick:     time.Second,
+				Profile:  netsim.LANProfile(100*time.Microsecond, 0, 0),
+				Windowed: true,
+			})
+			nodes := buildStatic(s, n, Total)
+			seqr := nodes[1].eng
+			sent := saturate(s, nodes, []id.Node{1, 2, 3, 4}, OrderWindow, loadWin*OrderWindow, every)
+			s.Run(afterWindow(1)) // the first loaded window is in latency mode
+			before := s.Stats()
+			s.Run(afterWindow(loadWin))
+			after := s.Stats()
+			ranges := after.SentByKind[wire.KindOrderRange] - before.SentByKind[wire.KindOrderRange]
+			windowOnly := uint64((loadWin - 1) * (n - 1))
+			others := after.TotalSent() - before.TotalSent() - ranges
+			extra := float64(ranges) - float64(windowOnly)
+			t.Logf("%d KindOrderRange over %d cadence windows (window alone: %d), %d other datagrams, %d flushes opened by echoes",
+				ranges, loadWin-1, windowOnly, others, seqr.met.orderFlushesEchoed.Value())
+			if seqr.met.orderFlushesEchoed.Value() == 0 {
+				t.Fatal("no flush opened by echoes: the test measures nothing")
+			}
+			if limit := budget * float64(others+windowOnly); extra > limit {
+				t.Fatalf("echoes added %.0f KindOrderRange datagrams, over the %.0f (%.0f %%) budget", extra, limit, 100*budget)
+			}
+			s.Run(afterWindow(loadWin + 3))
+			sameOrder(t, nodes, sent)
+		})
+	}
+}
+
 // TestTotalOrderSilentMemberNoEcho: one member never sends, so it never
 // echoes and no batch leaves early: in cadence mode every batch waits for
 // the window close, n−1 KindOrderRange datagrams per window, exactly as

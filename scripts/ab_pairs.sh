@@ -16,7 +16,7 @@
 # Output: per end-to-end metric the median [q1, q3] of each side and the
 # pairs the change won, then every run's values, then failed operations.
 #
-# With a bench file (the fourth argument, or AB_BENCH), the same figures
+# With a bench file (the fourth argument), the same figures
 # are also merged into that BENCH_<pr>.json as two rows in the shape
 # scripts/bench_gate.sh writes: "mmload/<workload>/before" (the parent) and
 # "mmload/<workload>/after" (this checkout), each metric as its median with
@@ -30,7 +30,7 @@ cd "$(dirname "$0")/.."
 workload=$1
 sha=$(git rev-parse --short "$2^{commit}")
 pairs=${3:-10}
-bench=${4:-${AB_BENCH:-}}
+bench=${4:-}
 seconds=${AB_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)}
 if [ -n "$bench" ] && ! command -v jq >/dev/null; then
 	echo "$0: writing $bench needs jq" >&2
