@@ -334,9 +334,11 @@ type orderState struct {
 	assignMsgs int               // messages covered by assign
 	openRun    map[id.Node]int   // sender -> growable run index in assign
 
-	// Echo clock (window.go): seqSlot as of the last flush, and per member
-	// rank the highest echo its data carried in this view.
+	// Echo clock (window.go): seqSlot as of the last flush, ordering ticks
+	// since it, and per member rank the highest echo its data carried in
+	// this view.
 	annEnd uint64
+	ticks  int
 	echo   []uint64
 }
 
@@ -392,12 +394,13 @@ type Engine struct {
 	// Total-order state (see orderState), rebuilt per view.
 	ord orderState
 
-	// Ordering cadence (see window.go): whether the runtime closes the
-	// windows, the current mode, and the messages this node sequenced in
-	// the open window.
+	// Ordering cadence (see window.go): whether the runtime drives the
+	// ordering clock, the current mode, the messages this node sequenced in
+	// the open window and the clock's ticks into it.
 	windowed  bool
 	cadence   bool
 	windowSeq int
+	winTicks  int
 
 	// Stability: per-member ack vectors.
 	ackMatrix     map[id.Node]map[id.Node]uint64
@@ -1488,6 +1491,7 @@ func (e *Engine) flushOrders() bool {
 	}
 	e.rangeScratch = rs
 	o.annEnd = o.seqSlot
+	o.ticks = 0
 	o.assign = o.assign[:0]
 	o.assignMsgs = 0
 	clear(o.openRun)

@@ -13,11 +13,12 @@ import (
 
 // The tests below run the sequencer's two ordering modes under netsim with
 // Config.Windowed on: the simulator then ends every activation with
-// OnActivationEnd and closes windows at OrderWindow of virtual time, as
-// noderun does live. Everything is checked in counts and virtual time.
+// OnActivationEnd and ticks the ordering clock every orderTick of virtual
+// time, as noderun does live. Everything is checked in counts and virtual
+// time.
 
 const (
-	winLink = time.Millisecond // one-way link delay, no jitter, no loss
+	winLink = 250 * time.Microsecond // one-way link delay, no jitter, no loss
 	winTick = 10 * time.Millisecond
 )
 
@@ -184,12 +185,12 @@ func sameOrder(t *testing.T, nodes map[id.Node]*rmNode, want int) {
 func afterWindow(w int) time.Duration { return time.Duration(w+1)*OrderWindow + time.Nanosecond }
 
 // TestTotalOrderEchoClocked: four members all sending at saturation. Each
-// member's data carries back how far it has admitted the order, so in
-// cadence mode the sequencer announces its next batch as soon as all three
-// others have echoed the last one — one round trip, 2 ms on this LAN —
-// instead of at the 3 ms window close. Every member still delivers the same
-// sequence. The one-second tick keeps ticks, and with them order requests,
-// out of the span.
+// member's data carries back how far it has admitted the order, and the
+// round trip (0.5 ms on this LAN) fits in echoTicks, so in cadence mode the
+// sequencer announces its next batch echoTicks after the last one instead
+// of at the window bound. Every member still delivers the same sequence.
+// The one-second tick keeps ticks, and with them order requests, out of
+// the span.
 func TestTotalOrderEchoClocked(t *testing.T) {
 	const loadWin = 10
 	s := windowedSim(9, time.Second, true)
@@ -200,11 +201,11 @@ func TestTotalOrderEchoClocked(t *testing.T) {
 	sameOrder(t, nodes, sent)
 	echoed, flushes := seqr.met.orderFlushesEchoed.Value(), seqr.met.orderFlushes.Value()
 	t.Logf("%d messages, %d flushes, %d of them opened by echoes", sent, flushes, echoed)
-	// The first loaded window is in latency mode; of the cadence windows
-	// after it, each should see at least one batch leave on echoes.
-	if echoed < loadWin-1 {
-		t.Fatalf("%d of %d flushes opened by echoes over %d cadence windows, want at least one per window",
-			echoed, flushes, loadWin-1)
+	// The first loaded window is in latency mode; over the cadence windows
+	// after it a batch should leave on echoes every echoTicks.
+	if want := uint64((loadWin-1)*windowTicks/echoTicks - 1); echoed < want {
+		t.Fatalf("%d of %d flushes opened by echoes over %d cadence windows, want at least %d (one every %d ticks)",
+			echoed, flushes, loadWin-1, want, echoTicks)
 	}
 	if got := s.Stats().SentByKind[wire.KindNackBatch]; got != 0 {
 		t.Fatalf("%d NACK batches: a tick fell inside the measured span, pick another seed", got)
@@ -214,11 +215,11 @@ func TestTotalOrderEchoClocked(t *testing.T) {
 // TestTotalOrderEchoMidBand: every member sending, 40 and 100 messages per
 // window in all — above the cadence threshold, below saturation — on a LAN
 // whose round trip (0.2 ms) fits the window fifteen times. Echoes come back
-// long before a window's worth of data has arrived, so unless an echoed
-// batch has a floor the sequencer announces a few messages at a time, n−1
-// KindOrderRange datagrams each. Measured against the window alone (n−1
-// per cadence window), the extra KindOrderRange datagrams must stay within
-// 6 % of all datagrams sent, the budget the benchmark allows the echo.
+// long before a window's worth of data has arrived, so a batch that left
+// the moment they were in would hold a few messages, n−1 KindOrderRange
+// datagrams each. Measured against the window alone (n−1 per cadence
+// window), the extra KindOrderRange datagrams must stay within 6 % of all
+// datagrams sent, the budget the benchmark allows the echo.
 func TestTotalOrderEchoMidBand(t *testing.T) {
 	const (
 		n       = 4
@@ -260,7 +261,7 @@ func TestTotalOrderEchoMidBand(t *testing.T) {
 
 // TestTotalOrderSilentMemberNoEcho: one member never sends, so it never
 // echoes and no batch leaves early: in cadence mode every batch waits for
-// the window close, n−1 KindOrderRange datagrams per window, exactly as
+// the window bound, n−1 KindOrderRange datagrams per window, exactly as
 // TestTotalOrderCadenceMode has it for a sequencer sending alone. Once the
 // silent member sends too, echoes open flushes again.
 func TestTotalOrderSilentMemberNoEcho(t *testing.T) {
