@@ -47,9 +47,10 @@ type Windowed interface {
 	// before the runtime flushes the transport, so whatever the handler
 	// sends here leaves with the activation's other output.
 	OnActivationEnd()
-	// OnWindow closes one window. A runtime whose tick is no longer than
-	// the window calls it right after each OnTick instead of running a
-	// second cadence.
+	// OnWindow marks one period of the handler's cadence (for rmcast's
+	// sequencer, one tick of its ordering clock). A runtime whose tick is
+	// no longer than that period calls it right after each OnTick instead
+	// of running a second cadence.
 	OnWindow(now time.Time)
 }
 
