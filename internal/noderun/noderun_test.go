@@ -1,7 +1,9 @@
 package noderun
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,6 +152,85 @@ func TestRunnerDoSerialized(t *testing.T) {
 	r.Do(func() { final = counter })
 	if final != 50 {
 		t.Fatalf("counter = %d, want 50", final)
+	}
+}
+
+// exclusive is a windowed handler that counts every call made while
+// another is still running: activations must never overlap, whichever
+// goroutine runs them.
+type exclusive struct {
+	busy     atomic.Bool
+	overlaps atomic.Int64
+	calls    atomic.Int64
+	msgs     atomic.Int64
+}
+
+func (h *exclusive) enter() {
+	if !h.busy.CompareAndSwap(false, true) {
+		h.overlaps.Add(1)
+		return
+	}
+	h.calls.Add(1)
+	runtime.Gosched() // widen the window a second caller could slip into
+	h.busy.Store(false)
+}
+
+func (h *exclusive) OnMessage(id.Node, *wire.Message) { h.msgs.Add(1); h.enter() }
+func (h *exclusive) OnTick(time.Time)                 { h.enter() }
+func (h *exclusive) Window() time.Duration            { return 500 * time.Microsecond }
+func (h *exclusive) OnWindow(time.Time)               { h.enter() }
+func (h *exclusive) OnActivationEnd()                 { h.enter() }
+
+// TestDoNeverOverlapsActivations hammers Do from four goroutines while
+// inbound bursts, ticks and window closes flow, and checks that no two
+// handler calls ever ran at once.
+func TestDoNeverOverlapsActivations(t *testing.T) {
+	f := transport.NewFabric()
+	defer f.Close()
+	ep, _ := f.Attach(1)
+	peer, _ := f.Attach(2)
+	h := &exclusive{}
+	r := Start(ep, func(proto.Env) proto.Handler { return h }, WithTick(time.Millisecond))
+	defer r.Stop()
+
+	stop, sent := make(chan struct{}), make(chan struct{})
+	go func() { // inbound traffic, in bursts
+		defer close(sent)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := 0; i < 16; i++ {
+				_ = peer.Send(1, &wire.Message{Kind: wire.KindData, Seq: uint64(i)})
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if !r.Do(h.enter) {
+					t.Error("Do refused on a running runner")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(2 * time.Second); h.msgs.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no inbound message reached the handler")
+		}
+	}
+	close(stop)
+	<-sent
+	if n := h.overlaps.Load(); n != 0 {
+		t.Fatalf("%d handler calls overlapped another (of %d)", n, h.calls.Load())
 	}
 }
 

@@ -54,9 +54,12 @@ type Windowed interface {
 	OnWindow(now time.Time)
 }
 
-// Env is the runtime environment an engine operates in. All methods are
-// only called from the engine's own event loop, so engines need no
-// internal locking for state touched exclusively through Handler calls.
+// Env is the runtime environment an engine operates in. An engine calls
+// it only inside an activation of its node — a Handler call or an
+// injected application call — and the runtime serializes each activation
+// with every other activation of the node (the sender's own delivery runs
+// inside the send call), so engines need no internal locking for state
+// touched exclusively through those calls.
 type Env interface {
 	// Self returns the local node ID.
 	Self() id.Node

@@ -213,3 +213,47 @@ func TestSlowFlagHysteresis(t *testing.T) {
 		t.Fatalf("SlowPeers() = %v after catch-up, want empty", got)
 	}
 }
+
+// TestFrozenQueueFullRefuses pins the view-change send queue's bound: a
+// frozen engine defers maxQueuedSends multicasts for the next view and
+// refuses the next one with ErrBackpressure instead of dropping it while
+// reporting success. Every accepted send is delivered, in order, once the
+// view installs.
+func TestFrozenQueueFullRefuses(t *testing.T) {
+	s := netsim.New(netsim.Config{Seed: 5})
+	nodes := buildFlow(s, 3, nil)
+	var errs []error
+	s.At(10*time.Millisecond, func() {
+		nodes[1].eng.Freeze()
+		for i := 0; i <= maxQueuedSends; i++ {
+			errs = append(errs, nodes[1].eng.Multicast([]byte{byte(i >> 8), byte(i)}))
+		}
+	})
+	s.At(20*time.Millisecond, func() {
+		next := member.NewView(2, []id.Node{1, 2, 3})
+		for _, m := range []id.Node{2, 3, 1} { // receivers first: no future-view buffering
+			nodes[m].eng.SetView(next)
+		}
+	})
+	s.Run(5 * time.Second)
+
+	for i, err := range errs[:maxQueuedSends] {
+		if err != nil {
+			t.Fatalf("send %d while frozen: %v, want queued", i, err)
+		}
+	}
+	if err := errs[maxQueuedSends]; !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("send %d with the queue full: %v, want ErrBackpressure", maxQueuedSends, err)
+	}
+	for _, m := range []id.Node{1, 2, 3} {
+		got := nodes[m].got
+		if len(got) != maxQueuedSends {
+			t.Fatalf("node %d delivered %d, want %d", m, len(got), maxQueuedSends)
+		}
+		for i, d := range got {
+			if want := []byte{byte(i >> 8), byte(i)}; string(d.Payload) != string(want) {
+				t.Fatalf("node %d delivery %d = %v, want %v", m, i, d.Payload, want)
+			}
+		}
+	}
+}

@@ -101,7 +101,9 @@ var (
 	// unstable history has reached Config.FlowWindow (or
 	// Config.FlowWindowBytes): some member has not acknowledged enough of
 	// the outstanding traffic. The send can be retried once the window
-	// reopens (Config.OnFlowOpen signals that).
+	// reopens (Config.OnFlowOpen signals that). A view change that already
+	// defers maxQueuedSends multicasts refuses more with it too, until the
+	// next view installs.
 	ErrBackpressure = errors.New("rmcast: flow window full")
 )
 
@@ -301,6 +303,10 @@ type msgKey struct {
 	seq    uint64
 }
 
+// maxQueuedSends bounds the multicasts a view-change freeze defers; past
+// it multicast returns ErrBackpressure.
+const maxQueuedSends = 4096
+
 // queuedSend is one multicast deferred by a view-change freeze.
 type queuedSend struct {
 	stream  id.Stream
@@ -415,6 +421,7 @@ type Engine struct {
 	nackDsts  []id.Node                    // flushNacks scratch
 
 	// Reusable scratch to keep the steady-state send path allocation-free.
+	outScratch   wire.Message // multicast's outgoing copy
 	ackScratch   []wire.AckEntry
 	bodyScratch  []byte
 	rangeScratch []wire.OrderRange
@@ -839,12 +846,14 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 	}
 	if e.frozen {
 		// A view change is flushing: defer to the next view rather than
-		// race the flush-convergence check.
-		if len(e.sendQueue) < 4096 {
-			e.sendQueue = append(e.sendQueue, queuedSend{
-				stream: stream, payload: append([]byte(nil), payload...),
-			})
+		// race the flush-convergence check. A full queue refuses the send
+		// like a full flow window, so the caller waits or retries.
+		if len(e.sendQueue) >= maxQueuedSends {
+			return ErrBackpressure
 		}
+		e.sendQueue = append(e.sendQueue, queuedSend{
+			stream: stream, payload: append([]byte(nil), payload...),
+		})
 		return nil
 	}
 	if enforceFlow && e.flowFull(len(payload)) {
@@ -883,10 +892,12 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 	e.met.sent.Inc()
 	e.rec(flightrec.EvSend, msg.Seq, 0)
 	if e.view.Size() > 1 {
-		// One outgoing copy for all destinations (Env.Send encodes
-		// synchronously); the history copy stays piggyback-free so
+		// One outgoing copy for all destinations, kept in the engine so it
+		// does not escape (Env.Send encodes synchronously and does not
+		// retain it); the history copy stays piggyback-free so
 		// retransmissions never carry a stale ack vector.
-		out := *msg
+		e.outScratch = *msg
+		out := &e.outScratch
 		e.ackScratch = e.appendAckRows(e.ackScratch[:0])
 		if len(e.ackScratch) > 0 {
 			out.Flags |= wire.FlagPiggyAck
@@ -902,7 +913,7 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 			if m == e.env.Self() {
 				continue
 			}
-			e.env.Send(m, &out)
+			e.env.Send(m, out)
 		}
 	}
 	// Local copy through the normal pipeline (it is always in order).

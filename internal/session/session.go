@@ -251,6 +251,8 @@ type Engine struct {
 	pendingStateObj  uint64
 	pendingStateView member.View
 
+	sendScratch []byte // Send's framing buffer
+
 	// Live session-directory counters, resolved once in New.
 	mAnnounces *stats.Counter
 	mWithdraws *stats.Counter
@@ -482,12 +484,11 @@ func (e *Engine) Lookup(sid id.Stream) (Announcement, bool) {
 	return a, ok
 }
 
-// Send multicasts an application message to the session.
+// Send multicasts an application message to the session. It frames the
+// payload in a reused buffer: every multicast path copies what it keeps.
 func (e *Engine) Send(payload []byte) error {
-	buf := make([]byte, 1+len(payload))
-	buf[0] = opData
-	copy(buf[1:], payload)
-	if err := e.stack.Multicast(buf); err != nil {
+	e.sendScratch = append(append(e.sendScratch[:0], opData), payload...)
+	if err := e.stack.Multicast(e.sendScratch); err != nil {
 		return fmt.Errorf("session send: %w", err)
 	}
 	return nil

@@ -6,10 +6,14 @@ import (
 )
 
 // Buffer and message pools for the data-plane hot path. Transports encode
-// into pooled byte slices and decode into pooled Messages so steady-state
-// multicast traffic performs zero heap allocations per datagram. Both
-// pools are optional: callers that retain what they receive should keep
-// using Marshal/Decode, which allocate fresh storage.
+// into pooled byte slices, so the steady-state send path performs zero
+// heap allocations per datagram, and decode into pooled Messages. The
+// live receive path does not recycle: the engines retain every inbound
+// message, so the UDP decode workers put a Message back only on a decode
+// error or a queue drop, and each inbound datagram costs a fresh Message,
+// Body and Acks (3 allocations). Both pools are optional: callers that
+// retain what they receive should keep using Marshal/Decode, which
+// allocate fresh storage.
 
 // maxPooledBuf caps the capacity of byte slices returned to the pool;
 // oversized one-off buffers (large fragments, wide batches) are dropped

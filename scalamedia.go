@@ -14,7 +14,8 @@
 //     control.
 //
 // This package is the live-deployment facade: a Node runs the whole stack
-// over real UDP (or any transport.Endpoint) with one goroutine event
+// over real UDP (or any transport.Endpoint) with one event-loop goroutine,
+// and each API call runs on its caller's goroutine, serialized with the
 // loop. The same protocol engines run deterministically under virtual
 // time in the discrete-event simulator (internal/netsim), which is how
 // the repository reproduces the paper's evaluation; see DESIGN.md and
@@ -164,7 +165,8 @@ var (
 	// fresh one to rejoin.
 	ErrNotMember = errors.New("scalamedia: node evicted from session")
 	// ErrBackpressure reports a non-blocking send rejected because the
-	// flow window (Config.FlowWindow) is full; returned by TrySend.
+	// flow window (Config.FlowWindow) is full, or because a view change
+	// already holds 4096 sends for the next view; returned by TrySend.
 	// Send and SendContext block instead. Test with errors.Is.
 	ErrBackpressure = rmcast.ErrBackpressure
 	// ErrNoCapacity reports a media stream rejected by QoS admission.
@@ -263,13 +265,15 @@ type Config struct {
 	SlowGrace time.Duration
 	// OnDegrade, when set, observes graceful media degradation: it is
 	// called with the stream and shed byte count each time a media
-	// sender sheds a droppable frame under overload. Called from the
-	// event loop; must not block.
+	// sender sheds a droppable frame under overload. It runs serialized
+	// with every other activation of the node, on the shedding
+	// MediaSender.Send call's goroutine; must not block.
 	OnDegrade func(StreamID, int)
-	// OnEvent receives session notifications. It is called from the
-	// node's event loop: do not block in it, and do not call Node
+	// OnEvent receives session notifications, serialized with every
+	// other activation of the node; the sender's own delivery runs
+	// inside the Send call. Do not block in it, and do not call Node
 	// methods from it directly (hand work to another goroutine
-	// instead) — they serialize through the same loop and would
+	// instead): they take the same non-reentrant lock and would
 	// deadlock.
 	OnEvent func(Event)
 
@@ -299,7 +303,8 @@ type Config struct {
 
 // Node is one live participant: a transport endpoint, an event loop and
 // the full protocol stack. All exported methods are safe for concurrent
-// use.
+// use; each runs on its caller's goroutine as one activation of the
+// node, serialized with the loop's.
 type Node struct {
 	cfg    Config
 	ep     transport.Endpoint
@@ -311,7 +316,7 @@ type Node struct {
 	reg    *stats.Registry
 	flight *flightrec.Recorder
 
-	// Flow-control wait plumbing: the event loop signals flowCh (cap 1,
+	// Flow-control wait plumbing: an activation signals flowCh (cap 1,
 	// non-blocking send) when a full flow window drains, waking one
 	// blocked SendContext; hFlowBlocked accounts the time senders spent
 	// blocked and mFramesShed the media frames shed under overload.
@@ -499,7 +504,7 @@ func (n *Node) removeWaiter(w *viewWaiter) {
 // evaluated against the current view immediately and then on every
 // membership change, so callers wait on events instead of polling.
 // WaitView must not be called from the OnEvent callback (it would
-// deadlock the event loop); pred may be called from multiple goroutines
+// deadlock the node); pred may be called from multiple goroutines
 // and must not block.
 func (n *Node) WaitView(timeout time.Duration, pred func(View) bool) bool {
 	w := &viewWaiter{pred: pred, ch: make(chan struct{})}
@@ -548,8 +553,7 @@ func (n *Node) AddPeer(peer NodeID, addr string) error {
 }
 
 // View returns the current session membership.
-func (n *Node) View() View {
-	var v View
+func (n *Node) View() (v View) {
 	n.runner.Do(func() { v = n.sess.View() })
 	return v
 }
@@ -558,22 +562,20 @@ func (n *Node) View() View {
 // the session (a lost partition or a false suspicion). An evicted node
 // also receives a SelfEvicted event; it must be closed and replaced with
 // a fresh node to rejoin.
-func (n *Node) Evicted() bool {
-	var ev bool
+func (n *Node) Evicted() (ev bool) {
 	n.runner.Do(func() { ev = n.sess.Evicted() })
 	return ev
 }
 
 // Directory returns the current stream directory.
-func (n *Node) Directory() []Announcement {
-	var d []Announcement
+func (n *Node) Directory() (d []Announcement) {
 	n.runner.Do(func() { d = n.sess.Directory() })
 	return d
 }
 
 // flowOpened is the rmcast layer's signal that a full flow window has
-// drained below its bound; it wakes one blocked SendContext. Called from
-// the event loop; the cap-1 channel send never blocks.
+// drained below its bound; it wakes one blocked SendContext. Called
+// inside an activation; the cap-1 channel send never blocks.
 func (n *Node) flowOpened() {
 	select {
 	case n.flowCh <- struct{}{}:
@@ -581,8 +583,8 @@ func (n *Node) flowOpened() {
 	}
 }
 
-// trySend attempts one multicast on the event loop, mapping the node's
-// terminal states to their typed errors.
+// trySend attempts one multicast as an activation of the node, mapping
+// the node's terminal states to their typed errors.
 func (n *Node) trySend(payload []byte) error {
 	err := ErrClosed
 	n.runner.Do(func() {
@@ -664,11 +666,7 @@ func (n *Node) Publish(objID uint64, data []byte) error {
 
 // Fetch returns a completed bulk object's bytes (published locally or
 // received from the session), and whether it is available.
-func (n *Node) Fetch(objID uint64) ([]byte, bool) {
-	var (
-		data []byte
-		ok   bool
-	)
+func (n *Node) Fetch(objID uint64) (data []byte, ok bool) {
 	n.runner.Do(func() { data, ok = n.sess.Fetch(objID) })
 	return data, ok
 }
@@ -723,7 +721,7 @@ func (n *Node) OpenSender(spec StreamSpec, meanRate float64) (*MediaSender, erro
 	}
 	ms := &MediaSender{node: n}
 	ok := n.runner.Do(func() {
-		// Build inside the loop: rtx.Sender is loop-affine.
+		// Build inside an activation: rtx.Sender is loop-affine.
 		env := loopEnv{node: n}
 		ms.sender = rtx.NewSender(env, n.cfg.Group, spec)
 		ms.sender.SetPeers(n.sess.View().Members)
@@ -778,8 +776,8 @@ func (ms *MediaSender) Send(f Frame) bool {
 	return admitted
 }
 
-// shed accounts one frame dropped by graceful degradation. Runs on the
-// event loop.
+// shed accounts one frame dropped by graceful degradation. Runs inside
+// an activation.
 func (ms *MediaSender) shed(f Frame) {
 	n := ms.node
 	n.mFramesShed.Inc()
@@ -821,8 +819,7 @@ func (ms *MediaSender) RateAdvice() Advice {
 }
 
 // Reports returns the latest quality report from each receiver.
-func (ms *MediaSender) Reports() []QualityReport {
-	var out []QualityReport
+func (ms *MediaSender) Reports() (out []QualityReport) {
 	ms.node.runner.Do(func() { out = ms.sender.Reports() })
 	return out
 }
@@ -854,8 +851,8 @@ type ReceiverConfig struct {
 	// policy, accounted in MediaStats.QueueDropped and the
 	// media.queue_dropped counter. Zero means unbounded.
 	MaxBuffered int
-	// OnPlay receives frames at their playout points, from the node's
-	// event loop.
+	// OnPlay receives frames at their playout points, serialized with
+	// every other activation of the node.
 	OnPlay func(f Frame, playedAt time.Time)
 }
 
@@ -896,8 +893,7 @@ func (n *Node) OpenReceiver(cfg ReceiverConfig) (*MediaReceiver, error) {
 }
 
 // Stats returns the receiver's playout statistics.
-func (mr *MediaReceiver) Stats() MediaStats {
-	var st MediaStats
+func (mr *MediaReceiver) Stats() (st MediaStats) {
 	mr.node.runner.Do(func() { st = mr.recv.Stats() })
 	return st
 }
@@ -909,7 +905,7 @@ type SyncGroup struct {
 	ctl  *msync.Controller
 }
 
-// syncTick drives the controller from the node's event loop.
+// syncTick drives the controller from the node's ticks.
 type syncTick struct{ ctl *msync.Controller }
 
 func (s syncTick) OnMessage(id.Node, *wire.Message) {}
@@ -945,22 +941,19 @@ func (n *Node) Synchronize(maxSkew time.Duration, master *MediaReceiver, slaves 
 
 // Skew returns the latest measured skew of slave i relative to the
 // master (positive: slave late), and whether both streams have played.
-func (sg *SyncGroup) Skew(i int) (time.Duration, bool) {
-	var d time.Duration
-	var ok bool
+func (sg *SyncGroup) Skew(i int) (d time.Duration, ok bool) {
 	sg.node.runner.Do(func() { d, ok = sg.ctl.Skew(i) })
 	return d, ok
 }
 
 // Corrections returns how many playout adjustments have been applied.
-func (sg *SyncGroup) Corrections() uint64 {
-	var c uint64
+func (sg *SyncGroup) Corrections() (c uint64) {
 	sg.node.runner.Do(func() { c = sg.ctl.Corrections() })
 	return c
 }
 
 // loopEnv adapts the node for engines constructed after startup; it is
-// only used from inside the event loop.
+// only used inside an activation.
 type loopEnv struct{ node *Node }
 
 var _ proto.Env = loopEnv{}
