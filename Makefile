@@ -26,6 +26,7 @@ chaos-wide:
 fuzz:
 	go test ./internal/wire -fuzz 'FuzzDecode$$' -fuzztime 30s
 	go test ./internal/wire -fuzz 'FuzzDecodeBodies$$' -fuzztime 30s
+	go test ./internal/wire -fuzz 'FuzzDecodeBatch$$' -fuzztime 30s
 	go test ./internal/frag -fuzz 'FuzzReassemble$$' -fuzztime 30s
 	go test ./internal/frag -fuzz 'FuzzSplitReassemble$$' -fuzztime 30s
 	go test ./internal/bulk -fuzz 'FuzzDecodeManifest$$' -fuzztime 30s

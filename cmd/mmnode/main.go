@@ -59,8 +59,6 @@ func run() int {
 		"serve /metrics, /timeline, /debug/vars and /debug/pprof on this address (empty disables)")
 	udpBatch := flag.Int("udp-batch", 0,
 		"max datagrams per recvmmsg/sendmmsg syscall (0 = transport default, 1 = portable single-datagram path)")
-	udpDecodeWorkers := flag.Int("udp-decode-workers", 0,
-		"UDP decode pool size (0 = transport default, 1 preserves arrival order)")
 	advertise := flag.String("advertise", "",
 		"address peers should reach this node at (empty auto-derives from the bound socket)")
 	joinAttempts := flag.Int("join-attempts", 0,
@@ -108,8 +106,7 @@ func run() int {
 		SlowGrace:  *slowGrace,
 		SlowPolicy: policy,
 
-		UDPBatch:         *udpBatch,
-		UDPDecodeWorkers: *udpDecodeWorkers,
+		UDPBatch: *udpBatch,
 		OnEvent: func(ev scalamedia.Event) {
 			switch ev.Kind {
 			case scalamedia.MessageReceived:

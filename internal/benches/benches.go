@@ -410,14 +410,12 @@ const udpInflight = 4
 // end to end, so msgs/sec is the reciprocal of ns/op. Zero allocs/op in
 // the steady state.
 func UDPThroughput(b *testing.B, batch int) {
-	src, err := transport.ListenUDP(1, "127.0.0.1:0",
-		transport.WithBatchSize(batch), transport.WithDecodeWorkers(1))
+	src, err := transport.ListenUDP(1, "127.0.0.1:0", transport.WithBatchSize(batch))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := transport.ListenUDP(2, "127.0.0.1:0",
-		transport.WithBatchSize(batch), transport.WithDecodeWorkers(1))
+	dst, err := transport.ListenUDP(2, "127.0.0.1:0", transport.WithBatchSize(batch))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -86,7 +86,7 @@ const (
 )
 
 // Pre-manifest stash bounds. Symbols that arrive before their manifest
-// (two decode workers, a total-order wait, a lost manifest under repair)
+// (network reordering, a total-order wait, a lost manifest under repair)
 // are kept instead of re-pulled, but never without bound: the cap holds
 // one whole scatter of a 1 MiB object at the default geometry, and
 // nothing outlives stashMaxAge.

@@ -98,8 +98,8 @@ func TestBatchFallbackParity(t *testing.T) {
 		name string
 		opts []UDPOption
 	}{
-		{"batch", []UDPOption{WithBatchSize(DefaultBatch), WithDecodeWorkers(1)}},
-		{"fallback", []UDPOption{WithBatchSize(1), WithDecodeWorkers(1)}},
+		{"batch", []UDPOption{WithBatchSize(DefaultBatch)}},
+		{"fallback", []UDPOption{WithBatchSize(1)}},
 	}
 	for _, p := range paths {
 		p := p
@@ -138,53 +138,62 @@ func TestBatchPathSelected(t *testing.T) {
 	t.Logf("default path batchIO=%v", a.BatchIO())
 }
 
-// TestUDPOrderedDecode pins the WithDecodeWorkers(1) knob: a single
-// decode worker preserves socket arrival order end to end (loopback UDP
-// from one source socket preserves ordering).
+// TestUDPOrderedDecode: the goroutine that reads the socket decodes
+// and hands on each batch in arrival order, so a default endpoint
+// delivers one sender's datagrams in the order sent (loopback UDP from
+// one source socket preserves ordering), through the receiver hook and
+// through Recv alike.
 func TestUDPOrderedDecode(t *testing.T) {
-	a, err := ListenUDP(1, "127.0.0.1:0", WithDecodeWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := ListenUDP(2, "127.0.0.1:0", WithDecodeWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddPeer(2, b.LocalAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := a.SendBatch(2, &wire.Message{Kind: wire.KindData, Seq: uint64(i)}); err != nil {
-			t.Fatal(err)
+	for _, push := range []bool{true, false} {
+		name := "recv"
+		if push {
+			name = "receiver"
 		}
-	}
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Only ordering is under test: loopback can drop under load (a
-	// receive-queue overflow skips a mid-stream run of sequences), so
-	// the assertion is that sequence numbers never go backwards, plus a
-	// floor on how many arrive at all.
-	got, last := 0, -1
-	deadline := time.After(5 * time.Second)
-	for got < n && last < n-1 {
-		select {
-		case in := <-b.Recv():
-			if int(in.Msg.Seq) <= last {
-				t.Fatalf("out of order: got seq %d after %d", in.Msg.Seq, last)
+		t.Run(name, func(t *testing.T) {
+			a, b := newUDPPair(t)
+			const n = 200
+			in := b.Recv
+			if push {
+				ch := make(chan Inbound, n)
+				if !b.SetReceiver(func(ins []Inbound) {
+					for _, in := range ins {
+						ch <- in
+					}
+				}) {
+					t.Fatal("SetReceiver refused on a fresh endpoint")
+				}
+				in = func() <-chan Inbound { return ch }
 			}
-			last = int(in.Msg.Seq)
-			got++
-			wire.PutMessage(in.Msg)
-		case <-deadline:
-			if got < n/2 {
-				t.Fatalf("received only %d of %d", got, n)
+			for i := 0; i < n; i++ {
+				if err := a.SendBatch(2, &wire.Message{Kind: wire.KindData, Seq: uint64(i)}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return
-		}
+			if err := a.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Only ordering is under test: loopback can drop under load
+			// (a socket-buffer overflow skips a mid-stream run of
+			// sequences), so the assertion is that sequence numbers never
+			// go backwards, plus a floor on how many arrive at all.
+			got, last := 0, -1
+			deadline := time.After(5 * time.Second)
+			for got < n && last < n-1 {
+				select {
+				case in := <-in():
+					if int(in.Msg.Seq) <= last {
+						t.Fatalf("out of order: got seq %d after %d", in.Msg.Seq, last)
+					}
+					last = int(in.Msg.Seq)
+					got++
+				case <-deadline:
+					if got < n/2 {
+						t.Fatalf("received only %d of %d", got, n)
+					}
+					return
+				}
+			}
+		})
 	}
 }
 
@@ -222,9 +231,7 @@ func TestUDPSendBatchErrors(t *testing.T) {
 }
 
 // TestUDPDecodeErrorCounted sends garbage datagrams and checks the
-// decode stage counts them and keeps working — the early-return paths
-// release their pooled storage (exercised here, asserted by the
-// race/leak-free full suite).
+// reader counts them and keeps working.
 func TestUDPDecodeErrorCounted(t *testing.T) {
 	a, b := newUDPPair(t)
 	reg := stats.NewRegistry()

@@ -197,31 +197,36 @@ func (f *Fabric) scheduleDelivery(from id.Node, dst *inprocEndpoint, sb *sharedB
 	})
 }
 
-// deliverNow decodes one copy through the message pool and hands it to the
-// destination queue; for zero-delay copies this runs on the sender's
-// goroutine, avoiding a per-datagram goroutine. Called with no locks held.
-// The pooled message is released on decode errors and queue drops; once
-// queued the receiving stack owns it.
+// deliverNow decodes one copy into the destination's arena and hands it
+// to the destination queue, dropping it when the queue is full or the
+// endpoint is closed (UDP semantics: a full socket buffer). For
+// zero-delay copies this runs on the sender's goroutine, avoiding a
+// per-datagram goroutine. Called with no fabric lock held; the
+// destination's lock serializes its arena.
 func deliverNow(from id.Node, dst *inprocEndpoint, sb *sharedBuf) {
 	m := dst.load()
-	msg := wire.GetMessage()
-	if err := wire.DecodeInto(msg, *sb.buf); err != nil {
-		wire.PutMessage(msg)
+	dst.mu.Lock()
+	defer dst.mu.Unlock()
+	msg, err := dst.arena.Decode(*sb.buf)
+	if err != nil {
 		if m != nil {
 			m.decodeErrs.Inc()
 		}
 		return // corrupt datagrams vanish, as on a real network
 	}
-	if !dst.enqueue(Inbound{From: from, Msg: msg}) {
-		wire.PutMessage(msg)
-		if m != nil {
-			m.queueDrops.Inc()
+	if !dst.closed {
+		select {
+		case dst.recv <- Inbound{From: from, Msg: msg}:
+			if m != nil {
+				m.recvd.Inc()
+				m.bytesRecvd.Add(uint64(len(*sb.buf)))
+			}
+			return
+		default:
 		}
-		return
 	}
 	if m != nil {
-		m.recvd.Inc()
-		m.bytesRecvd.Add(uint64(len(*sb.buf)))
+		m.queueDrops.Inc()
 	}
 }
 
@@ -232,8 +237,9 @@ type inprocEndpoint struct {
 	self   id.Node
 	recv   chan Inbound
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards closed and arena, and orders sends on recv with its close
 	closed bool
+	arena  wire.Arena
 
 	sendMu  sync.Mutex
 	pending []pendingSend
@@ -373,24 +379,6 @@ func (e *inprocEndpoint) transmit(to id.Node, sb *sharedBuf) error {
 	}
 	sb.release()
 	return nil
-}
-
-// enqueue adds a datagram to the receive queue, dropping it when the queue
-// is full or the endpoint is closed (UDP semantics). It reports whether the
-// datagram was queued so the caller can release pooled storage on a drop.
-func (e *inprocEndpoint) enqueue(in Inbound) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return false
-	}
-	select {
-	case e.recv <- in:
-		return true
-	default:
-		// Queue overflow: drop, like a full socket buffer.
-		return false
-	}
 }
 
 func (e *inprocEndpoint) Close() error {

@@ -8,6 +8,10 @@
 //   - UDPEndpoint, a real UDP endpoint built on the net package for live
 //     deployments and the cmd/mmnode daemon.
 //
+// Both decode inbound datagrams into a wire.Arena. The Fabric queues them
+// for Recv; a UDPEndpoint can also push each socket batch straight into
+// its consumer on the goroutine that read it (Pusher).
+//
 // Large-scale experiments use the discrete-event simulator in
 // internal/netsim instead, which implements the same Endpoint interface
 // under virtual time.
@@ -34,7 +38,8 @@ const RecvQueue = 1024
 type Inbound struct {
 	// From is the transport-level sender.
 	From id.Node
-	// Msg is the decoded message. The receiver owns it.
+	// Msg is the decoded message. The receiver owns it, and may keep it
+	// or hand it back with wire.PutMessage.
 	Msg *wire.Message
 }
 
@@ -54,6 +59,20 @@ type Endpoint interface {
 	// Close detaches the endpoint and releases its resources. Close is
 	// idempotent.
 	Close() error
+}
+
+// Pusher is implemented by endpoints that can hand inbound traffic to
+// their consumer directly instead of through Recv. SetReceiver attaches
+// fn and starts reading: the endpoint's reading goroutine then calls fn
+// once per batch it read from the network, with the decoded messages in
+// arrival order, and waits for it to return before reading on, so a
+// consumer that blocks backs traffic up into the kernel socket buffer.
+// fn owns the messages but not the slice, which is reused for the next
+// batch. SetReceiver reports false, attaching nothing, when a consumer is
+// already attached (a Recv call counts) or the endpoint is closed: an
+// endpoint has one consumer, so no datagram is split between two.
+type Pusher interface {
+	SetReceiver(fn func([]Inbound)) bool
 }
 
 // Instrumented is implemented by endpoints that can report datagram
@@ -115,13 +134,12 @@ type AddrLearner interface {
 // lookups per packet.
 type epMetrics struct {
 	sent        *stats.Counter // datagrams transmitted
-	recvd       *stats.Counter // datagrams decoded and queued
+	recvd       *stats.Counter // datagrams decoded
 	bytesSent   *stats.Counter
 	bytesRecvd  *stats.Counter
 	decodeErrs  *stats.Counter   // malformed datagrams discarded
 	queueDrops  *stats.Counter   // receive-queue overflow drops (UDP: only what Close discards)
-	rxDropped   *stats.Counter   // raw datagrams dropped before decode (only what Close discards)
-	rxStalls    *stats.Counter   // waits of a UDP receive stage on a full queue
+	rxStalls    *stats.Counter   // waits of the UDP reader on a full Recv queue
 	syscallsRx  *stats.Counter   // receive syscalls (UDP endpoints)
 	syscallsTx  *stats.Counter   // transmit syscalls (UDP endpoints)
 	addrLearned *stats.Counter   // peer addresses learned from traffic
@@ -141,7 +159,6 @@ func newEpMetrics(reg *stats.Registry) *epMetrics {
 		bytesRecvd:  reg.Counter("transport.bytes_recv"),
 		decodeErrs:  reg.Counter("transport.decode_errors"),
 		queueDrops:  reg.Counter("transport.queue_drops"),
-		rxDropped:   reg.Counter("transport.rx_dropped"),
 		rxStalls:    reg.Counter("transport.rx_stalls"),
 		syscallsRx:  reg.Counter("transport.syscalls_rx"),
 		syscallsTx:  reg.Counter("transport.syscalls_tx"),

@@ -127,12 +127,13 @@ func AppendAckVector(dst []byte, acks []AckEntry) []byte {
 // DecodeAckVector parses a stability vector from buf and returns it and the
 // number of bytes consumed.
 func DecodeAckVector(buf []byte) ([]AckEntry, int, error) {
-	return appendAckVector(nil, buf)
+	return appendAckVector(nil, buf, nil)
 }
 
 // appendAckVector parses a stability vector from buf into dst (reusing its
-// capacity) and returns the vector and the number of bytes consumed.
-func appendAckVector(dst []AckEntry, buf []byte) ([]AckEntry, int, error) {
+// capacity, else carving from a non-nil arena) and returns the vector and
+// the number of bytes consumed.
+func appendAckVector(dst []AckEntry, buf []byte, a *Arena) ([]AckEntry, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, ErrShortMessage
 	}
@@ -143,6 +144,9 @@ func appendAckVector(dst []AckEntry, buf []byte) ([]AckEntry, int, error) {
 	need := 4 + 16*count
 	if len(buf) < need {
 		return nil, 0, ErrShortMessage
+	}
+	if a != nil && cap(dst) < count {
+		dst = carve(&a.acks, count, arenaAcks)
 	}
 	off := 4
 	for i := 0; i < count; i++ {

@@ -7,13 +7,14 @@ import (
 
 // Buffer and message pools for the data-plane hot path. Transports encode
 // into pooled byte slices, so the steady-state send path performs zero
-// heap allocations per datagram, and decode into pooled Messages. The
-// live receive path does not recycle: the engines retain every inbound
-// message, so the UDP decode workers put a Message back only on a decode
-// error or a queue drop, and each inbound datagram costs a fresh Message,
-// Body and Acks (3 allocations). Both pools are optional: callers that
-// retain what they receive should keep using Marshal/Decode, which
-// allocate fresh storage.
+// heap allocations per datagram. The live receive path decodes into an
+// Arena instead (arena.go): the engines retain every inbound message, so
+// a pooled Message would come back only on an error, and the arena costs
+// a small fraction of an allocation per datagram. A consumer that does
+// release a received message with PutMessage hands it to the next
+// Arena.Decode or GetMessage. Both pools are optional: callers that
+// retain what they decode themselves should use Decode, which allocates
+// fresh storage.
 
 // maxPooledBuf caps the capacity of byte slices returned to the pool;
 // oversized one-off buffers (large fragments, wide batches) are dropped
@@ -78,19 +79,20 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-var msgPool = sync.Pool{
-	New: func() any {
-		msgMisses.Add(1)
-		return &Message{}
-	},
-}
+// msgPool has no New func, so Arena.Decode can take a released message
+// when there is one without allocating when there is none.
+var msgPool sync.Pool
 
 // GetMessage returns a pooled Message ready for DecodeInto. The message
 // keeps the TS/Body/Acks capacity of its previous use, so a steady
 // decode loop stops allocating once warm.
 func GetMessage() *Message {
 	msgGets.Add(1)
-	return msgPool.Get().(*Message)
+	if m, ok := msgPool.Get().(*Message); ok {
+		return m
+	}
+	msgMisses.Add(1)
+	return &Message{}
 }
 
 // PutMessage returns a message obtained from GetMessage to the pool. The

@@ -305,7 +305,11 @@ func Decode(buf []byte) (*Message, error) {
 // buf may be reused immediately. Because the slices are recycled, pass
 // only messages the receiver will not retain (see GetMessage/PutMessage);
 // retaining protocol layers should use Decode.
-func DecodeInto(m *Message, buf []byte) error {
+func DecodeInto(m *Message, buf []byte) error { return decodeInto(m, buf, nil) }
+
+// decodeInto is DecodeInto; with an arena, a section whose reused storage
+// is too small is carved from the arena instead of grown by append.
+func decodeInto(m *Message, buf []byte, a *Arena) error {
 	if len(buf) < headerLen+2+4 {
 		return ErrShortMessage
 	}
@@ -335,6 +339,9 @@ func DecodeInto(m *Message, buf []byte) error {
 	if len(buf) < off+4*tsLen+4 {
 		return ErrShortMessage
 	}
+	if a != nil && cap(m.TS) < tsLen {
+		m.TS = carve(&a.ts, tsLen, arenaTS)
+	}
 	for i := 0; i < tsLen; i++ {
 		m.TS = append(m.TS, binary.BigEndian.Uint32(buf[off:]))
 		off += 4
@@ -347,12 +354,15 @@ func DecodeInto(m *Message, buf []byte) error {
 	if len(buf) < off+bodyLen {
 		return ErrShortMessage
 	}
+	if a != nil && cap(m.Body) < bodyLen {
+		m.Body = carve(&a.body, bodyLen, arenaBytes)
+	}
 	m.Body = append(m.Body, buf[off:off+bodyLen]...)
 	off += bodyLen
 	if m.Flags&FlagPiggyAck != 0 {
 		var n int
 		var err error
-		m.Acks, n, err = appendAckVector(m.Acks, buf[off:])
+		m.Acks, n, err = appendAckVector(m.Acks, buf[off:], a)
 		if err != nil {
 			return fmt.Errorf("piggyback acks: %w", err)
 		}

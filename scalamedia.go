@@ -14,9 +14,10 @@
 //     control.
 //
 // This package is the live-deployment facade: a Node runs the whole stack
-// over real UDP (or any transport.Endpoint) with one event-loop goroutine,
-// and each API call runs on its caller's goroutine, serialized with the
-// loop. The same protocol engines run deterministically under virtual
+// over real UDP (or any transport.Endpoint): inbound UDP traffic runs on
+// the socket's reading goroutine, ticks on one event-loop goroutine, and
+// each API call on its caller's goroutine, all serialized by one lock.
+// The same protocol engines run deterministically under virtual
 // time in the discrete-event simulator (internal/netsim), which is how
 // the repository reproduces the paper's evaluation; see DESIGN.md and
 // EXPERIMENTS.md.
@@ -270,11 +271,12 @@ type Config struct {
 	// MediaSender.Send call's goroutine; must not block.
 	OnDegrade func(StreamID, int)
 	// OnEvent receives session notifications, serialized with every
-	// other activation of the node; the sender's own delivery runs
-	// inside the Send call. Do not block in it, and do not call Node
-	// methods from it directly (hand work to another goroutine
-	// instead): they take the same non-reentrant lock and would
-	// deadlock.
+	// other activation of the node: inbound traffic runs on the UDP
+	// socket's reading goroutine, and the sender's own delivery inside
+	// the Send call. Do not block in it, and do not call Node methods
+	// from it directly, Close included (hand work to another goroutine
+	// instead): they take the same non-reentrant lock, or wait for the
+	// goroutine running the callback, and would deadlock.
 	OnEvent func(Event)
 
 	// Failure-detection timing (zero = defaults).
@@ -286,11 +288,6 @@ type Config struct {
 	// one disables batched syscalls and forces the portable
 	// single-datagram path). Ignored when Endpoint is set.
 	UDPBatch int
-	// UDPDecodeWorkers sets the UDP transport's decode pool size (zero
-	// means the transport default). One worker preserves datagram
-	// arrival order; more may reorder, which every protocol layer
-	// tolerates. Ignored when Endpoint is set.
-	UDPDecodeWorkers int
 
 	// MetricsAddr, when nonempty, serves the HTTP observability
 	// endpoint on that address (":0" picks a port; read it back with
@@ -360,9 +357,6 @@ func Start(cfg Config) (*Node, error) {
 		var uopts []transport.UDPOption
 		if cfg.UDPBatch > 0 {
 			uopts = append(uopts, transport.WithBatchSize(cfg.UDPBatch))
-		}
-		if cfg.UDPDecodeWorkers > 0 {
-			uopts = append(uopts, transport.WithDecodeWorkers(cfg.UDPDecodeWorkers))
 		}
 		udp, err := transport.ListenUDP(cfg.Self, addr, uopts...)
 		if err != nil {
@@ -676,7 +670,8 @@ func (n *Node) Leave() {
 	n.runner.Do(func() { n.sess.Leave() })
 }
 
-// Close stops the event loop and the transport. Close is idempotent.
+// Close stops the event loop and the transport. Close is idempotent. It
+// must not be called from an OnEvent or OnDegrade callback (see OnEvent).
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
