@@ -13,7 +13,7 @@ test:
 race:
 	go test -race ./...
 
-# Default seeded chaos sweep (24 seeds; 8 with -short via `make check`).
+# Default seeded chaos sweep (200 seeds; 8 with -short via `make check`).
 chaos:
 	go test -count=1 ./internal/chaos
 

@@ -16,7 +16,7 @@ import (
 // node count and fault schedule all derive from it — so the repro line a
 // failure prints needs nothing else.
 var (
-	sweepSeeds = flag.Int("chaos.seeds", 0, "number of seeds to sweep (0 = 8 in -short, 24 otherwise)")
+	sweepSeeds = flag.Int("chaos.seeds", 0, "number of seeds to sweep (0 = 8 in -short, 200 otherwise)")
 	oneSeed    = flag.Int64("chaos.seed", -1, "replay a single seed instead of sweeping")
 )
 
@@ -37,7 +37,9 @@ func sweepOpts(seed int64) chaos.Options {
 // checked against the whole invariant catalogue (agreement, ordering
 // safety, no-duplication, no-creation, validity, view convergence,
 // stability GC). In -short mode it covers 8 distinct seeded schedules;
-// a full run covers 24, and -chaos.seeds widens it further.
+// a full run covers 200 (a couple of seconds), wide enough that a timer
+// change reaching a safety bug fails tier-1, and -chaos.seeds widens it
+// further.
 func TestChaosSweep(t *testing.T) {
 	if *oneSeed >= 0 {
 		runSweepSeed(t, *oneSeed)
@@ -45,7 +47,7 @@ func TestChaosSweep(t *testing.T) {
 	}
 	n := *sweepSeeds
 	if n <= 0 {
-		n = 24
+		n = 200
 		if testing.Short() {
 			n = 8
 		}

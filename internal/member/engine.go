@@ -3,6 +3,7 @@ package member
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -235,10 +236,10 @@ type Engine struct {
 	// inbound traffic: a stalled node keeps heartbeating and gossiping a
 	// stale ack vector, so liveness evidence is exactly what slowness
 	// looks like on the wire. Only catching up (SetSlow false) clears it.
-	slowSince map[id.Node]time.Time
-	slowEvict map[id.Node]bool
-	proposal     *proposalState
-	highestSent  id.View // highest view number this node ever proposed
+	slowSince   map[id.Node]time.Time
+	slowEvict   map[id.Node]bool
+	proposal    *proposalState
+	highestSent id.View // highest view number this node ever proposed
 
 	// committedLog retains recent installed views so a coordinator can
 	// replay a missed commit to a straggler, stepping it through the
@@ -507,7 +508,7 @@ func (e *Engine) OnTick(now time.Time) {
 	if e.proposal != nil && !e.isCoordinator() {
 		if e.proposal.view.ID > e.view.ID {
 			e.accepted = e.proposal.view
-			e.acceptedFrom = e.coordinator()
+			e.acceptedFrom = e.env.Self()
 		}
 		e.proposal = nil
 	}
@@ -525,7 +526,9 @@ func (e *Engine) OnTick(now time.Time) {
 		now.Sub(e.lastReflush) >= e.cfg.JoinRetry {
 		e.lastReflush = now
 		e.flushFor(e.accepted)
-		e.sendFlushOK(e.acceptedFrom, e.accepted.ID)
+		if e.acceptedFrom != e.env.Self() {
+			e.sendFlushOK(e.acceptedFrom, e.accepted.ID)
+		}
 		if coord := e.coordinator(); coord != id.None &&
 			coord != e.acceptedFrom && coord != e.env.Self() {
 			e.sendFlushOK(coord, e.accepted.ID)
@@ -789,27 +792,18 @@ func (e *Engine) propose(now time.Time) {
 	sort.Slice(joiners, func(i, j int) bool { return joiners[i] < joiners[j] })
 	next = append(next, joiners...)
 	if e.cfg.PrimaryPartition && e.view.ID != 0 {
-		survivors := 0
-		for _, m := range e.view.Members {
-			if !evict[m] {
-				survivors++
-			}
-		}
-		// The primary component is a strict majority of the old view, or
-		// exactly half of it provided it retains the old view's lowest
-		// member — the tie-break that keeps an even split (and the common
-		// two-member view losing one node) from wedging both sides.
-		primary := survivors*2 > e.view.Size() ||
-			(survivors*2 == e.view.Size() && !evict[e.view.Members[0]])
-		if !primary {
+		// An accepted proposal this node never saw committed may have
+		// been committed elsewhere, so the successor must be primary
+		// with respect to it too, or two sides each extend a different
+		// view.
+		if !primaryOf(e.view, next) || (e.accepted.ID > e.view.ID && !primaryOf(e.accepted, next)) {
 			// Minority side: block rather than split the brain.
 			return
 		}
 	}
-	vid := e.view.ID
-	if e.highestSent > vid {
-		vid = e.highestSent
-	}
+	// Number above every view this node proposed or accepted: a view ID
+	// that may already be committed elsewhere must never be reused.
+	vid := max(e.view.ID, e.highestSent, e.accepted.ID)
 	proposed := NewView(vid+1, next)
 	if !proposed.Contains(e.env.Self()) {
 		// A coordinator never proposes itself away; its own departure
@@ -829,6 +823,20 @@ func (e *Engine) propose(now time.Time) {
 	e.flushFor(proposed)
 	e.sendProposal(e.proposal)
 	e.maybeCommit()
+}
+
+// primaryOf reports whether next is the primary component of v: a strict
+// majority of v's members, or exactly half of them provided it retains
+// v's lowest member — the tie-break that keeps an even split (and the
+// common two-member view losing one node) from wedging both sides.
+func primaryOf(v View, next []id.Node) bool {
+	kept := 0
+	for _, m := range next {
+		if v.Contains(m) {
+			kept++
+		}
+	}
+	return kept*2 > v.Size() || (kept*2 == v.Size() && slices.Contains(next, v.Members[0]))
 }
 
 // sendProposal (re)broadcasts an outstanding proposal to its members. The
@@ -889,8 +897,8 @@ func (e *Engine) onPropose(from id.Node, msg *wire.Message) {
 	}
 	e.learnAddrs(body)
 	proposed := NewView(body.View, body.Members)
-	if !proposed.Contains(e.env.Self()) {
-		return
+	if e.evicted || !proposed.Contains(e.env.Self()) {
+		return // eviction is final: a stale proposal must not revive the node
 	}
 	if proposed.ID <= e.view.ID {
 		return // stale proposal
@@ -898,10 +906,13 @@ func (e *Engine) onPropose(from id.Node, msg *wire.Message) {
 	if e.view.ID != 0 && !e.view.Contains(from) && !e.joining {
 		return // proposals only come from members of our current view
 	}
-	// Accept and flush even if a higher proposal was seen before: a
-	// takeover coordinator may legitimately propose a lower view number
-	// than a dead coordinator's unfinished proposal, and re-flushing is
-	// harmless.
+	if e.accepted.ID > e.view.ID && !proposed.Equal(e.accepted) && e.conflicts(from, proposed) {
+		// The accepted proposal may have been committed: refuse, and
+		// answer with an ack for it, which tells the proposer to number
+		// above it (see onFlushOK).
+		e.sendFlushOK(from, e.accepted.ID)
+		return
+	}
 	if !proposed.Equal(e.accepted) {
 		e.accepted = proposed
 		e.lastReflush = e.env.Now()
@@ -911,15 +922,30 @@ func (e *Engine) onPropose(from id.Node, msg *wire.Message) {
 	e.sendFlushOK(from, proposed.ID)
 }
 
+// conflicts reports whether proposal q, from proposer from, may not
+// follow the accepted but uncommitted proposal, which its own proposer may
+// have committed: q reuses a view number at or below it, or — under the
+// primary-partition rule — q is not the primary component of it. A
+// proposer superseding its own proposal with a higher number is never in
+// conflict: it commits a proposal only once, and it abandoned that one.
+func (e *Engine) conflicts(from id.Node, q View) bool {
+	if from == e.acceptedFrom && q.ID > e.accepted.ID {
+		return false
+	}
+	return q.ID <= e.accepted.ID || (e.cfg.PrimaryPartition && !primaryOf(e.accepted, q.Members))
+}
+
 // sendFlushOK acknowledges a proposal, reporting the view being flushed
-// from (Seq) and, when the stability hook is wired, the local delivery
-// state the coordinator's flush-convergence gate compares.
+// from (Seq), whose proposal it acknowledges (Sender) and, when the
+// stability hook is wired, the local delivery state the coordinator's
+// flush-convergence gate compares.
 func (e *Engine) sendFlushOK(to id.Node, vid id.View) {
 	msg := &wire.Message{
-		Kind:  wire.KindFlushOK,
-		Group: e.cfg.Group,
-		View:  vid,
-		Seq:   uint64(e.view.ID),
+		Kind:   wire.KindFlushOK,
+		Group:  e.cfg.Group,
+		View:   vid,
+		Seq:    uint64(e.view.ID),
+		Sender: e.acceptedFrom,
 	}
 	if e.cfg.StabilityVector != nil {
 		acks, slots := e.cfg.StabilityVector()
@@ -932,7 +958,10 @@ func (e *Engine) sendFlushOK(to id.Node, vid id.View) {
 // onFlushOK records a member's flush acknowledgment.
 func (e *Engine) onFlushOK(from id.Node, msg *wire.Message) {
 	p := e.proposal
-	if p == nil || msg.View != p.view.ID || !p.view.Contains(from) {
+	// An ack names the proposer it answers; one for another proposer's
+	// view of the same number must not count toward ours.
+	foreign := msg.Sender != e.env.Self()
+	if p == nil || foreign || msg.View != p.view.ID || !p.view.Contains(from) {
 		// A re-ack for a view this node already committed means the
 		// member missed the commit datagram: replay it.
 		if msg.View <= e.view.ID && e.view.Contains(from) {
@@ -944,11 +973,14 @@ func (e *Engine) onFlushOK(from id.Node, msg *wire.Message) {
 		// committing. The member froze its multicast engine when it
 		// flushed, so it stays wedged until some view commits: re-drive
 		// the change under a view number above the abandoned one.
-		if e.isCoordinator() && p == nil && msg.View > e.view.ID &&
+		// The same holds when our own pending proposal numbers at or
+		// below it: that number may be taken, so propose above it.
+		if e.isCoordinator() && (p == nil || p.view.ID <= msg.View) && msg.View > e.view.ID &&
 			e.view.Contains(from) {
 			if e.highestSent < msg.View {
 				e.highestSent = msg.View
 			}
+			e.proposal = nil
 			e.propose(e.env.Now())
 		}
 		return
@@ -1222,7 +1254,10 @@ func (e *Engine) onCommit(msg *wire.Message) {
 	}
 	e.learnAddrs(body)
 	v := NewView(body.View, body.Members)
-	if v.ID <= e.view.ID {
+	if e.evicted || v.ID <= e.view.ID {
+		// An evicted node's view is empty, so without the first test a
+		// replayed commit of a view it already left would reinstall it and
+		// restart its sequence numbers in that view.
 		return
 	}
 	if !v.Contains(e.env.Self()) {

@@ -163,8 +163,9 @@ type Config struct {
 	// Distance estimates the one-way delay to a peer, scaling the
 	// suppression timers so nearer receivers request (and nearer holders
 	// repair) first. Live stacks can wire it to clock-sync RTT samples;
-	// nil (or a zero return) falls back to
-	// Suppression.DefaultDistance.
+	// nil (or a zero return) falls back to the engine's own measurement
+	// (half the request → repair round trip, see suppress.go), and to
+	// Suppression.DefaultDistance before the first sample.
 	Distance func(id.Node) time.Duration
 	// FlowWindow bounds this sender's own unstable history in messages:
 	// once FlowWindow of its multicasts are delivered locally but not yet
@@ -248,6 +249,7 @@ type engMetrics struct {
 	historyLen   *stats.Gauge     // delivered-but-unstable messages buffered
 	flowOcc      *stats.Gauge     // own unstable multicasts (the flow-window occupancy)
 	stabilityLag *stats.Histogram // history depth sampled at stability rounds
+	repairRTT    *stats.Histogram // request → original sender's repair, ms
 
 	// Total order (see window.go).
 	orderWait          *stats.Histogram // reliable here → delivered in total order, ms
@@ -282,6 +284,7 @@ func newEngMetrics(reg *stats.Registry, prefix string) engMetrics {
 		historyLen:         reg.Gauge(prefix + "history_len"),
 		flowOcc:            reg.Gauge(prefix + "flow_occupancy"),
 		stabilityLag:       reg.Histogram(prefix + "stability_lag"),
+		repairRTT:          reg.Histogram(prefix + "repair_rtt_ms"),
 		orderWait:          reg.Histogram(prefix + "order_wait_ms"),
 		orderFlushes:       reg.Counter(prefix + "order_flushes"),
 		orderFlushesEarly:  reg.Counter(prefix + "order_flushes_early"),
@@ -367,6 +370,8 @@ type peerState struct {
 	reqBackoff uint8     // backoff exponent of the next request interval
 	reqMark    uint64    // next at the last request; progress past it resets backoff
 	reqAttempt uint32    // request attempts for this stream, rotates responder sampling
+	reqSentAt  time.Time // when our last request left; zero once its round trip is sampled
+	gapAt      time.Time // when the hole at next appeared; zero = no hole
 }
 
 // Engine is the reliable multicast state machine for one node and group.
@@ -437,6 +442,9 @@ type Engine struct {
 	// (see Freeze).
 	frozen    bool
 	sendQueue []queuedSend
+	// flushTo is the membership the last Flush was for (zero outside a
+	// view change); see excludedLate.
+	flushTo member.View
 
 	// Scalable recovery (see suppress.go): normalized tuning, armed
 	// repair timers per original sender, the duplicate-repair damping
@@ -446,6 +454,12 @@ type Engine struct {
 	repairs       map[id.Node]*repairJob
 	recentRepairs map[msgKey]time.Time
 	rng           *rand.Rand
+
+	// Measured per-peer round trips and reordering windows, and the
+	// smallest windowed round trip over all peers; unlike peers, these
+	// outlive a view change.
+	timings map[id.Node]*peerTiming
+	minRTT  time.Duration
 
 	// Total-order slot re-request backoff (mirrors the per-sender request
 	// backoff; resets when ordered delivery advances).
@@ -510,6 +524,7 @@ func New(env proto.Env, cfg Config) *Engine {
 		sup:           cfg.Suppression.withDefaults(),
 		repairs:       make(map[id.Node]*repairJob),
 		recentRepairs: make(map[msgKey]time.Time),
+		timings:       make(map[id.Node]*peerTiming),
 		slowPeers:     make(map[id.Node]bool),
 		// Seeded from the node identity only, so a seeded simulation —
 		// and any rerun of it — draws the same timer sequence.
@@ -577,6 +592,7 @@ func (e *Engine) SetView(v member.View) {
 	e.resetOrder()
 	e.ackMatrix = make(map[id.Node]map[id.Node]uint64)
 	e.frozen = false
+	e.flushTo = member.View{}
 	e.ackDirty = false
 	e.nackQueue = make(map[id.Node][]wire.NackRange)
 	e.repairs = make(map[id.Node]*repairJob)
@@ -790,6 +806,7 @@ func (e *Engine) Flush(proposed member.View) {
 	if e.view.ID == 0 {
 		return
 	}
+	e.flushTo = proposed
 	// Prune first: the inline collection is throttled, so the history may
 	// hold entries the ack matrix already proves stable — retransmitting
 	// those would be wasted flush traffic.
@@ -923,14 +940,14 @@ func (e *Engine) multicast(stream id.Stream, payload []byte, enforceFlow bool) e
 
 // OnMessage handles one inbound datagram.
 func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
-	if msg.Group != e.cfg.Group {
+	if msg.Group != e.cfg.Group || e.excludedLate(from, msg) {
 		return
 	}
 	switch msg.Kind {
 	case wire.KindData, wire.KindRetrans:
 		if msg.Kind == wire.KindRetrans {
 			e.met.retransmits.Inc()
-			e.noteRetrans(msg)
+			e.noteRetrans(from, msg)
 		} else if e.cfg.Ordering == Total {
 			e.noteEcho(msg)
 		}
@@ -953,6 +970,28 @@ func (e *Engine) OnMessage(from id.Node, msg *wire.Message) {
 	case wire.KindStable:
 		e.onStable(from, msg)
 	}
+}
+
+// excludedLate reports whether msg is current-view traffic of a sender
+// the flushed proposal excludes, reaching this member during the view
+// change other than through a member the proposal keeps. The
+// coordinator's flush-convergence gate compares the delivery vectors the
+// survivors acknowledged with; a message only the excluded sender (or its
+// sequencer) still carries would let this member deliver past its
+// acknowledged vector, in the old view, what the others never deliver.
+// What a survivor relays is safe: it delivered it, so the gate makes
+// every survivor deliver it.
+func (e *Engine) excludedLate(from id.Node, msg *wire.Message) bool {
+	if e.flushTo.ID == 0 || msg.View != e.view.ID || e.flushTo.Contains(from) {
+		return false
+	}
+	switch msg.Kind {
+	case wire.KindData, wire.KindRetrans:
+		return !e.flushTo.Contains(msg.Sender)
+	case wire.KindOrderRange:
+		return true
+	}
+	return false
 }
 
 // routeData drops stale traffic, buffers future-view traffic and
@@ -998,6 +1037,15 @@ func (e *Engine) dispatch(msg *wire.Message) {
 	case msg.Seq < st.next:
 		e.met.duplicates.Inc()
 	case msg.Seq == st.next:
+		hole := !st.gapAt.IsZero()
+		var now time.Time
+		if hole {
+			now = e.env.Now()
+			if msg.Kind == wire.KindData {
+				// The original closed the hole: reordering, not loss.
+				e.timing(msg.Sender).reo.add(now.Sub(st.gapAt))
+			}
+		}
 		e.contiguous(msg, st)
 		st.next++
 		for {
@@ -1009,7 +1057,16 @@ func (e *Engine) dispatch(msg *wire.Message) {
 			e.contiguous(nxt, st)
 			st.next++
 		}
+		if hole {
+			st.gapAt = time.Time{}
+			if st.horizon >= st.next {
+				st.gapAt = now // the next hole starts now
+			}
+		}
 	default: // gap
+		if st.gapAt.IsZero() {
+			st.gapAt = e.env.Now()
+		}
 		if _, dup := st.buf[msg.Seq]; dup || st.early[msg.Seq] {
 			e.met.duplicates.Inc()
 			return

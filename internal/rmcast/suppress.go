@@ -14,11 +14,14 @@ import (
 //
 //   - Requests are multicast. On detecting a gap a receiver arms a timer
 //     drawn from uniform(C1·d, (C1+C2)·d), d its estimated distance to
-//     the sender. When the timer fires it multicasts one KindRepairReq
-//     for the whole missing range; any member that hears an equivalent
-//     request first suppresses its own (re-arming with exponential
-//     backoff), so per loss the group sends O(1) expected requests
-//     instead of one per gapped receiver.
+//     the sender, started no earlier than the sender's measured
+//     reordering window after the gap appeared. When the timer fires it
+//     multicasts one KindRepairReq naming only the hole at its delivery
+//     point, [next, end of the first missing run]; any member that hears
+//     a request covering its own next first suppresses its own
+//     (re-arming with exponential backoff), so per loss the group sends
+//     O(1) expected requests instead of one per gapped receiver.
+//     Progress disarms the timer: the next hole gets a fresh draw.
 //   - Repairs are multicast and any holder may answer. A member holding
 //     requested data arms a repair timer drawn from uniform(D1·d',
 //     (D1+D2)·d'), d' its distance to the requester, and cancels it if
@@ -29,6 +32,16 @@ import (
 //   - Duplicate-repair damping: a served (sender, seq) is not re-served
 //     by the same member within the damping window, absorbing request
 //     bursts that crossed on the wire.
+//
+// Distances are measured, not configured: a requester times its request
+// to the original sender's immediate repair (onRepairReq answers at once
+// when it is the sender) and keeps half the windowed minimum round trip
+// per peer. An explicit Config.Distance still wins; peers without a
+// sample fall back to the engine-wide minimum, and only an engine with
+// no sample at all uses Suppression.DefaultDistance. The reordering
+// window is RACK's time-based loss detection (RFC 8985) applied to SRM:
+// the longest recent gap that the sender's original data, not a repair,
+// closed. Both survive view changes (see peerTiming).
 //
 // Requests and repairs count as protocol events (NacksSent, NacksServed)
 // once per multicast, matching the IP-multicast cost model of the paper
@@ -64,7 +77,8 @@ type Suppression struct {
 	// to the requester.
 	D1, D2 float64
 	// DefaultDistance is the distance estimate used when Config.Distance
-	// is nil or returns zero.
+	// is nil or returns zero and no request/repair round trip has been
+	// measured yet.
 	DefaultDistance time.Duration
 	// RepairSample bounds how many members (besides the original sender,
 	// which always answers) arm repair timers for one request attempt.
@@ -113,14 +127,103 @@ type repairJob struct {
 	from, to uint64
 }
 
-// distance estimates the one-way delay to a peer for timer scaling.
+// timingWindow is how many recent samples a peer's measurements keep.
+const timingWindow = 8
+
+// samples holds the last timingWindow positive durations of one measure.
+type samples struct {
+	s [timingWindow]time.Duration
+	n int // samples taken
+}
+
+func (r *samples) add(d time.Duration) {
+	r.s[r.n%timingWindow] = d
+	r.n++
+}
+
+// min is the smallest held sample, zero before the first.
+func (r *samples) min() time.Duration {
+	var m time.Duration
+	for _, d := range r.s {
+		if d > 0 && (m == 0 || d < m) {
+			m = d
+		}
+	}
+	return m
+}
+
+// max is the largest held sample, zero before the first.
+func (r *samples) max() time.Duration {
+	var m time.Duration
+	for _, d := range r.s {
+		m = max(m, d)
+	}
+	return m
+}
+
+// peerTiming is what an engine has measured about one peer, kept across
+// view changes (SetView rebuilds peers, not this): round trips from a
+// repair request to the original sender's immediate repair, and gaps the
+// sender's original data closed.
+type peerTiming struct {
+	rtt, reo samples
+}
+
+// timing returns the measurements for peer n, creating them on first use.
+func (e *Engine) timing(n id.Node) *peerTiming {
+	t, ok := e.timings[n]
+	if !ok {
+		t = &peerTiming{}
+		e.timings[n] = t
+	}
+	return t
+}
+
+// noteRTT records one request → origin-repair round trip to n and
+// refreshes the engine-wide minimum.
+func (e *Engine) noteRTT(n id.Node, rtt time.Duration) {
+	if rtt <= 0 {
+		return
+	}
+	e.timing(n).rtt.add(rtt)
+	e.met.repairRTT.Observe(float64(rtt) / 1e6)
+	e.minRTT = 0
+	for _, t := range e.timings {
+		if m := t.rtt.min(); m > 0 && (e.minRTT == 0 || m < e.minRTT) {
+			e.minRTT = m
+		}
+	}
+}
+
+// distance estimates the one-way delay to a peer for timer scaling: an
+// explicit Config.Distance, else half the peer's measured round trip,
+// else half the engine-wide minimum, else Suppression.DefaultDistance.
 func (e *Engine) distance(n id.Node) time.Duration {
 	if e.cfg.Distance != nil {
 		if d := e.cfg.Distance(n); d > 0 {
 			return d
 		}
 	}
+	if t, ok := e.timings[n]; ok {
+		if m := t.rtt.min(); m > 0 {
+			return m / 2
+		}
+	}
+	if e.minRTT > 0 {
+		return e.minRTT / 2
+	}
 	return e.sup.DefaultDistance
+}
+
+// reorderFloor is how long after a gap in n's stream appears its request
+// timer may start: the measured reordering window, capped at the request
+// timer's own spread so a stale outlier cannot stall recovery.
+func (e *Engine) reorderFloor(n id.Node) time.Duration {
+	t, ok := e.timings[n]
+	if !ok {
+		return 0
+	}
+	return min(t.reo.max(), time.Duration(float64(e.distance(n))*(e.sup.C1+e.sup.C2)))
 }
 
 // backoffStretch caps and applies an exponential backoff shift.
@@ -201,21 +304,32 @@ func (e *Engine) scanGapsSuppressed(now time.Time) {
 			// Gap closed: disarm and forget the backoff.
 			st.reqAt = time.Time{}
 			st.reqBackoff = 0
+			st.gapAt = time.Time{}
 			continue
 		}
+		if st.gapAt.IsZero() {
+			st.gapAt = now // a gap revealed by a horizon, not by data
+		}
 		if st.next > st.reqMark {
-			st.reqBackoff = 0 // progress since the last request
+			// Progress since the timer was armed: the hole at next is a
+			// new one, owed a fresh, un-backed-off draw.
+			st.reqBackoff = 0
+			st.reqAt = time.Time{}
 		}
 		if st.reqAt.IsZero() {
-			st.reqAt = now.Add(e.drawRequest(n, st.reqBackoff))
+			start := now
+			if floor := st.gapAt.Add(e.reorderFloor(n)); floor.After(start) {
+				start = floor // may still be reordering, not loss
+			}
+			st.reqAt = start.Add(e.drawRequest(n, st.reqBackoff))
 			st.reqMark = st.next
 			continue
 		}
 		if now.Before(st.reqAt) {
 			continue
 		}
-		// Timer fired unsuppressed: multicast the request for the whole
-		// missing range (responders cap their own work) and back off.
+		// Timer fired unsuppressed: multicast the request for the hole at
+		// next only, and back off.
 		st.reqAttempt++
 		msg := wire.Message{
 			Kind:    wire.KindRepairReq,
@@ -223,7 +337,7 @@ func (e *Engine) scanGapsSuppressed(now time.Time) {
 			View:    e.view.ID,
 			Sender:  n,
 			Seq:     st.next,
-			Aux:     st.horizon,
+			Aux:     firstRunEnd(st),
 			MediaTS: st.reqAttempt, // attempt counter, rotates the responder sample
 		}
 		for _, m := range e.view.Members {
@@ -239,7 +353,20 @@ func (e *Engine) scanGapsSuppressed(now time.Time) {
 		}
 		st.reqMark = st.next
 		st.reqAt = now.Add(e.drawRequest(n, st.reqBackoff))
+		st.reqSentAt = now
 	}
+}
+
+// firstRunEnd is the last sequence number of the missing run starting at
+// st.next: one below the lowest buffered message, else the horizon. The
+// scan is capped like serveRepair's.
+func firstRunEnd(st *peerState) uint64 {
+	for seq := st.next + 1; seq <= st.horizon && seq-st.next < 1024; seq++ {
+		if _, ok := st.buf[seq]; ok {
+			return seq - 1
+		}
+	}
+	return st.horizon
 }
 
 // onRepairReq handles one multicast repair request: suppress our own
@@ -262,9 +389,9 @@ func (e *Engine) onRepairReq(from id.Node, msg *wire.Message) {
 	if hi > st.horizon {
 		st.horizon = hi // the request reveals the sender's horizon
 	}
-	if !st.reqAt.IsZero() && lo <= st.next && st.horizon >= st.next {
-		// Equivalent request heard before ours fired: cancel and re-arm
-		// with backoff, as if we had sent it ourselves.
+	if !st.reqAt.IsZero() && lo <= st.next && hi >= st.next {
+		// A request covering our hole heard before ours fired: cancel and
+		// re-arm with backoff, as if we had sent it ourselves.
 		if st.reqBackoff < maxBackoffShift {
 			st.reqBackoff++
 		}
@@ -290,10 +417,17 @@ func (e *Engine) onRepairReq(from id.Node, msg *wire.Message) {
 }
 
 // noteRetrans observes a repair arriving on the wire: it damps our own
-// copy of that repair and suppresses any armed repair timer the heard
-// repair covers.
-func (e *Engine) noteRetrans(msg *wire.Message) {
+// copy of that repair, suppresses any armed repair timer the heard repair
+// covers, and — when it is the original sender's answer to the hole our
+// last request named — samples the round trip to that sender.
+func (e *Engine) noteRetrans(from id.Node, msg *wire.Message) {
 	now := e.env.Now()
+	if from == msg.Sender && msg.View == e.view.ID {
+		if st, ok := e.peers[msg.Sender]; ok && !st.reqSentAt.IsZero() && msg.Seq == st.next {
+			e.noteRTT(msg.Sender, now.Sub(st.reqSentAt))
+			st.reqSentAt = time.Time{}
+		}
+	}
 	e.recentRepairs[msgKey{sender: msg.Sender, seq: msg.Seq}] = now
 	e.pruneRecentRepairs(now)
 	if job, ok := e.repairs[msg.Sender]; ok && msg.Seq >= job.from && msg.Seq <= job.to {

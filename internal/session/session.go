@@ -147,8 +147,8 @@ type Config struct {
 	Suppression rmcast.Suppression
 	// Distance estimates one-way delay to a peer for the suppression
 	// timers; a clocksync.Engine's Distance method is a ready-made
-	// implementation. Nil or zero falls back to
-	// Suppression.DefaultDistance.
+	// implementation. Nil or zero falls back to the multicast engine's
+	// own round-trip measurement (see rmcast.Config.Distance).
 	Distance func(id.Node) time.Duration
 	// JoinBackoffMax and JoinAttempts tune the jittered-exponential join
 	// retry; see member.Config. A hit attempt cap surfaces as a
