@@ -599,6 +599,13 @@ func (e *Engine) SetView(v member.View) {
 	e.recentRepairs = make(map[msgKey]time.Time)
 	e.orderNackBackoff = 0
 	e.orderNackMark = 0
+	// Measurements outlive the view change for the members it keeps.
+	for n := range e.timings {
+		if !v.Contains(n) {
+			delete(e.timings, n)
+		}
+	}
+	e.refreshMinRTT()
 
 	// The per-view history is gone, so the flow window is empty again;
 	// unblock any sender waiting on it. Slow flags for members the new

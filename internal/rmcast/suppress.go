@@ -187,6 +187,11 @@ func (e *Engine) noteRTT(n id.Node, rtt time.Duration) {
 	}
 	e.timing(n).rtt.add(rtt)
 	e.met.repairRTT.Observe(float64(rtt) / 1e6)
+	e.refreshMinRTT()
+}
+
+// refreshMinRTT recomputes the engine-wide minimum round trip.
+func (e *Engine) refreshMinRTT() {
 	e.minRTT = 0
 	for _, t := range e.timings {
 		if m := t.rtt.min(); m > 0 && (e.minRTT == 0 || m < e.minRTT) {
@@ -304,6 +309,7 @@ func (e *Engine) scanGapsSuppressed(now time.Time) {
 			// Gap closed: disarm and forget the backoff.
 			st.reqAt = time.Time{}
 			st.reqBackoff = 0
+			st.reqSentAt = time.Time{}
 			st.gapAt = time.Time{}
 			continue
 		}
@@ -315,6 +321,7 @@ func (e *Engine) scanGapsSuppressed(now time.Time) {
 			// new one, owed a fresh, un-backed-off draw.
 			st.reqBackoff = 0
 			st.reqAt = time.Time{}
+			st.reqSentAt = time.Time{} // no repair of the new hole is owed to us yet
 		}
 		if st.reqAt.IsZero() {
 			start := now
