@@ -45,7 +45,9 @@ const (
 	// KindFlush asks members to flush unstable messages before the view
 	// change completes.
 	KindFlush
-	// KindFlushOK acknowledges a flush.
+	// KindFlushOK acknowledges a flush: View is the proposed view, Sender
+	// the proposer whose proposal it acknowledges, Seq the view flushed
+	// from, and Body/Aux the member's delivery state.
 	KindFlushOK
 	// KindViewCommit installs a proposed view; the body encodes the view.
 	KindViewCommit
@@ -80,7 +82,8 @@ const (
 	// is addressed to the whole group so that (a) other receivers sharing
 	// the gap suppress their own requests and (b) any member holding the
 	// data may answer with a multicast repair. Sender, Seq and Aux carry
-	// the gapped sender and the range [Seq, Aux].
+	// the gapped sender and the missing run [Seq, Aux] at the requester's
+	// delivery point.
 	KindRepairReq
 	// KindHierCtl carries overlay-formation control traffic for the
 	// self-organizing hierarchy (internal/hier): distance-vector reports
