@@ -8,7 +8,15 @@
 // Θ(F) bytes for an F-byte object instead of the Θ(F·N) a flat reliable
 // multicast costs it, and no single member transmits more than ~2F(1+r/k)
 // — the raptorcast shape. Only the manifest (object ID, size, geometry,
-// per-generation hashes) rides the ordered reliable channel.
+// per-generation CRC-64 hashes) rides the ordered reliable channel.
+//
+// The receivers set r. Each one counts the data symbols the scatter
+// delivered to it and tells the origin, in its completion report, how
+// many it had to get some other way. An origin codes Config.RepairShards
+// repair symbols per generation until it has heard a completion report,
+// and from then on only while the latest report of some receiver shows
+// loss; a path that shows none gets r = 0 — the data symbols alone, no
+// coding work — and whatever such an object does lose is pulled.
 //
 // A publisher announces the manifest first and scatters second, so on an
 // ordered path symbols find their object waiting; symbols that still beat
@@ -51,8 +59,10 @@
 package bulk
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc64"
+	"maps"
 	"math/bits"
 	"slices"
 	"sort"
@@ -153,8 +163,9 @@ type Progress struct {
 type Config struct {
 	// Group tags the engine's symbol traffic.
 	Group id.Group
-	// SymbolSize, DataShards, RepairShards fix the coding geometry for
-	// objects published by this node (zero values take the defaults).
+	// SymbolSize and DataShards fix the coding geometry for objects
+	// published by this node; RepairShards is r on a path that shows loss
+	// (see Publish). Zero values take the defaults.
 	SymbolSize   int
 	DataShards   int
 	RepairShards int
@@ -206,6 +217,7 @@ type generation struct {
 	done   bool
 	fanned symSet // flagged symbols already re-fanned (relay duty, once each)
 	asked  symSet // symbols with a request outstanding
+	got    symSet // data symbols that arrived unsolicited
 }
 
 // request is one outstanding symbol request.
@@ -248,6 +260,9 @@ type object struct {
 	// reportedAt.
 	top, reported int
 	reportedAt    time.Time
+
+	// Publish side: this object's place in the origin's publish order.
+	pub uint64
 }
 
 // scatter is one published object's progress through Scatter, kept from
@@ -299,6 +314,14 @@ type stashed struct {
 
 func (s stashed) cost() int { return len(s.msg.Body) + stashEntryCost }
 
+// lossReport is what a receiver's completion report for one of this
+// node's objects said: whether the scatter failed to deliver any data
+// symbol to it, and which object (by publish order) it was about.
+type lossReport struct {
+	pub   uint64
+	lossy bool
+}
+
 // metrics are the engine's live counters (DESIGN §7), resolved once so
 // the symbol path pays plain atomic adds.
 type metrics struct {
@@ -318,6 +341,8 @@ type metrics struct {
 	scatterUngated     *stats.Counter // members dropped from a scatter's gates for silence
 	scatterInflight    *stats.Gauge   // payload bytes sent beyond the slowest gating member
 	scatterInflightMax *stats.Gauge   // its peak
+	scatterRepair      *stats.Gauge   // r chosen by the latest Publish
+	repairSent         *stats.Counter // repair symbols sent: scattered, re-fanned or served
 }
 
 func newMetrics(reg *stats.Registry) metrics {
@@ -338,6 +363,8 @@ func newMetrics(reg *stats.Registry) metrics {
 		scatterUngated:     reg.Counter("bulk.scatter_ungated"),
 		scatterInflight:    reg.Gauge("bulk.scatter_inflight_bytes"),
 		scatterInflightMax: reg.Gauge("bulk.scatter_inflight_peak_bytes"),
+		scatterRepair:      reg.Gauge("bulk.scatter_repair_shards"),
+		repairSent:         reg.Counter("bulk.repair_symbols_sent"),
 	}
 }
 
@@ -364,6 +391,11 @@ type Engine struct {
 	window   int
 	sentAt   time.Time
 	shut     bool
+
+	// What each member's completion report for the latest of this node's
+	// objects it finished said, and how many objects this node published.
+	losses map[id.Node]lossReport
+	pubs   uint64
 
 	out   wire.Message // scratch for every send; Env.Send does not retain it
 	cands []id.Node    // rank scratch
@@ -397,6 +429,7 @@ func New(env proto.Env, cfg Config) *Engine {
 		m:       newMetrics(stats.NewRegistry()),
 		objects: make(map[uint64]*object),
 		window:  scatterWindowBytes,
+		losses:  make(map[id.Node]lossReport),
 	}
 }
 
@@ -419,6 +452,10 @@ func (e *Engine) SetMembers(ms []id.Node) {
 		}
 	}
 	slices.Sort(e.members)
+	maps.DeleteFunc(e.losses, func(m id.Node, _ lossReport) bool {
+		_, member := slices.BinarySearch(e.members, m)
+		return !member
+	})
 	if len(e.scatters) == 0 {
 		return
 	}
@@ -432,21 +469,42 @@ func (e *Engine) SetMembers(ms []id.Node) {
 	e.pumpScatter(e.env.Now())
 }
 
-// genHash is the per-generation content hash: FNV-1a over the k padded
-// data symbols in index order.
+// crcTable is the ECMA-182 polynomial's table; crc64 takes its slicing-by-8
+// path for it.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// genHash is the per-generation content hash: CRC-64/ECMA over the k
+// padded data symbols in index order.
 func genHash(shards [][]byte, k int) uint64 {
-	h := fnv.New64a()
+	var crc uint64
 	for i := 0; i < k; i++ {
-		h.Write(shards[i])
+		crc = crc64.Update(crc, crcTable, shards[i])
 	}
-	return h.Sum64()
+	return crc
+}
+
+// repairShards returns r for the next object this node publishes:
+// Config.RepairShards until some member's completion report has been
+// heard, and after that while the latest report of any member shows loss;
+// zero when none does.
+func (e *Engine) repairShards() int {
+	if len(e.losses) == 0 {
+		return e.cfg.RepairShards
+	}
+	for _, l := range e.losses {
+		if l.lossy {
+			return e.cfg.RepairShards
+		}
+	}
+	return 0
 }
 
 // Publish splits data into coded symbols and retains them for serving. It
 // returns the manifest the caller must carry to receivers on the reliable
 // channel — before it calls Scatter, so symbols find their object waiting.
 // An object that is never scattered (state transfer) is merely registered;
-// receivers Pull every symbol they need.
+// receivers Pull every symbol they need. The object carries r repair
+// symbols per generation as repairShards decides; Manifest.R says which.
 func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 	if len(data) == 0 || len(data) > MaxObjectSize {
 		return Manifest{}, ErrTooLarge
@@ -459,7 +517,7 @@ func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 		}
 		return Manifest{}, fmt.Errorf("%w: %d", ErrDuplicateObject, objID)
 	}
-	k, r, symSize := e.cfg.DataShards, e.cfg.RepairShards, e.cfg.SymbolSize
+	k, r, symSize := e.cfg.DataShards, e.repairShards(), e.cfg.SymbolSize
 	rs, err := fec.NewRS(k, r)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("bulk publish: %w", err)
@@ -489,6 +547,7 @@ func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 		doneGens: genCount,
 		complete: true,
 		data:     padded[:len(data):len(data)],
+		pub:      e.pubs,
 	}
 	for g := 0; g < genCount; g++ {
 		shards := tables[g*(k+r) : (g+1)*(k+r) : (g+1)*(k+r)]
@@ -506,6 +565,8 @@ func (e *Engine) Publish(objID uint64, data []byte) (Manifest, error) {
 		man.GenHashes[g] = genHash(shards, k)
 		o.gens[g] = generation{shards: shards, have: k + r, done: true}
 	}
+	e.pubs++
+	e.m.scatterRepair.Set(int64(r))
 	e.insert(objID, o)
 	return man, nil
 }
@@ -624,8 +685,13 @@ func (e *Engine) ungateSilent(now time.Time) (dropped bool) {
 }
 
 // onReport takes a receiver's progress report: it moves the member's gate
-// in the object's scatter and sends at once what that makes room for.
+// in the object's scatter and sends at once what that makes room for. A
+// report with a body is a completion report, and also says what the
+// scatter failed to deliver.
 func (e *Engine) onReport(from id.Node, msg *wire.Message) {
+	if len(msg.Body) > 0 {
+		e.noteLoss(from, msg)
+	}
 	moved := false
 	now := e.env.Now()
 	for i := range e.scatters {
@@ -652,6 +718,26 @@ func (e *Engine) onReport(from id.Node, msg *wire.Message) {
 		e.m.reportsRx.Inc()
 		e.pumpScatter(now)
 	}
+}
+
+// noteLoss records a member's completion report for an object this node
+// published, unless the member has already reported on a later one. The
+// body is the count of data symbols the scatter did not deliver; a body
+// that is not exactly such a count reads as loss, so only a well-formed
+// zero can take r to zero.
+func (e *Engine) noteLoss(from id.Node, msg *wire.Message) {
+	o := e.objects[msg.Seq]
+	if o == nil || o.man.Origin != e.env.Self() || from == o.man.Origin {
+		return
+	}
+	if _, member := slices.BinarySearch(e.members, from); !member {
+		return
+	}
+	if l, ok := e.losses[from]; ok && l.pub > o.pub {
+		return
+	}
+	lossy := len(msg.Body) != 4 || binary.BigEndian.Uint32(msg.Body) != 0
+	e.losses[from] = lossReport{pub: o.pub, lossy: lossy}
 }
 
 // insert registers an object, evicting the oldest completed object
@@ -706,6 +792,9 @@ func (e *Engine) relayOf(man Manifest, gen, idx int) id.Node {
 
 // sendSym transmits one symbol. Aux packs generation<<32|index.
 func (e *Engine) sendSym(to id.Node, man Manifest, gen, idx int, payload []byte, flags uint8) {
+	if idx >= man.K {
+		e.m.repairSent.Inc()
+	}
 	e.out = wire.Message{
 		Kind:   wire.KindBulkSym,
 		Flags:  flags,
@@ -945,6 +1034,9 @@ func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 		o.sources[from] = true
 	}
 	solicited := g.asked.has(idx)
+	if !solicited && idx < o.man.K {
+		g.got.add(idx)
+	}
 	if solicited {
 		e.settle(o, gen, idx)
 	} else if p := gen*(o.man.K+o.man.R) + idx + 1; p > o.top {
@@ -979,12 +1071,13 @@ func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 		e.pump(o, now)
 	}
 	if !o.complete && (o.top-o.reported)*o.man.SymbolSize >= e.window/scatterReportsPerWindow {
-		e.report(o, now)
+		e.report(o, now, nil)
 	}
 }
 
-// report tells the origin how far its scatter has reached this node.
-func (e *Engine) report(o *object, now time.Time) {
+// report tells the origin how far its scatter has reached this node; body
+// is empty but for the completion report.
+func (e *Engine) report(o *object, now time.Time, body []byte) {
 	w := o.man.K + o.man.R
 	o.reported, o.reportedAt = o.top, now
 	e.out = wire.Message{
@@ -993,6 +1086,7 @@ func (e *Engine) report(o *object, now time.Time) {
 		Group: e.cfg.Group,
 		Seq:   o.man.Object,
 		Aux:   uint64(o.top/w)<<32 | uint64(o.top%w),
+		Body:  body,
 	}
 	e.env.Send(o.man.Origin, &e.out)
 	e.m.reportsSent.Inc()
@@ -1057,9 +1151,14 @@ func (e *Engine) assemble(o *object) {
 	e.m.transferMs.Observe(float64(now.Sub(o.began)) / float64(time.Millisecond))
 	if o.top > 0 {
 		// A scatter reached this node: whatever of it is still to come, or
-		// was lost, no longer needs room here.
+		// was lost, no longer needs room here. The body tells the origin
+		// how many data symbols the scatter did not deliver.
+		missed := o.man.K * len(o.gens)
+		for g := range o.gens {
+			missed -= o.gens[g].got.len()
+		}
 		o.top = len(o.gens) * (o.man.K + o.man.R)
-		e.report(o, now)
+		e.report(o, now, binary.BigEndian.AppendUint32(nil, uint32(missed)))
 	}
 	if e.cfg.OnObject != nil {
 		e.cfg.OnObject(Object{ID: o.man.Object, Origin: o.man.Origin, Data: o.data})
@@ -1125,7 +1224,7 @@ func (e *Engine) OnTick(now time.Time) {
 			continue
 		}
 		if o.top > o.reported && now.Sub(o.reportedAt) >= e.cfg.RequestEvery/2 {
-			e.report(o, now)
+			e.report(o, now, nil)
 		}
 		if !o.pulling && now.Before(o.quiet) {
 			continue

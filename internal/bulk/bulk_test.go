@@ -62,20 +62,54 @@ func TestManifestRejectsMalformed(t *testing.T) {
 // fleet drives N bulk engines over netsim, each knowing the full
 // membership — the shape core gives the engine after a view install.
 type fleet struct {
-	sim     *netsim.Sim
-	nodes   []id.Node
-	engines map[id.Node]*Engine
-	objects map[id.Node][]Object
-	doneAt  map[id.Node]time.Duration // virtual time of each node's latest completion
+	sim       *netsim.Sim
+	nodes     []id.Node
+	engines   map[id.Node]*Engine
+	objects   map[id.Node][]Object
+	doneAt    map[id.Node]time.Duration // virtual time of each node's latest completion
+	manifests map[uint64]Manifest       // as Publish returned them
+	symsSent  map[id.Node]int           // symbols (with a body) each node sent
+	// drop, when set, loses the datagrams it returns true for on their way
+	// into node to.
+	drop func(to id.Node, msg *wire.Message) bool
+}
+
+// fleetEnv counts the symbols a fleet node sends.
+type fleetEnv struct {
+	proto.Env
+	f *fleet
+}
+
+func (v fleetEnv) Send(to id.Node, m *wire.Message) {
+	if m.Kind == wire.KindBulkSym && len(m.Body) > 0 {
+		v.f.symsSent[v.Self()]++
+	}
+	v.Env.Send(to, m)
+}
+
+// fleetNode hands a fleet node's inbound datagrams to its engine, minus
+// those the fleet's drop loses.
+type fleetNode struct {
+	*Engine
+	f *fleet
+}
+
+func (h fleetNode) OnMessage(from id.Node, msg *wire.Message) {
+	if h.f.drop != nil && h.f.drop(h.env.Self(), msg) {
+		return
+	}
+	h.Engine.OnMessage(from, msg)
 }
 
 func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Config) *fleet {
 	t.Helper()
 	f := &fleet{
-		sim:     netsim.New(netsim.Config{Seed: seed, Profile: profile}),
-		engines: make(map[id.Node]*Engine),
-		objects: make(map[id.Node][]Object),
-		doneAt:  make(map[id.Node]time.Duration),
+		sim:       netsim.New(netsim.Config{Seed: seed, Profile: profile}),
+		engines:   make(map[id.Node]*Engine),
+		objects:   make(map[id.Node][]Object),
+		doneAt:    make(map[id.Node]time.Duration),
+		manifests: make(map[uint64]Manifest),
+		symsSent:  make(map[id.Node]int),
 	}
 	for i := 1; i <= n; i++ {
 		f.nodes = append(f.nodes, id.Node(i))
@@ -88,9 +122,9 @@ func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Confi
 			f.doneAt[node] = f.sim.Elapsed()
 		}
 		f.sim.AddNode(node, func(env proto.Env) proto.Handler {
-			e := New(env, c)
+			e := New(fleetEnv{env, f}, c)
 			f.engines[node] = e
-			return e
+			return fleetNode{e, f}
 		})
 	}
 	for _, e := range f.engines {
@@ -104,12 +138,19 @@ func newFleet(t *testing.T, n int, seed int64, profile netsim.Profile, cfg Confi
 // scatter, or — for an object nobody scatters — as a Pull.
 func (f *fleet) publish(t *testing.T, origin id.Node, objID uint64, data []byte, scatter bool) {
 	t.Helper()
-	f.sim.At(10*time.Millisecond, func() {
+	f.publishAt(t, 10*time.Millisecond, origin, objID, data, scatter)
+}
+
+// publishAt is publish at virtual time at.
+func (f *fleet) publishAt(t *testing.T, at time.Duration, origin id.Node, objID uint64, data []byte, scatter bool) {
+	t.Helper()
+	f.sim.At(at, func() {
 		man, err := f.engines[origin].Publish(objID, data)
 		if err != nil {
 			t.Errorf("publish: %v", err)
 			return
 		}
+		f.manifests[objID] = man
 		for _, node := range f.nodes {
 			if node == origin {
 				continue
@@ -836,5 +877,174 @@ func TestNotHeldRetargetsAtOnce(t *testing.T) {
 	origin.OnMessage(2, &wire.Message{Kind: wire.KindBulkReq, Group: 1, Seq: 999, Aux: 0})
 	if len(oenv.sent) != 1 || oenv.sent[0].kind != wire.KindBulkSym || oenv.sent[0].bodyBytes != 0 || oenv.sent[0].obj != 999 {
 		t.Fatalf("unservable request answered with %+v, want a body-less symbol", oenv.sent)
+	}
+}
+
+// TestLosslessPathDropsRepair pins how an origin sets r on a path that
+// loses nothing: the first object carries Config.RepairShards, since no
+// receiver has reported yet; the second, published after every receiver
+// reported the first complete with no data symbol missing, carries none,
+// and the origin sends exactly its K data symbols per generation.
+func TestLosslessPathDropsRepair(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	f := newFleet(t, 4, 10, netsim.LANProfile(time.Millisecond, 0, 0), cfg)
+	first, second := testObject(20_000, 55), testObject(20_000, 56)
+	f.publishAt(t, 10*time.Millisecond, 1, 31, first, true)
+	origin := f.engines[1]
+	var sentBefore int
+	var repairBefore uint64
+	f.sim.At(300*time.Millisecond, func() {
+		sentBefore, repairBefore = f.symsSent[1], origin.m.repairSent.Value()
+	})
+	f.publishAt(t, 300*time.Millisecond, 1, 32, second, true)
+	f.sim.Run(time.Second)
+	f.assertAllComplete(t, 31, first, nil)
+	f.assertAllComplete(t, 32, second, nil)
+	if r := f.manifests[31].R; r != cfg.RepairShards {
+		t.Fatalf("first object carries r = %d, want Config.RepairShards = %d", r, cfg.RepairShards)
+	}
+	man := f.manifests[32]
+	if man.R != 0 {
+		t.Fatalf("second object carries r = %d after lossless reports, want 0", man.R)
+	}
+	if sent, want := f.symsSent[1]-sentBefore, man.Generations()*man.K; sent != want {
+		t.Fatalf("origin sent %d symbols for the second object, want K per generation = %d", sent, want)
+	}
+	if n := origin.m.repairSent.Value() - repairBefore; n != 0 {
+		t.Fatalf("bulk.repair_symbols_sent rose by %d for an r = 0 object", n)
+	}
+	if g := origin.m.scatterRepair.Value(); g != 0 {
+		t.Fatalf("bulk.scatter_repair_shards = %d, want 0", g)
+	}
+}
+
+// TestLossyPathKeepsRepair publishes three objects through 5 % loss: once
+// a receiver's completion report has counted a data symbol the scatter did
+// not deliver, every object carries Config.RepairShards, and all of them
+// complete byte-equal.
+func TestLossyPathKeepsRepair(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	f := newFleet(t, 6, 11, netsim.LANProfile(time.Millisecond, 200*time.Microsecond, 0.05), cfg)
+	origin := f.engines[1]
+	objs := [][]byte{testObject(30_000, 57), testObject(30_000, 58), testObject(30_000, 59)}
+	lossSeen := make([]bool, len(objs))
+	for i, data := range objs {
+		at := time.Duration(10+1000*i) * time.Millisecond
+		f.sim.At(at, func() {
+			for _, l := range origin.losses {
+				lossSeen[i] = lossSeen[i] || l.lossy
+			}
+		})
+		f.publishAt(t, at, 1, uint64(41+i), data, true)
+	}
+	f.sim.Run(4 * time.Second)
+	for i, data := range objs {
+		objID := uint64(41 + i)
+		f.assertAllComplete(t, objID, data, nil)
+		if i > 0 && !lossSeen[i] {
+			t.Fatalf("no lossy completion report before object %d: 5 %% loss should have cost some receiver a data symbol", objID)
+		}
+		if r := f.manifests[objID].R; r != cfg.RepairShards {
+			t.Fatalf("object %d carries r = %d, want Config.RepairShards = %d", objID, r, cfg.RepairShards)
+		}
+	}
+}
+
+// TestUnrepairedLossPulled loses one data symbol of an r = 0 object on its
+// way to one receiver: that receiver pulls it after the quiet period and
+// completes, and its completion report puts the next object back at full
+// r.
+func TestUnrepairedLossPulled(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 8, RepairShards: 2}
+	f := newFleet(t, 4, 12, netsim.LANProfile(time.Millisecond, 0, 0), cfg)
+	dropped := false
+	f.drop = func(to id.Node, msg *wire.Message) bool {
+		// Symbol 1 of generation 0 reaches n2 through its relay n3.
+		if to != 2 || dropped || msg.Kind != wire.KindBulkSym || msg.Seq != 52 || msg.Aux != 1 || len(msg.Body) == 0 {
+			return false
+		}
+		dropped = true
+		return true
+	}
+	objs := [][]byte{testObject(20_000, 60), testObject(20_000, 61), testObject(20_000, 62)}
+	for i, data := range objs {
+		f.publishAt(t, time.Duration(10+400*i)*time.Millisecond, 1, uint64(51+i), data, true)
+	}
+	f.sim.Run(1500 * time.Millisecond)
+	for i, data := range objs {
+		f.assertAllComplete(t, uint64(51+i), data, nil)
+	}
+	if !dropped {
+		t.Fatal("the symbol to lose never reached n2")
+	}
+	if r := f.manifests[52].R; r != 0 {
+		t.Fatalf("object 52 carries r = %d, want 0 after a lossless first object", r)
+	}
+	if n := f.engines[2].m.requestsSent.Value(); n == 0 {
+		t.Fatal("n2 completed an object missing a data symbol without pulling")
+	}
+	if r := f.manifests[53].R; r != cfg.RepairShards {
+		t.Fatalf("object 53 carries r = %d after n2 reported a loss, want %d", r, cfg.RepairShards)
+	}
+}
+
+// TestCorruptGenerationPulledAgain pins the generation check's strength: a
+// generation holding one flipped byte, or a symbol of another object at the
+// same position, fails its CRC-64, is discarded whole, and is pulled again.
+func TestCorruptGenerationPulledAgain(t *testing.T) {
+	cfg := Config{Group: 1, SymbolSize: 256, DataShards: 4, RepairShards: 2}
+	members := []id.Node{1, 2, 3}
+	origin := New(&recEnv{self: 1}, cfg)
+	origin.SetMembers(members)
+	data, other := testObject(4*256, 63), testObject(4*256, 64) // one generation each
+	man, err := origin.Publish(61, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := origin.Publish(62, other); err != nil {
+		t.Fatal(err)
+	}
+	flipped := symbolMsg(origin, 61, 0, 2, 0)
+	flipped.Body = bytes.Clone(flipped.Body)
+	flipped.Body[100] ^= 0x01
+	foreign := symbolMsg(origin, 62, 0, 2, 0)
+	foreign.Seq = 61
+	for _, c := range []struct {
+		name string
+		bad  *wire.Message
+	}{{"flipped byte", flipped}, {"symbol of object 62", foreign}} {
+		bad := c.bad
+		t.Run(c.name, func(t *testing.T) {
+			env := &recEnv{self: 2}
+			e := New(env, cfg)
+			e.SetMembers(members)
+			e.OnManifest(man)
+			for i := 0; i < cfg.DataShards; i++ {
+				msg := symbolMsg(origin, 61, 0, i, 0)
+				if i == 2 {
+					msg = bad
+				}
+				e.OnMessage(3, msg)
+			}
+			if _, ok := e.Object(61); ok {
+				t.Fatal("a corrupt generation was trusted")
+			}
+			if g := e.objects[61].gens[0]; g.done || g.have != 0 {
+				t.Fatalf("corrupt generation kept: done=%v, %d symbols held", g.done, g.have)
+			}
+			env.now = env.now.Add(DefaultRequestEvery)
+			e.OnTick(env.now)
+			if n := env.count(wire.KindBulkReq); n != cfg.DataShards {
+				t.Fatalf("%d requests after the check failed, want the generation's %d data symbols", n, cfg.DataShards)
+			}
+			for _, s := range env.sent {
+				if s.kind == wire.KindBulkReq {
+					e.OnMessage(s.to, symbolMsg(origin, 61, int(s.aux>>32), int(s.aux&0xffffffff), 0))
+				}
+			}
+			if got, ok := e.Object(61); !ok || !bytes.Equal(got, data) {
+				t.Fatal("the generation pulled again did not complete the object")
+			}
+		})
 	}
 }

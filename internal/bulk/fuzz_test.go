@@ -2,6 +2,7 @@ package bulk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -20,6 +21,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add(enc[:len(enc)-1])                                // truncated hashes
 	f.Add(append(append([]byte(nil), enc...), 0xff, 0xfe)) // trailing bytes
 	f.Add(AppendManifest(nil, Manifest{Object: 1, Size: 1, Origin: 2, SymbolSize: 1, K: 1, R: 254, GenHashes: []uint64{9}}))
+	// r = 0: a path whose receivers reported no loss.
+	f.Add(AppendManifest(nil, Manifest{Object: 2, Size: 3*16*1024 - 100, Origin: 7, SymbolSize: 1024, K: 16, R: 0, GenHashes: []uint64{1, 2, 3}}))
+	f.Add(AppendManifest(nil, Manifest{Object: 3, Size: 1, Origin: 2, SymbolSize: 1, K: 1, R: 0, GenHashes: []uint64{9}}))
 	huge := append([]byte(nil), enc...)
 	copy(huge[8:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // size 2^64-1
 	f.Add(huge)
@@ -48,8 +52,10 @@ func FuzzDecodeManifest(f *testing.F) {
 // FuzzOnMessage feeds arbitrary symbol-plane headers to both ends of a
 // transfer: an origin part-way through a scatter held up by its window,
 // and a receiver holding part of the object. Nothing may panic, the window
-// must hold, and the receiver must still end up with the object published
-// once it has been given every true symbol.
+// must hold, the origin may choose r = 0 for its next object only on a
+// member's well-formed completion report that counts no loss, and the
+// receiver must still end up with the object published once it has been
+// given every true symbol.
 func FuzzOnMessage(f *testing.F) {
 	cfg := Config{Group: 1, SymbolSize: 64, DataShards: 4, RepairShards: 2}
 	members := []id.Node{1, 2, 3}
@@ -66,6 +72,14 @@ func FuzzOnMessage(f *testing.F) {
 	f.Add(true, wire.FlagBulkReport, uint64(3), uint64(5), ^uint64(0), uint16(0), byte(0))                 // a report beyond the object
 	f.Add(true, wire.FlagBulkReport, uint64(9), uint64(5), uint64(5)<<32, uint16(0), byte(0))              // from a stranger
 	f.Add(true, wire.FlagBulkReport|wire.FlagBulkFan, uint64(2), uint64(6), uint64(0), uint16(3), byte(0)) // unknown scatter
+	// Completion reports (the whole object, 5 generations of 6, seen) and
+	// the loss count in their body.
+	f.Add(true, wire.FlagBulkReport, uint64(2), uint64(5), uint64(5)<<32, uint16(4), byte(0))    // nothing lost
+	f.Add(true, wire.FlagBulkReport, uint64(3), uint64(5), uint64(5)<<32, uint16(2), byte(0))    // short
+	f.Add(true, wire.FlagBulkReport, uint64(2), uint64(5), uint64(5)<<32, uint16(9), byte(0))    // oversized
+	f.Add(true, wire.FlagBulkReport, uint64(2), uint64(5), uint64(5)<<32, uint16(4), byte(0xff)) // more symbols than the object has
+	f.Add(true, wire.FlagBulkReport, uint64(9), uint64(5), uint64(5)<<32, uint16(4), byte(0))    // from a stranger
+	f.Add(true, wire.FlagBulkReport, uint64(2), uint64(77), uint64(5)<<32, uint16(4), byte(0))   // another object
 	f.Fuzz(func(t *testing.T, req bool, flags uint8, from, obj, aux uint64, bodyLen uint16, fill byte) {
 		oenv := &recEnv{self: 1, now: time.Unix(1000, 0)}
 		origin := New(oenv, cfg)
@@ -105,6 +119,12 @@ func FuzzOnMessage(f *testing.F) {
 		}
 		if peak := origin.m.scatterInflightMax.Value(); peak > int64(origin.window) {
 			t.Fatalf("in-flight peak %d above the window of %d", peak, origin.window)
+		}
+		body := msg().Body
+		clean := req && flags&wire.FlagBulkReport != 0 && obj == 5 && (from == 2 || from == 3) &&
+			len(body) == 4 && binary.BigEndian.Uint32(body) == 0
+		if r := origin.repairShards(); r == 0 && !clean {
+			t.Fatalf("origin chose r = 0 after a report with a %d-byte body %x", len(body), body)
 		}
 		// Let the receiver finish from the origin's true symbols. Twice: a
 		// generation the fuzzed symbol poisoned is thrown away whole when

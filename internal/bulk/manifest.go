@@ -28,7 +28,7 @@ type Manifest struct {
 	SymbolSize int
 	// K and R are the data and repair symbol counts per generation.
 	K, R int
-	// GenHashes holds one FNV-1a hash per generation, taken over the
+	// GenHashes holds one CRC-64/ECMA hash per generation, taken over the
 	// generation's k padded data symbols.
 	GenHashes []uint64
 }

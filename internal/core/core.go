@@ -119,16 +119,10 @@ type Config struct {
 	Snapshot func() []byte
 	OnState  func(member.View, []byte)
 
-	// Bulk-dissemination geometry (internal/bulk); zero values take the
-	// bulk defaults. The bulk engine is always present — it generates no
-	// traffic until an object is published or a manifest arrives.
-	BulkSymbolSize   int
-	BulkDataShards   int
-	BulkRepairShards int
-	BulkRequestEvery time.Duration
-	BulkMaxObjects   int
 	// OnObject receives completed bulk objects; OnObjectProgress reports
-	// per-generation transfer progress.
+	// per-generation transfer progress. The bulk engine (internal/bulk,
+	// default geometry) is always present — it generates no traffic until
+	// an object is published or a manifest arrives.
 	OnObject         func(bulk.Object)
 	OnObjectProgress func(bulk.Progress)
 
@@ -254,16 +248,11 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		}
 	}
 	s.bulk = bulk.New(env, bulk.Config{
-		Group:        cfg.Group,
-		Distance:     dist,
-		SymbolSize:   cfg.BulkSymbolSize,
-		DataShards:   cfg.BulkDataShards,
-		RepairShards: cfg.BulkRepairShards,
-		RequestEvery: cfg.BulkRequestEvery,
-		MaxObjects:   cfg.BulkMaxObjects,
-		RelayPlan:    relayPlan,
-		OnObject:     cfg.OnObject,
-		OnProgress:   cfg.OnObjectProgress,
+		Group:      cfg.Group,
+		Distance:   dist,
+		RelayPlan:  relayPlan,
+		OnObject:   cfg.OnObject,
+		OnProgress: cfg.OnObjectProgress,
 	})
 	s.bulk.SetMetrics(cfg.Metrics)
 	s.member = member.New(env, member.Config{

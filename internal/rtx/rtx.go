@@ -335,11 +335,11 @@ func NewReceiver(env proto.Env, cfg Config) *Receiver {
 		cfg.SafetyFactor = DefaultSafetyFactor
 	}
 	r := &Receiver{
-		env:        env,
-		cfg:        cfg,
-		spurtDelay: cfg.PlayoutDelay,
-		nextSeq:    1,
-		seen:       make(map[uint64]bool),
+		env:         env,
+		cfg:         cfg,
+		spurtDelay:  cfg.PlayoutDelay,
+		nextSeq:     1,
+		seen:        make(map[uint64]bool),
 		mRecv:       &stats.Counter{},
 		mPlayed:     &stats.Counter{},
 		mLate:       &stats.Counter{},

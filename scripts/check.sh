@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the repository's tier-1 gate. Every change must pass this
-# before it lands: vet, build, the short test suite under the race
+# before it lands: gofmt, vet, build, the short test suite under the race
 # detector, and the short seeded chaos sweep. (-short skips the slow
 # full-matrix sweeps and the benchmark gate; run `go test ./...` and
 # scripts/bench_gate.sh for the long versions.) Run from the repo root:
@@ -12,6 +12,14 @@
 # TestChaosSweep -chaos.seed=17`).
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (tracked .go files)"
+unformatted="$(git ls-files -z -- '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "gofmt: the files above are not formatted (gofmt -w <file>)" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
