@@ -33,7 +33,7 @@
 // larger one is paced by the drain rate of the slowest live receiver on
 // whatever path it sits behind, not by a rate tuned to one host. A member
 // that reports nothing while the window waits for it stops counting after
-// Config.RequestEvery, and its share falls to the pull path.
+// RequestEvery, and its share falls to the pull path.
 //
 // Receivers reconstruct each generation from ANY k of its k+r symbols —
 // as soon as its k data symbols are in, or on the next tick when repair
@@ -41,7 +41,7 @@
 // scatter and loss leave missing is pulled with unicast symbol requests.
 // The pull is self-clocked too: Config.MaxRequests requests are kept
 // outstanding, every reply or decoded generation tops the window up at
-// once, and Config.RequestEvery is only the timeout after which an
+// once, and RequestEvery is only the timeout after which an
 // unanswered request moves to its next target — the designated relay if
 // it was seen sourcing the object, the origin, then the remaining peers
 // — so one crashed relay never strands a transfer. A peer that does not
@@ -83,8 +83,12 @@ const (
 	DefaultDataShards = 16
 	// DefaultRepairShards is r, the repair symbols per generation.
 	DefaultRepairShards = 4
-	// DefaultRequestEvery is the symbol-request timeout.
-	DefaultRequestEvery = 100 * time.Millisecond
+	// RequestEvery is the timeout after which an unanswered request is
+	// re-sent to its next target, the quiet period — no advance of the
+	// scatter — after which a scattered object starts pulling what the
+	// scatter left missing, and the silence after which the origin stops
+	// waiting for a member's progress report.
+	RequestEvery = 100 * time.Millisecond
 	// DefaultMaxRequests is the window of outstanding symbol requests per
 	// object.
 	DefaultMaxRequests = 64
@@ -171,13 +175,7 @@ type Config struct {
 	RepairShards int
 	// MaxRequests is the window of symbol requests a transfer keeps
 	// outstanding; a reply or a decoded generation refills it at once.
-	// RequestEvery is the timeout after which an unanswered request is
-	// re-sent to its next target, the quiet period — no advance of the
-	// scatter — after which a scattered object starts pulling what the
-	// scatter left missing, and the silence after which the origin stops
-	// waiting for a member's progress report.
-	RequestEvery time.Duration
-	MaxRequests  int
+	MaxRequests int
 	// MaxObjects bounds retained objects.
 	MaxObjects int
 	// RelayPlan, when non-nil, supplies the hierarchical fan-out for a
@@ -413,9 +411,6 @@ func New(env proto.Env, cfg Config) *Engine {
 	}
 	if cfg.RepairShards <= 0 {
 		cfg.RepairShards = DefaultRepairShards
-	}
-	if cfg.RequestEvery <= 0 {
-		cfg.RequestEvery = DefaultRequestEvery
 	}
 	if cfg.MaxRequests <= 0 {
 		cfg.MaxRequests = DefaultMaxRequests
@@ -673,7 +668,7 @@ func (e *Engine) ungateSilent(now time.Time) (dropped bool) {
 			if g.at.After(since) {
 				since = g.at
 			}
-			if g.seen >= sc.next || now.Sub(since) < e.cfg.RequestEvery {
+			if g.seen >= sc.next || now.Sub(since) < RequestEvery {
 				return false
 			}
 			e.m.scatterUngated.Inc()
@@ -872,7 +867,7 @@ func (e *Engine) begin(man Manifest, pull bool) {
 			gens:       make([]generation, man.Generations()),
 			began:      now,
 			sources:    make(map[id.Node]bool),
-			quiet:      now.Add(e.cfg.RequestEvery),
+			quiet:      now.Add(RequestEvery),
 			reportedAt: now,
 		}
 		w := man.K + man.R
@@ -1044,7 +1039,7 @@ func (e *Engine) onSymbol(o *object, from id.Node, msg *wire.Message) {
 		// hold the pull back. (A late second answer to a request is
 		// unsolicited too, but lands below top and holds nothing back.)
 		o.top = p
-		o.quiet = now.Add(e.cfg.RequestEvery)
+		o.quiet = now.Add(RequestEvery)
 	}
 	if g.done || g.shards[idx] != nil {
 		e.m.symbolsDup.Inc()
@@ -1223,7 +1218,7 @@ func (e *Engine) OnTick(now time.Time) {
 		if o.complete {
 			continue
 		}
-		if o.top > o.reported && now.Sub(o.reportedAt) >= e.cfg.RequestEvery/2 {
+		if o.top > o.reported && now.Sub(o.reportedAt) >= RequestEvery/2 {
 			e.report(o, now, nil)
 		}
 		if !o.pulling && now.Before(o.quiet) {
@@ -1305,7 +1300,7 @@ func (e *Engine) pump(o *object, now time.Time) {
 				return // nobody to ask
 			}
 			g.asked.add(i)
-			o.out = append(o.out, request{gen: gi, idx: i, target: target, deadline: now.Add(e.cfg.RequestEvery)})
+			o.out = append(o.out, request{gen: gi, idx: i, target: target, deadline: now.Add(RequestEvery)})
 			need--
 		}
 	}
@@ -1333,7 +1328,7 @@ func (e *Engine) settle(o *object, gen, idx int) {
 // retarget re-sends an outstanding request to its next-ranked target.
 func (e *Engine) retarget(o *object, r *request, now time.Time) {
 	r.attempt++
-	r.deadline = now.Add(e.cfg.RequestEvery)
+	r.deadline = now.Add(RequestEvery)
 	r.target = e.sendReq(o, r.gen, r.idx, r.attempt)
 }
 

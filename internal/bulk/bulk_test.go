@@ -718,12 +718,12 @@ func TestScatterSilentReceiverStopsGating(t *testing.T) {
 	data := testObject(100_000, 52)
 	f.publish(t, 1, 21, data, true)
 	origin := f.engines[1]
-	f.sim.At(10*time.Millisecond+DefaultRequestEvery/2, func() {
+	f.sim.At(10*time.Millisecond+RequestEvery/2, func() {
 		if len(origin.scatters) != 1 || !origin.shut {
 			t.Errorf("half a timeout in: %d scatters, shut=%v; want the window shut on n4", len(origin.scatters), origin.shut)
 		}
 	})
-	f.sim.At(10*time.Millisecond+DefaultRequestEvery+10*time.Millisecond, func() {
+	f.sim.At(10*time.Millisecond+RequestEvery+10*time.Millisecond, func() {
 		if origin.m.scatterUngated.Value() != 1 || origin.scatters[0].next <= 32 {
 			t.Errorf("one timeout in: %d ungated, scatter at position %d; want it moving again without n4",
 				origin.m.scatterUngated.Value(), origin.scatters[0].next)
@@ -868,7 +868,7 @@ func TestNotHeldRetargetsAtOnce(t *testing.T) {
 	if len(env.sent) != 3 {
 		t.Fatalf("request kept circling after every candidate answered: %+v", env.sent)
 	}
-	e.OnTick(time.Time{}.Add(DefaultRequestEvery))
+	e.OnTick(time.Time{}.Add(RequestEvery))
 	if len(env.sent) != 4 || env.sent[3].to != 1 {
 		t.Fatalf("timeout did not wrap to the origin: %+v", env.sent)
 	}
@@ -1032,7 +1032,7 @@ func TestCorruptGenerationPulledAgain(t *testing.T) {
 			if g := e.objects[61].gens[0]; g.done || g.have != 0 {
 				t.Fatalf("corrupt generation kept: done=%v, %d symbols held", g.done, g.have)
 			}
-			env.now = env.now.Add(DefaultRequestEvery)
+			env.now = env.now.Add(RequestEvery)
 			e.OnTick(env.now)
 			if n := env.count(wire.KindBulkReq); n != cfg.DataShards {
 				t.Fatalf("%d requests after the check failed, want the generation's %d data symbols", n, cfg.DataShards)

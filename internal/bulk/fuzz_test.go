@@ -113,7 +113,7 @@ func FuzzOnMessage(f *testing.F) {
 		for _, e := range []*Engine{origin, recv} {
 			e.OnMessage(id.Node(from), msg())
 			e.OnMessage(id.Node(from), msg()) // and its duplicate
-			now := e.env.Now().Add(2 * DefaultRequestEvery)
+			now := e.env.Now().Add(2 * RequestEvery)
 			e.env.(*recEnv).now = now
 			e.OnTick(now)
 		}

@@ -36,9 +36,6 @@ type AutoHierOptions struct {
 	Seed int64
 	// Nodes is the total group size. Defaults to 12.
 	Nodes int
-	// SiteSize groups consecutive node IDs into latency sites (intra-site
-	// links are fast, inter-site links slow). Defaults to 4.
-	SiteSize int
 	// FanOut bounds cluster sizes. Defaults to 6.
 	FanOut int
 	// Msgs is the number of workload multicasts. Defaults to 40.
@@ -97,9 +94,6 @@ func (opts *AutoHierOptions) defaults() {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 12
 	}
-	if opts.SiteSize <= 0 {
-		opts.SiteSize = 4
-	}
 	if opts.FanOut <= 0 {
 		opts.FanOut = 6
 	}
@@ -111,9 +105,13 @@ func (opts *AutoHierOptions) defaults() {
 // autoHierWindow is the fault window of auto-hierarchy scenarios.
 const autoHierWindow = 4 * time.Second
 
+// siteSize groups consecutive node IDs into latency sites of an
+// AutoHier run.
+const siteSize = 4
+
 // siteDelay is the two-level delay geography the overlay should
 // rediscover: 2ms within a site, 15ms across sites.
-func siteDelay(siteSize int, a, b id.Node) time.Duration {
+func siteDelay(a, b id.Node) time.Duration {
 	if (int(a)-1)/siteSize == (int(b)-1)/siteSize {
 		return 2 * time.Millisecond
 	}
@@ -159,7 +157,7 @@ func RunAutoHier(opts AutoHierOptions) *AutoHierTrace {
 		Seed: opts.Seed,
 		Profile: func(from, to id.Node) netsim.Link {
 			l := cur
-			l.Delay = siteDelay(opts.SiteSize, from, to)
+			l.Delay = siteDelay(from, to)
 			return l
 		},
 	})
@@ -189,7 +187,7 @@ func RunAutoHier(opts AutoHierOptions) *AutoHierTrace {
 			},
 		}
 		if opts.Synthetic {
-			cfg.Distance = func(p id.Node) time.Duration { return siteDelay(opts.SiteSize, n, p) }
+			cfg.Distance = func(p id.Node) time.Duration { return siteDelay(n, p) }
 		} else {
 			cfg.ClockGroup = 3
 		}

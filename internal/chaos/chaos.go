@@ -268,6 +268,7 @@ func Run(opts Options) *Trace {
 				SlowGrace:        opts.SlowGrace,
 				SlowAfter:        opts.SlowAfter,
 				Flight:           tr.Flight,
+			}, core.Hooks{
 				OnView: func(v member.View) {
 					nt.Views = append(nt.Views, ViewRec{View: v, At: sim.Elapsed()})
 				},

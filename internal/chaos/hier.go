@@ -13,14 +13,15 @@ import (
 	"scalamedia/internal/rmcast"
 )
 
+// hierClusterSize is the per-cluster node count of a hierarchical run.
+const hierClusterSize = 3
+
 // HierOptions parameterizes a hierarchical scenario run.
 type HierOptions struct {
 	// Seed fixes all randomness, as in Options.
 	Seed int64
 	// Nodes is the total group size, split into clusters. Defaults to 9.
 	Nodes int
-	// ClusterSize is the per-cluster node count. Defaults to 3.
-	ClusterSize int
 	// Msgs is the number of workload multicasts. Defaults to 40.
 	Msgs int
 	// Schedule overrides the generated schedule. Crash/restart events are
@@ -60,9 +61,6 @@ func RunHier(opts HierOptions) *HierTrace {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 9
 	}
-	if opts.ClusterSize <= 0 {
-		opts.ClusterSize = 3
-	}
 	if opts.Msgs <= 0 {
 		opts.Msgs = 40
 	}
@@ -73,7 +71,7 @@ func RunHier(opts HierOptions) *HierTrace {
 	}
 	sched = sched.TransientOnly()
 
-	topo := hier.Cluster(nodeIDs(opts.Nodes), opts.ClusterSize)
+	topo := hier.Cluster(nodeIDs(opts.Nodes), hierClusterSize)
 	tr := &HierTrace{
 		Opts:       opts,
 		Schedule:   sched,
@@ -194,7 +192,7 @@ func (tr *HierTrace) Violations() []string {
 	// No repair storm: recovery stays bounded per node. Requests and
 	// repairs are scoped to clusters (or the relay set), so the per-node
 	// ceiling uses the larger of the two scopes, not the full group.
-	scope := tr.Opts.ClusterSize
+	scope := hierClusterSize
 	if relays := len(tr.Topology.Relays()); relays > scope {
 		scope = relays
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"scalamedia/internal/core"
 	"scalamedia/internal/flightrec"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
@@ -97,16 +98,18 @@ func RunSession(opts SessionOptions) *SessionTrace {
 		}
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
 			eng := session.New(env, session.Config{
-				Group:            id.Group(9),
-				Contact:          contact,
-				PrimaryPartition: true,
-				HeartbeatEvery:   chaosHeartbeat,
-				SuspectAfter:     chaosSuspectAfter,
-				FlushTimeout:     chaosFlushTimeout,
-				JoinRetry:        chaosJoinRetry,
-				ResendAfter:      chaosResendAfter,
-				StabilizeEvery:   chaosStabilize,
-				Flight:           tr.Flight,
+				Config: core.Config{
+					Group:            id.Group(9),
+					Contact:          contact,
+					PrimaryPartition: true,
+					HeartbeatEvery:   chaosHeartbeat,
+					SuspectAfter:     chaosSuspectAfter,
+					FlushTimeout:     chaosFlushTimeout,
+					JoinRetry:        chaosJoinRetry,
+					ResendAfter:      chaosResendAfter,
+					StabilizeEvery:   chaosStabilize,
+					Flight:           tr.Flight,
+				},
 				OnEvent: func(ev session.Event) {
 					sn.Events = append(sn.Events, ev)
 					if ev.Kind == session.SelfEvicted {

@@ -40,14 +40,16 @@ import (
 	"scalamedia/internal/wire"
 )
 
-// Defaults.
+// Defaults and constants.
 const (
-	DefaultProbeEvery    = 250 * time.Millisecond
-	DefaultWindow        = 8
-	DefaultProbesPerTick = 8
+	DefaultProbeEvery = 250 * time.Millisecond
+	DefaultWindow     = 8
 	// DefaultStaleFactor scales ProbeEvery into the default StaleAfter:
 	// a peer unmeasured for this many probe periods loses its samples.
 	DefaultStaleFactor = 20
+	// probesPerTick caps how many matrix peers are probed per probe
+	// period (round-robin across the set).
+	probesPerTick = 8
 )
 
 // Config parameterizes an Engine.
@@ -70,10 +72,6 @@ type Config struct {
 	// replaces it at runtime. Empty means no matrix probing — the engine
 	// behaves exactly as the single-reference synchronizer.
 	Peers []id.Node
-	// ProbesPerTick caps how many matrix peers are probed per probe
-	// period (round-robin across the set). Defaults to
-	// DefaultProbesPerTick.
-	ProbesPerTick int
 	// StaleAfter drops matrix samples older than this, so dead or moved
 	// peers decay back to the fallback estimate. Defaults to
 	// DefaultStaleFactor × ProbeEvery.
@@ -132,9 +130,6 @@ func New(env proto.Env, cfg Config) *Engine {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
-	}
-	if cfg.ProbesPerTick <= 0 {
-		cfg.ProbesPerTick = DefaultProbesPerTick
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = DefaultStaleFactor * cfg.ProbeEvery
@@ -358,10 +353,7 @@ func (e *Engine) OnTick(now time.Time) {
 	if n == 0 {
 		return
 	}
-	budget := e.cfg.ProbesPerTick
-	if budget > n {
-		budget = n
-	}
+	budget := min(probesPerTick, n)
 	for i := 0; i < budget; i++ {
 		p := e.peers[e.peerIdx%n]
 		e.peerIdx++

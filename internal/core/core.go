@@ -50,19 +50,14 @@ type Config struct {
 	// Multicast timing (zero values take the layer defaults).
 	ResendAfter    time.Duration
 	StabilizeEvery time.Duration
-	// Suppression tunes the SRM-style randomized loss-recovery timers;
-	// the zero value takes the rmcast defaults.
-	Suppression rmcast.Suppression
-	// Distance, when non-nil, estimates one-way delay to a peer to seed
-	// the suppression timers; see rmcast.Config.Distance.
-	Distance func(id.Node) time.Duration
 
 	// FlowWindow bounds this sender's unstable multicast history in
 	// messages; a full window makes Multicast return
 	// rmcast.ErrBackpressure until stability frees slots. Zero disables
 	// flow control (the historical unbounded behaviour). Flow control
 	// applies to the flat multicast path only; the AutoHier overlay path
-	// bypasses it.
+	// bypasses it. Setting FlowWindow, SlowAfter or an EvictSlow policy
+	// turns on slow tracking (see Hooks.OnSlow).
 	FlowWindow int
 	// FlowWindowBytes additionally bounds the window in payload bytes;
 	// zero means no byte bound.
@@ -79,9 +74,6 @@ type Config struct {
 	// OnFlowOpen fires when a previously full flow window drains below
 	// its bound; see rmcast.Config.OnFlowOpen.
 	OnFlowOpen func()
-	// OnSlow observes slow-flag transitions: peer, its ack lag, and
-	// whether it is now flagged. Called from the event loop.
-	OnSlow func(peer id.Node, lag uint64, slow bool)
 
 	// AutoHier routes application multicasts through a self-organizing
 	// hierarchical overlay (internal/hier): nodes measure peer RTTs,
@@ -91,7 +83,7 @@ type Config struct {
 	// set) and Group+3 (RTT probes), which must not be used elsewhere.
 	// Delivery becomes FIFO per origin — the hierarchy's guarantee —
 	// regardless of Ordering, and the overlay's per-peer distance matrix
-	// feeds the flat group's suppression timers when Distance is nil.
+	// feeds the flat group's suppression timers.
 	AutoHier bool
 	// HierFanOut bounds overlay cluster sizes (and with them every
 	// coordinator's re-multicast fan-out); zero takes the hier default.
@@ -99,6 +91,26 @@ type Config struct {
 	// HierForm tunes the overlay formation protocol (zero = defaults).
 	HierForm hier.FormConfig
 
+	// OnPeerAddr receives learned member addresses so the driver can
+	// teach the transport peer table; see member.Config.OnPeerAddr.
+	OnPeerAddr func(id.Node, string)
+	// PrimaryPartition applies the membership majority rule; see
+	// member.Config.PrimaryPartition.
+	PrimaryPartition bool
+
+	// Metrics, when non-nil, receives live counters from both engines.
+	Metrics *stats.Registry
+	// MetricsPrefix namespaces the multicast engine's metrics; empty
+	// takes the rmcast default ("rmcast.").
+	MetricsPrefix string
+	// Flight, when non-nil, records protocol events from both engines.
+	Flight *flightrec.Recorder
+}
+
+// Hooks are a Stack's upcalls, all called from the event loop. They are
+// kept apart from Config so that a layer built on the Stack fills them
+// with its own handlers and passes its caller's Config through whole.
+type Hooks struct {
 	// OnView observes installed views.
 	OnView func(member.View)
 	// OnDeliver receives multicast messages.
@@ -108,31 +120,20 @@ type Config struct {
 	// OnJoinFailed fires once when the join attempt cap is exhausted;
 	// see member.Config.OnJoinFailed.
 	OnJoinFailed func(error)
-	// OnPeerAddr receives learned member addresses so the driver can
-	// teach the transport peer table; see member.Config.OnPeerAddr.
-	OnPeerAddr func(id.Node, string)
-	// PrimaryPartition applies the membership majority rule; see
-	// member.Config.PrimaryPartition.
-	PrimaryPartition bool
 	// Snapshot and OnState enable application state transfer to joining
 	// members; see member.Config.
 	Snapshot func() []byte
 	OnState  func(member.View, []byte)
-
 	// OnObject receives completed bulk objects; OnObjectProgress reports
 	// per-generation transfer progress. The bulk engine (internal/bulk,
 	// default geometry) is always present — it generates no traffic until
 	// an object is published or a manifest arrives.
 	OnObject         func(bulk.Object)
 	OnObjectProgress func(bulk.Progress)
-
-	// Metrics, when non-nil, receives live counters from both engines.
-	Metrics *stats.Registry
-	// MetricsPrefix namespaces the multicast engine's metrics; empty
-	// takes the rmcast default ("rmcast.").
-	MetricsPrefix string
-	// Flight, when non-nil, records protocol events from both engines.
-	Flight *flightrec.Recorder
+	// OnSlow observes slow-flag transitions: peer, its ack lag, and
+	// whether it is now flagged. It fires only while Config turns slow
+	// tracking on.
+	OnSlow func(peer id.Node, lag uint64, slow bool)
 }
 
 // Stack is one node's group communication service.
@@ -151,25 +152,24 @@ var (
 )
 
 // NewStack builds and wires the layer engines.
-func NewStack(env proto.Env, cfg Config) *Stack {
+func NewStack(env proto.Env, cfg Config, h Hooks) *Stack {
 	s := &Stack{env: env, cfg: cfg}
 	// Under AutoHier the overlay's RTT matrix seeds the flat group's
 	// suppression timers too; the closure defers to the engine built
 	// below (rmcast treats a zero distance as "fall back to defaults").
-	dist := cfg.Distance
-	if cfg.AutoHier && dist == nil {
+	var dist func(id.Node) time.Duration
+	if cfg.AutoHier {
 		dist = func(p id.Node) time.Duration { return s.hier.PeerDistance(p) }
 	}
-	// Slow tracking is opt-in: it only runs when some overload knob or
-	// observer asks for it, so existing configurations keep their exact
-	// behaviour (no extra flight events or counter churn).
+	// Slow tracking is opt-in: it only runs when an overload knob asks
+	// for it, so other configurations keep their exact behaviour (no
+	// extra flight events or counter churn).
 	var onSlow func(id.Node, uint64, bool)
-	if cfg.FlowWindow > 0 || cfg.SlowAfter > 0 ||
-		cfg.SlowPolicy == member.EvictSlow || cfg.OnSlow != nil {
+	if cfg.FlowWindow > 0 || cfg.SlowAfter > 0 || cfg.SlowPolicy == member.EvictSlow {
 		onSlow = func(peer id.Node, lag uint64, slow bool) {
 			s.member.SetSlow(peer, slow)
-			if cfg.OnSlow != nil {
-				cfg.OnSlow(peer, lag, slow)
+			if h.OnSlow != nil {
+				h.OnSlow(peer, lag, slow)
 			}
 		}
 	}
@@ -178,14 +178,13 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		Ordering:        cfg.Ordering,
 		ResendAfter:     cfg.ResendAfter,
 		StabilizeEvery:  cfg.StabilizeEvery,
-		Suppression:     cfg.Suppression,
 		Distance:        dist,
 		FlowWindow:      cfg.FlowWindow,
 		FlowWindowBytes: cfg.FlowWindowBytes,
 		SlowAfter:       cfg.SlowAfter,
 		OnFlowOpen:      cfg.OnFlowOpen,
 		OnSlow:          onSlow,
-		OnDeliver:       cfg.OnDeliver,
+		OnDeliver:       h.OnDeliver,
 		Metrics:         cfg.Metrics,
 		MetricsPrefix:   cfg.MetricsPrefix,
 		Flight:          cfg.Flight,
@@ -199,15 +198,13 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 			Members:        []id.Node{env.Self()},
 			FanOut:         cfg.HierFanOut,
 			Form:           cfg.HierForm,
-			Suppression:    cfg.Suppression,
-			Distance:       cfg.Distance,
 			ResendAfter:    cfg.ResendAfter,
 			StabilizeEvery: cfg.StabilizeEvery,
 			Metrics:        cfg.Metrics,
 			Flight:         cfg.Flight,
 			OnDeliver: func(d hier.Delivery) {
-				if cfg.OnDeliver != nil {
-					cfg.OnDeliver(rmcast.Delivery{
+				if h.OnDeliver != nil {
+					h.OnDeliver(rmcast.Delivery{
 						Group:   cfg.Group,
 						Sender:  d.Origin,
 						Seq:     d.Seq,
@@ -251,8 +248,8 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		Group:      cfg.Group,
 		Distance:   dist,
 		RelayPlan:  relayPlan,
-		OnObject:   cfg.OnObject,
-		OnProgress: cfg.OnObjectProgress,
+		OnObject:   h.OnObject,
+		OnProgress: h.OnObjectProgress,
 	})
 	s.bulk.SetMetrics(cfg.Metrics)
 	s.member = member.New(env, member.Config{
@@ -270,9 +267,9 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 		SlowPolicy:       cfg.SlowPolicy,
 		SlowGrace:        cfg.SlowGrace,
 		PrimaryPartition: cfg.PrimaryPartition,
-		Snapshot:         cfg.Snapshot,
-		OnState:          cfg.OnState,
-		OnJoinFailed:     cfg.OnJoinFailed,
+		Snapshot:         h.Snapshot,
+		OnState:          h.OnState,
+		OnJoinFailed:     h.OnJoinFailed,
 		OnPeerAddr:       cfg.OnPeerAddr,
 		StabilityVector:  s.mcast.StabilityVector,
 		OnFlush: func(proposed member.View) {
@@ -291,13 +288,13 @@ func NewStack(env proto.Env, cfg Config) *Stack {
 				// departures as the flat layer admits them.
 				s.hier.SetMembers(v.Members)
 			}
-			if cfg.OnView != nil {
-				cfg.OnView(v)
+			if h.OnView != nil {
+				h.OnView(v)
 			}
 		},
 		OnEvicted: func(member.View) {
-			if cfg.OnEvicted != nil {
-				cfg.OnEvicted()
+			if h.OnEvicted != nil {
+				h.OnEvicted()
 			}
 		},
 	})

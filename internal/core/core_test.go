@@ -32,9 +32,10 @@ func addStack(s *netsim.Sim, n, contact id.Node, ord rmcast.Ordering) *stackNode
 			HeartbeatEvery: 40 * time.Millisecond,
 			SuspectAfter:   200 * time.Millisecond,
 			FlushTimeout:   300 * time.Millisecond,
-			OnView:         func(v member.View) { sn.views = append(sn.views, v) },
-			OnDeliver:      func(d rmcast.Delivery) { sn.got = append(sn.got, d) },
-			OnEvicted:      func() { sn.evicted = true },
+		}, Hooks{
+			OnView:    func(v member.View) { sn.views = append(sn.views, v) },
+			OnDeliver: func(d rmcast.Delivery) { sn.got = append(sn.got, d) },
+			OnEvicted: func() { sn.evicted = true },
 		})
 		return sn.stack
 	})
@@ -168,8 +169,9 @@ func addAutoStack(s *netsim.Sim, n, contact id.Node) *stackNode {
 			HeartbeatEvery: 40 * time.Millisecond,
 			SuspectAfter:   200 * time.Millisecond,
 			FlushTimeout:   300 * time.Millisecond,
-			OnView:         func(v member.View) { sn.views = append(sn.views, v) },
-			OnDeliver:      func(d rmcast.Delivery) { sn.got = append(sn.got, d) },
+		}, Hooks{
+			OnView:    func(v member.View) { sn.views = append(sn.views, v) },
+			OnDeliver: func(d rmcast.Delivery) { sn.got = append(sn.got, d) },
 		})
 		return sn.stack
 	})

@@ -83,6 +83,7 @@ func runOverload(p overloadParams) overloadResult {
 				FlowWindow:       p.flowWindow,
 				SlowPolicy:       p.policy,
 				SlowGrace:        p.grace,
+			}, core.Hooks{
 				OnView: func(v member.View) {
 					// Views during join warmup exclude the last joiner too;
 					// only a post-stall view without the stalled member is an

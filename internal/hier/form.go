@@ -23,7 +23,7 @@ package hier
 // Reshape decisions are hysteresis-damped: the leader recomputes the
 // clustering continuously but announces a new epoch only when the
 // member set changed (join, crash, restart — a forced reshape) or the
-// candidate tree's cost undercuts the current tree by Hysteresis
+// candidate tree's cost undercuts the current tree by hysteresis
 // (an improvement reshape). With fixed distances the recomputation is
 // deterministic, so the overlay quiesces instead of oscillating.
 
@@ -38,15 +38,33 @@ import (
 	"scalamedia/internal/wire"
 )
 
-// Formation defaults.
+// Formation defaults and constants.
 const (
 	DefaultFanOut        = 8
 	DefaultReportEvery   = 150 * time.Millisecond
 	DefaultAnnounceEvery = 200 * time.Millisecond
-	DefaultHysteresis    = 0.10
-	DefaultFormDistance  = 5 * time.Millisecond
-	DefaultReportLimit   = 64
-	DefaultReplayLog     = 64
+	// suspectReports is how many ReportEvery periods of report silence
+	// the leader tolerates before dropping a member from the overlay.
+	suspectReports = 3
+	// leaderBeacons is how many AnnounceEvery periods of beacon silence
+	// a follower tolerates before advancing its leader belief to the
+	// next member ID.
+	leaderBeacons = 3
+	// hysteresis is the minimum relative tree-cost improvement that
+	// justifies a reshape absent a membership change.
+	hysteresis = 0.10
+	// formDistance stands in for unmeasured own distances in reports.
+	// Pairs the leader has no report for at all are treated as far —
+	// beyond every measured distance — since reports carry each node's
+	// nearest peers.
+	formDistance = 5 * time.Millisecond
+	// reportLimit caps a report's vector to the node's nearest measured
+	// peers, bounding control traffic at scale.
+	reportLimit = 64
+	// replayLog bounds how many of a node's own recent messages are
+	// re-multicast into a freshly installed topology, the recovery path
+	// for traffic in flight across a reshape.
+	replayLog = 64
 )
 
 // FormConfig tunes overlay formation. The zero value takes the defaults
@@ -60,34 +78,9 @@ type FormConfig struct {
 	// topology is announced in full; otherwise a light epoch beacon goes
 	// out, and lagging members pull the full topology with a resync.
 	AnnounceEvery time.Duration
-	// SuspectAfter is how long the leader tolerates report silence before
-	// dropping a member from the overlay. Defaults to 3 × ReportEvery.
-	SuspectAfter time.Duration
-	// LeaderTimeout is how long a follower tolerates beacon silence
-	// before advancing its leader belief to the next member ID.
-	// Defaults to 3 × AnnounceEvery.
-	LeaderTimeout time.Duration
-	// Hysteresis is the minimum relative tree-cost improvement that
-	// justifies a reshape absent a membership change. Defaults to
-	// DefaultHysteresis.
-	Hysteresis float64
-	// DefaultDistance stands in for unmeasured own distances in reports.
-	// Pairs the leader has no report for at all are treated as far —
-	// beyond every measured distance — since reports carry each node's
-	// nearest peers. Defaults to DefaultFormDistance.
-	DefaultDistance time.Duration
-	// ReportLimit caps a report's vector to the node's nearest measured
-	// peers, bounding control traffic at scale. Defaults to
-	// DefaultReportLimit; negative means unlimited.
-	ReportLimit int
 	// ProbeEvery is the probing period of the built-in clocksync matrix
 	// prober (only used when Config.Distance is nil and ClockGroup set).
 	ProbeEvery time.Duration
-	// ReplayLog bounds how many of a node's own recent messages are
-	// re-multicast into a freshly installed topology, the recovery path
-	// for traffic in flight across a reshape. Defaults to
-	// DefaultReplayLog.
-	ReplayLog int
 	// OnInstall, when non-nil, observes every topology installation on
 	// this node (the chaos harness checks each against the
 	// well-formedness invariant).
@@ -100,24 +93,6 @@ func (fc *FormConfig) defaults() {
 	}
 	if fc.AnnounceEvery <= 0 {
 		fc.AnnounceEvery = DefaultAnnounceEvery
-	}
-	if fc.SuspectAfter <= 0 {
-		fc.SuspectAfter = 3 * fc.ReportEvery
-	}
-	if fc.LeaderTimeout <= 0 {
-		fc.LeaderTimeout = 3 * fc.AnnounceEvery
-	}
-	if fc.Hysteresis == 0 {
-		fc.Hysteresis = DefaultHysteresis
-	}
-	if fc.DefaultDistance <= 0 {
-		fc.DefaultDistance = DefaultFormDistance
-	}
-	if fc.ReportLimit == 0 {
-		fc.ReportLimit = DefaultReportLimit
-	}
-	if fc.ReplayLog <= 0 {
-		fc.ReplayLog = DefaultReplayLog
 	}
 }
 
@@ -215,7 +190,7 @@ func (f *former) takeover() {
 }
 
 // ownVector collects this node's measured distances, nearest-first,
-// capped at ReportLimit.
+// capped at reportLimit.
 func (f *former) ownVector() []distEntry {
 	dist := f.e.cfg.Distance
 	if dist == nil {
@@ -236,8 +211,8 @@ func (f *former) ownVector() []distEntry {
 		}
 		return out[i].node < out[j].node
 	})
-	if lim := f.cfg.ReportLimit; lim > 0 && len(out) > lim {
-		out = out[:lim]
+	if len(out) > reportLimit {
+		out = out[:reportLimit]
 	}
 	return out
 }
@@ -251,7 +226,7 @@ type distEntry struct {
 // detection, or leader announcements.
 func (f *former) tick(now time.Time) {
 	if f.leader != f.self {
-		if now.Sub(f.lastLeaderHeard) > f.cfg.LeaderTimeout {
+		if now.Sub(f.lastLeaderHeard) > leaderBeacons*f.cfg.AnnounceEvery {
 			f.advanceLeader(now)
 		}
 	}
@@ -328,7 +303,7 @@ func (f *former) alive(now time.Time) []id.Node {
 			out = append(out, m)
 			continue
 		}
-		if r, ok := f.reports[m]; ok && now.Sub(r.at) <= f.cfg.SuspectAfter {
+		if r, ok := f.reports[m]; ok && now.Sub(r.at) <= suspectReports*f.cfg.ReportEvery {
 			out = append(out, m)
 		}
 	}
@@ -340,7 +315,7 @@ func (f *former) alive(now time.Time) []id.Node {
 // and "far" — beyond every measured distance — otherwise, since reports
 // carry each node's nearest peers and absence means remoteness.
 func (f *former) distFn() func(a, b id.Node) time.Duration {
-	far := f.cfg.DefaultDistance
+	far := formDistance
 	for _, r := range f.reports {
 		for _, d := range r.vec {
 			if d > far {
@@ -377,7 +352,7 @@ func (f *former) distFn() func(a, b id.Node) time.Duration {
 func (f *former) announce(now time.Time) {
 	f.lastAnnounce = now
 	// The leader's own vector is always fresh.
-	vec := make(map[id.Node]time.Duration, f.cfg.ReportLimit)
+	vec := make(map[id.Node]time.Duration, reportLimit)
 	for _, de := range f.ownVector() {
 		vec[de.node] = de.d
 	}
@@ -390,7 +365,7 @@ func (f *former) announce(now time.Time) {
 	reshape := f.forceBump || f.curEpoch == 0 || !sameNodeSet(f.cur, alive)
 	if !reshape {
 		curCost := topologyCost(f.cur, dist)
-		if float64(candCost) < float64(curCost)*(1-f.cfg.Hysteresis) {
+		if float64(candCost) < float64(curCost)*(1-hysteresis) {
 			reshape = true
 		}
 	}

@@ -174,11 +174,6 @@ type Config struct {
 	// rmcast engines (zero = rmcast defaults).
 	ResendAfter    time.Duration
 	StabilizeEvery time.Duration
-	// Suppression tunes the constituent engines' SRM-style randomized
-	// loss-recovery timers. The zero value means defaults; the hierarchy
-	// scopes suppression naturally because each engine's view is its own
-	// cluster (or the relay set).
-	Suppression rmcast.Suppression
 	// Distance, when non-nil, estimates one-way delay to a peer and is
 	// passed through to the constituent engines to seed suppression
 	// timers.
@@ -388,7 +383,7 @@ func New(env proto.Env, cfg Config) (*Engine, error) {
 				Group:           cfg.ClockGroup,
 				ProbeEvery:      cfg.Form.ProbeEvery,
 				Peers:           cfg.Members,
-				DefaultDistance: cfg.Form.DefaultDistance,
+				DefaultDistance: formDistance,
 			})
 			e.cfg.Distance = e.prober.Distance
 		}
@@ -399,7 +394,6 @@ func New(env proto.Env, cfg Config) (*Engine, error) {
 		OnDeliver:      e.onLocalDeliver,
 		ResendAfter:    cfg.ResendAfter,
 		StabilizeEvery: cfg.StabilizeEvery,
-		Suppression:    cfg.Suppression,
 		Distance:       e.cfg.Distance,
 		Metrics:        cfg.Metrics,
 		MetricsPrefix:  "rmcast.local.",
@@ -429,7 +423,6 @@ func (e *Engine) newWide() *rmcast.Engine {
 		OnDeliver:      e.onWideDeliver,
 		ResendAfter:    e.cfg.ResendAfter,
 		StabilizeEvery: e.cfg.StabilizeEvery,
-		Suppression:    e.cfg.Suppression,
 		Distance:       e.cfg.Distance,
 		Metrics:        e.cfg.Metrics,
 		MetricsPrefix:  "rmcast.wide.",
@@ -483,7 +476,7 @@ func (e *Engine) Multicast(payload []byte) error {
 		// Log the envelope for replay into the next reshaped tree; the
 		// receivers' dedup makes the replay idempotent.
 		e.sentLog = append(e.sentLog, env)
-		if len(e.sentLog) > e.cfg.Form.ReplayLog {
+		if len(e.sentLog) > replayLog {
 			e.sentLog = e.sentLog[1:]
 		}
 	}

@@ -57,7 +57,8 @@ func TestNetsimSweep1024(t *testing.T) {
 					HeartbeatEvery: 200 * time.Millisecond,
 					SuspectAfter:   time.Second,
 					JoinRetry:      250 * time.Millisecond,
-					OnDeliver:      func(rmcast.Delivery) { delivered[n]++ },
+				}, core.Hooks{
+					OnDeliver: func(rmcast.Delivery) { delivered[n]++ },
 				})
 				stacks[n] = st
 				return st

@@ -147,8 +147,7 @@ func TestProgressRearmsRequestTimer(t *testing.T) {
 	if req.Seq != 4 {
 		t.Fatalf("next request names seq %d, want the second hole 4", req.Seq)
 	}
-	sup := rcv.sup
-	bound := time.Duration(float64(sup.DefaultDistance)*(sup.C1+sup.C2)) + time.Millisecond
+	bound := time.Duration(float64(DefaultPeerDistance)*(requestC1+requestC2)) + time.Millisecond
 	if wait := at.Sub(filled); wait > bound {
 		t.Fatalf("second hole requested %v after the first filled, want within one un-backed-off draw (%v)", wait, bound)
 	}

@@ -85,10 +85,9 @@ func (o Ordering) String() string {
 const (
 	DefaultResendAfter    = 40 * time.Millisecond
 	DefaultStabilizeEvery = 150 * time.Millisecond
-	// DefaultKeepaliveFactor scales StabilizeEvery into the default
-	// StableKeepalive: how long a member with an unchanged ack vector
-	// stays silent before re-gossiping anyway.
-	DefaultKeepaliveFactor = 4
+	// keepaliveFactor scales StabilizeEvery into how long a member with
+	// an unchanged ack vector stays silent before re-gossiping anyway.
+	keepaliveFactor = 4
 )
 
 // Errors returned by Multicast.
@@ -137,12 +136,6 @@ type Config struct {
 	// StabilizeEvery is the stability gossip period. Defaults to
 	// DefaultStabilizeEvery.
 	StabilizeEvery time.Duration
-	// StableKeepalive bounds gossip suppression: a member whose ack
-	// vector has not changed — and so skips its periodic gossip — still
-	// re-broadcasts it after this long, repairing lost final vectors so
-	// history buffers drain even in quiescence. Defaults to
-	// DefaultKeepaliveFactor * StabilizeEvery.
-	StableKeepalive time.Duration
 	// Metrics, when non-nil, receives live protocol counters under names
 	// prefixed with MetricsPrefix. When nil the engine still counts (the
 	// Counters accessor keeps working) but registers nothing.
@@ -155,17 +148,12 @@ type Config struct {
 	// deliveries, NACKs, retransmissions, gossip) into the flight
 	// recorder ring. Nil disables recording at zero cost.
 	Flight *flightrec.Recorder
-	// Suppression tunes the SRM-style scalable loss recovery: randomized
-	// suppression timers for multicast repair requests, sampled multicast
-	// local repair, duplicate-repair damping and capped exponential
-	// request backoff (see suppress.go). Zero fields take defaults.
-	Suppression Suppression
 	// Distance estimates the one-way delay to a peer, scaling the
 	// suppression timers so nearer receivers request (and nearer holders
 	// repair) first. Live stacks can wire it to clock-sync RTT samples;
 	// nil (or a zero return) falls back to the engine's own measurement
 	// (half the request → repair round trip, see suppress.go), and to
-	// Suppression.DefaultDistance before the first sample.
+	// DefaultPeerDistance before the first sample.
 	Distance func(id.Node) time.Duration
 	// FlowWindow bounds this sender's own unstable history in messages:
 	// once FlowWindow of its multicasts are delivered locally but not yet
@@ -446,11 +434,10 @@ type Engine struct {
 	// view change); see excludedLate.
 	flushTo member.View
 
-	// Scalable recovery (see suppress.go): normalized tuning, armed
-	// repair timers per original sender, the duplicate-repair damping
-	// memory, and this node's private deterministic randomness for the
-	// suppression timer draws.
-	sup           Suppression
+	// Scalable recovery (see suppress.go): armed repair timers per
+	// original sender, the duplicate-repair damping memory, and this
+	// node's private deterministic randomness for the suppression timer
+	// draws.
 	repairs       map[id.Node]*repairJob
 	recentRepairs map[msgKey]time.Time
 	rng           *rand.Rand
@@ -497,9 +484,6 @@ func New(env proto.Env, cfg Config) *Engine {
 	if cfg.StabilizeEvery <= 0 {
 		cfg.StabilizeEvery = DefaultStabilizeEvery
 	}
-	if cfg.StableKeepalive <= 0 {
-		cfg.StableKeepalive = DefaultKeepaliveFactor * cfg.StabilizeEvery
-	}
 	if cfg.MetricsPrefix == "" {
 		cfg.MetricsPrefix = "rmcast."
 	}
@@ -521,7 +505,6 @@ func New(env proto.Env, cfg Config) *Engine {
 		histMax:       make(map[id.Node]uint64),
 		ackMatrix:     make(map[id.Node]map[id.Node]uint64),
 		nackQueue:     make(map[id.Node][]wire.NackRange),
-		sup:           cfg.Suppression.withDefaults(),
 		repairs:       make(map[id.Node]*repairJob),
 		recentRepairs: make(map[msgKey]time.Time),
 		timings:       make(map[id.Node]*peerTiming),
@@ -1523,10 +1506,10 @@ func (e *Engine) OnTick(now time.Time) {
 		e.lastStableTry = now
 		// Quiescent suppression: skip the gossip when the vector already
 		// went out unchanged (by earlier gossip or piggybacked on data),
-		// but re-send after StableKeepalive so a lost final vector still
-		// reaches everyone and history buffers drain.
+		// but re-send after keepaliveFactor periods so a lost final vector
+		// still reaches everyone and history buffers drain.
 		due := now.Sub(e.lastGossip) >= e.cfg.StabilizeEvery
-		if due && (e.ackDirty || now.Sub(e.lastGossip) >= e.cfg.StableKeepalive) {
+		if due && (e.ackDirty || now.Sub(e.lastGossip) >= keepaliveFactor*e.cfg.StabilizeEvery) {
 			e.lastGossip = now
 			e.ackDirty = false
 			e.gossipStability()

@@ -38,7 +38,7 @@ import (
 // when it is the sender) and keeps half the windowed minimum round trip
 // per peer. An explicit Config.Distance still wins; peers without a
 // sample fall back to the engine-wide minimum, and only an engine with
-// no sample at all uses Suppression.DefaultDistance. The reordering
+// no sample at all uses DefaultPeerDistance. The reordering
 // window is RACK's time-based loss detection (RFC 8985) applied to SRM:
 // the longest recent gap that the sender's original data, not a repair,
 // closed. Both survive view changes (see peerTiming).
@@ -49,75 +49,32 @@ import (
 // single multicast expands to view-size datagrams, which would make
 // datagram counts meaningless for comparing recovery schemes.
 
-// Default suppression tuning; see Suppression.
+// Suppression tuning, SRM's constants: a gap's request timer is drawn from
+// uniform(requestC1·d, (requestC1+requestC2)·d), d the distance to the
+// sender, and a holder's repair timer from uniform(repairD1·d',
+// (repairD1+repairD2)·d') over the distance d' to the requester. A larger
+// spread suppresses more duplicates at the cost of recovery latency.
 const (
-	DefaultSuppressC1     = 1.0
-	DefaultSuppressC2     = 6.0
-	DefaultRepairD1       = 1.0
-	DefaultRepairD2       = 6.0
-	DefaultPeerDistance   = 5 * time.Millisecond
-	DefaultRepairSample   = 8
-	DefaultNackBackoffCap = 2 * time.Second
+	requestC1 = 1.0
+	requestC2 = 6.0
+	repairD1  = 1.0
+	repairD2  = 6.0
+	// DefaultPeerDistance is the distance estimate of an engine that has
+	// no Config.Distance answer and no measured round trip yet.
+	DefaultPeerDistance = 5 * time.Millisecond
+	// repairSample bounds how many members (besides the original sender,
+	// which always answers) arm repair timers for one request attempt.
+	repairSample = 8
+	// repairDamp is how long a member refuses to re-serve a (sender, seq)
+	// it just served or heard served.
+	repairDamp = 4 * DefaultPeerDistance
+	// requestBackoffCap bounds the exponential re-request interval.
+	requestBackoffCap = 2 * time.Second
 )
 
 // maxBackoffShift bounds the exponential request backoff exponent; the
 // cap duration is reached long before, this only guards the shift.
 const maxBackoffShift = 16
-
-// Suppression tunes the scalable loss recovery path. The zero value of
-// every field selects its default.
-type Suppression struct {
-	// C1 and C2 scale the request timer: a receiver that detects a gap
-	// requests repair after uniform(C1·d, (C1+C2)·d), where d is the
-	// estimated one-way distance to the sender. A larger C2 spreads
-	// timers wider, suppressing more duplicate requests at the cost of
-	// recovery latency.
-	C1, C2 float64
-	// D1 and D2 scale the repair timer the same way, over the distance
-	// to the requester.
-	D1, D2 float64
-	// DefaultDistance is the distance estimate used when Config.Distance
-	// is nil or returns zero and no request/repair round trip has been
-	// measured yet.
-	DefaultDistance time.Duration
-	// RepairSample bounds how many members (besides the original sender,
-	// which always answers) arm repair timers for one request attempt.
-	RepairSample int
-	// Damp is how long a member refuses to re-serve a (sender, seq) it
-	// just served or heard served. Defaults to 4·DefaultDistance.
-	Damp time.Duration
-	// BackoffCap bounds the exponential re-request interval.
-	BackoffCap time.Duration
-}
-
-// withDefaults fills zero fields.
-func (s Suppression) withDefaults() Suppression {
-	if s.C1 <= 0 {
-		s.C1 = DefaultSuppressC1
-	}
-	if s.C2 <= 0 {
-		s.C2 = DefaultSuppressC2
-	}
-	if s.D1 <= 0 {
-		s.D1 = DefaultRepairD1
-	}
-	if s.D2 <= 0 {
-		s.D2 = DefaultRepairD2
-	}
-	if s.DefaultDistance <= 0 {
-		s.DefaultDistance = DefaultPeerDistance
-	}
-	if s.RepairSample <= 0 {
-		s.RepairSample = DefaultRepairSample
-	}
-	if s.Damp <= 0 {
-		s.Damp = 4 * s.DefaultDistance
-	}
-	if s.BackoffCap <= 0 {
-		s.BackoffCap = DefaultNackBackoffCap
-	}
-	return s
-}
 
 // repairJob is one armed repair timer: this member intends to multicast
 // repairs for sender's range [from, to] at the scheduled instant unless
@@ -202,7 +159,7 @@ func (e *Engine) refreshMinRTT() {
 
 // distance estimates the one-way delay to a peer for timer scaling: an
 // explicit Config.Distance, else half the peer's measured round trip,
-// else half the engine-wide minimum, else Suppression.DefaultDistance.
+// else half the engine-wide minimum, else DefaultPeerDistance.
 func (e *Engine) distance(n id.Node) time.Duration {
 	if e.cfg.Distance != nil {
 		if d := e.cfg.Distance(n); d > 0 {
@@ -217,7 +174,7 @@ func (e *Engine) distance(n id.Node) time.Duration {
 	if e.minRTT > 0 {
 		return e.minRTT / 2
 	}
-	return e.sup.DefaultDistance
+	return DefaultPeerDistance
 }
 
 // reorderFloor is how long after a gap in n's stream appears its request
@@ -228,7 +185,7 @@ func (e *Engine) reorderFloor(n id.Node) time.Duration {
 	if !ok {
 		return 0
 	}
-	return min(t.reo.max(), time.Duration(float64(e.distance(n))*(e.sup.C1+e.sup.C2)))
+	return min(t.reo.max(), time.Duration(float64(e.distance(n))*(requestC1+requestC2)))
 }
 
 // backoffStretch caps and applies an exponential backoff shift.
@@ -237,8 +194,8 @@ func (e *Engine) backoffStretch(iv time.Duration, shift uint8) time.Duration {
 		shift = maxBackoffShift
 	}
 	iv <<= shift
-	if iv <= 0 || iv > e.sup.BackoffCap {
-		iv = e.sup.BackoffCap
+	if iv <= 0 || iv > requestBackoffCap {
+		iv = requestBackoffCap
 	}
 	return iv
 }
@@ -247,14 +204,14 @@ func (e *Engine) backoffStretch(iv time.Duration, shift uint8) time.Duration {
 // n, stretched by the current backoff exponent.
 func (e *Engine) drawRequest(n id.Node, shift uint8) time.Duration {
 	d := float64(e.distance(n))
-	iv := time.Duration(d * (e.sup.C1 + e.sup.C2*e.rng.Float64()))
+	iv := time.Duration(d * (requestC1 + requestC2*e.rng.Float64()))
 	return e.backoffStretch(iv, shift)
 }
 
 // drawRepair draws the randomized repair delay toward requester n.
 func (e *Engine) drawRepair(n id.Node) time.Duration {
 	d := float64(e.distance(n))
-	return time.Duration(d * (e.sup.D1 + e.sup.D2*e.rng.Float64()))
+	return time.Duration(d * (repairD1 + repairD2*e.rng.Float64()))
 }
 
 // mix64 is a split-mix style bit mixer for deterministic sampling.
@@ -273,11 +230,11 @@ func mix64(x uint64) uint64 {
 // attempt lacks the data, a later attempt reaches different members.
 func (e *Engine) repairEligible(sender id.Node, from uint64, attempt uint32) bool {
 	n := len(e.view.Members)
-	if n <= e.sup.RepairSample+1 {
+	if n <= repairSample+1 {
 		return true
 	}
 	h := mix64(uint64(e.env.Self()) ^ mix64(uint64(sender)) ^ mix64(from) ^ mix64(uint64(attempt)<<32))
-	return h%uint64(n) < uint64(e.sup.RepairSample)
+	return h%uint64(n) < uint64(repairSample)
 }
 
 // holdsAny reports whether the local history holds any message of
@@ -476,7 +433,7 @@ func (e *Engine) serveRepair(sender id.Node, from, to uint64, now time.Time) {
 		if !ok {
 			continue
 		}
-		if t, ok := e.recentRepairs[key]; ok && now.Sub(t) < e.sup.Damp {
+		if t, ok := e.recentRepairs[key]; ok && now.Sub(t) < repairDamp {
 			continue
 		}
 		e.recentRepairs[key] = now
@@ -505,7 +462,7 @@ func (e *Engine) pruneRecentRepairs(now time.Time) {
 		return
 	}
 	for k, t := range e.recentRepairs {
-		if now.Sub(t) >= e.sup.Damp {
+		if now.Sub(t) >= repairDamp {
 			delete(e.recentRepairs, k)
 		}
 	}

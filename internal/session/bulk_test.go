@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"scalamedia/internal/core"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/netsim"
@@ -106,11 +107,14 @@ func TestStateTransferOffMemberChannel(t *testing.T) {
 	gate := &gatedHandler{}
 	s.AddNode(2, func(env proto.Env) proto.Handler {
 		c.eng = New(env, Config{
-			Group: 1, Contact: 1,
-			HeartbeatEvery: 40 * time.Millisecond,
-			SuspectAfter:   200 * time.Millisecond,
-			FlushTimeout:   300 * time.Millisecond,
-			OnEvent:        func(ev Event) { c.events = append(c.events, ev) },
+			Config: core.Config{
+				Group:          1,
+				Contact:        1,
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   200 * time.Millisecond,
+				FlushTimeout:   300 * time.Millisecond,
+			},
+			OnEvent: func(ev Event) { c.events = append(c.events, ev) },
 		})
 		gate.inner = c.eng
 		return gate
@@ -178,10 +182,15 @@ func TestPublishRefusedSendsNoSymbols(t *testing.T) {
 		}
 		s.AddNode(n, func(env proto.Env) proto.Handler {
 			sn.eng = New(env, Config{
-				Group: 1, Contact: contact, FlowWindow: window,
-				HeartbeatEvery: 40 * time.Millisecond,
-				SuspectAfter:   10 * time.Second, // the stall below must not evict
-				FlushTimeout:   300 * time.Millisecond,
+				Config: core.Config{
+					Group:          1,
+					Contact:        contact,
+					FlowWindow:     window,
+					HeartbeatEvery: 40 * time.Millisecond,
+					SuspectAfter:   10 * time.Second,
+					// the stall below must not evict
+					FlushTimeout: 300 * time.Millisecond,
+				},
 			})
 			return sn.eng
 		})

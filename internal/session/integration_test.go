@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"scalamedia/internal/core"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/netsim"
@@ -44,11 +45,14 @@ func TestFullStackConferenceUnderChurn(t *testing.T) {
 		fn := &fullNode{}
 		s.AddNode(nd, func(env proto.Env) proto.Handler {
 			fn.sess = New(env, Config{
-				Group: 1, Contact: contact,
-				HeartbeatEvery: 40 * time.Millisecond,
-				SuspectAfter:   250 * time.Millisecond,
-				FlushTimeout:   300 * time.Millisecond,
-				OnEvent:        func(ev Event) { fn.events = append(fn.events, ev) },
+				Config: core.Config{
+					Group:          1,
+					Contact:        contact,
+					HeartbeatEvery: 40 * time.Millisecond,
+					SuspectAfter:   250 * time.Millisecond,
+					FlushTimeout:   300 * time.Millisecond,
+				},
+				OnEvent: func(ev Event) { fn.events = append(fn.events, ev) },
 			})
 			mux := proto.NewMux(fn.sess)
 			if nd == 1 {
@@ -171,9 +175,12 @@ func TestFullStackDeterminism(t *testing.T) {
 			}
 			s.AddNode(nd, func(env proto.Env) proto.Handler {
 				eng := New(env, Config{
-					Group: 1, Contact: contact,
-					HeartbeatEvery: 40 * time.Millisecond,
-					SuspectAfter:   200 * time.Millisecond,
+					Config: core.Config{
+						Group:          1,
+						Contact:        contact,
+						HeartbeatEvery: 40 * time.Millisecond,
+						SuspectAfter:   200 * time.Millisecond,
+					},
 					OnEvent: func(ev Event) {
 						log = append(log, fmt.Sprintf("%s:%s:%s:%s",
 							nd, ev.Kind, ev.Node, ev.Payload))

@@ -21,8 +21,6 @@ import (
 
 	"scalamedia/internal/bulk"
 	"scalamedia/internal/core"
-	"scalamedia/internal/flightrec"
-	"scalamedia/internal/hier"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/member"
@@ -124,77 +122,20 @@ type Event struct {
 	Slow bool
 }
 
-// Config parameterizes a session engine.
+// Config parameterizes a session engine: the core stack's settings, with
+// Ordering defaulting to Causal so directory updates respect causality,
+// plus the session's own observer. Under AutoHier the session's
+// multicasts (application data and directory control) travel the overlay,
+// which delivers FIFO per origin: cross-owner causality of directory
+// updates is traded for scale, while each owner's announcements and
+// withdrawals still arrive in order, which is what the directory
+// semantics require. A hit JoinAttempts cap surfaces as a JoinFailed
+// event, and the overload knobs that turn on slow tracking (FlowWindow,
+// SlowAfter or an EvictSlow policy) surface it as MemberSlow events.
 type Config struct {
-	// Group and Contact configure the underlying core stack.
-	Group   id.Group
-	Contact id.Node
-	// Ordering is the control/application multicast discipline;
-	// defaults to Causal, so directory updates respect causality.
-	Ordering rmcast.Ordering
+	core.Config
 	// OnEvent receives session notifications from the event loop.
 	OnEvent func(Event)
-
-	// Timing knobs forwarded to the core stack (zero = defaults).
-	HeartbeatEvery time.Duration
-	SuspectAfter   time.Duration
-	FlushTimeout   time.Duration
-	JoinRetry      time.Duration
-	ResendAfter    time.Duration
-	StabilizeEvery time.Duration
-	// Suppression tunes the SRM-style randomized loss-recovery timers;
-	// see rmcast.Config.
-	Suppression rmcast.Suppression
-	// Distance estimates one-way delay to a peer for the suppression
-	// timers; a clocksync.Engine's Distance method is a ready-made
-	// implementation. Nil or zero falls back to the multicast engine's
-	// own round-trip measurement (see rmcast.Config.Distance).
-	Distance func(id.Node) time.Duration
-	// JoinBackoffMax and JoinAttempts tune the jittered-exponential join
-	// retry; see member.Config. A hit attempt cap surfaces as a
-	// JoinFailed event.
-	JoinBackoffMax time.Duration
-	JoinAttempts   int
-	// AdvertiseAddr is the transport address this node asks the session
-	// to reach it at; see member.Config.AdvertiseAddr.
-	AdvertiseAddr string
-	// OnPeerAddr receives learned member addresses so the driver can
-	// teach the transport peer table; see member.Config.OnPeerAddr.
-	OnPeerAddr func(id.Node, string)
-	// PrimaryPartition forwards the membership majority rule; see
-	// member.Config.PrimaryPartition.
-	PrimaryPartition bool
-
-	// Overload robustness knobs, forwarded to the core stack (see
-	// core.Config). Setting any of FlowWindow, SlowAfter or an EvictSlow
-	// policy enables slow tracking, surfaced as MemberSlow events.
-	FlowWindow      int
-	FlowWindowBytes int
-	SlowAfter       int
-	SlowPolicy      member.SlowPolicy
-	SlowGrace       time.Duration
-	// OnFlowOpen fires when a previously full flow window drains below
-	// its bound; see rmcast.Config.OnFlowOpen.
-	OnFlowOpen func()
-
-	// AutoHier routes the session's multicasts (application data and
-	// directory control) through the self-organizing hierarchical overlay;
-	// see core.Config.AutoHier. The overlay claims groups Group+1..Group+3
-	// and delivers FIFO per origin, so cross-owner causality of directory
-	// updates is traded for scale — each owner's announcements and
-	// withdrawals still arrive in order, which is what the directory
-	// semantics require.
-	AutoHier bool
-	// HierFanOut bounds overlay cluster sizes; zero = hier default.
-	HierFanOut int
-	// HierForm tunes overlay formation (zero = defaults).
-	HierForm hier.FormConfig
-
-	// Metrics, when non-nil, receives live counters from every layer of
-	// the stack plus the session directory (session.*).
-	Metrics *stats.Registry
-	// Flight, when non-nil, records protocol events from every layer.
-	Flight *flightrec.Recorder
 }
 
 // session-control opcodes, carried as the first payload byte of
@@ -282,44 +223,7 @@ func New(env proto.Env, cfg Config) *Engine {
 		e.mWithdraws = cfg.Metrics.Counter("session.streams_withdrawn")
 		e.mMessages = cfg.Metrics.Counter("session.messages_recv")
 	}
-	// Slow tracking is opt-in (see Config); when enabled, flag
-	// transitions surface as MemberSlow session events.
-	var onSlow func(id.Node, uint64, bool)
-	if cfg.FlowWindow > 0 || cfg.SlowAfter > 0 || cfg.SlowPolicy == member.EvictSlow {
-		onSlow = func(peer id.Node, lag uint64, slow bool) {
-			e.emit(Event{Kind: MemberSlow, Node: peer, Lag: lag, Slow: slow,
-				View: e.stack.View()})
-		}
-	}
-	e.stack = core.NewStack(env, core.Config{
-		Group:            cfg.Group,
-		Contact:          cfg.Contact,
-		Ordering:         cfg.Ordering,
-		HeartbeatEvery:   cfg.HeartbeatEvery,
-		SuspectAfter:     cfg.SuspectAfter,
-		FlushTimeout:     cfg.FlushTimeout,
-		JoinRetry:        cfg.JoinRetry,
-		ResendAfter:      cfg.ResendAfter,
-		StabilizeEvery:   cfg.StabilizeEvery,
-		Suppression:      cfg.Suppression,
-		Distance:         cfg.Distance,
-		JoinBackoffMax:   cfg.JoinBackoffMax,
-		JoinAttempts:     cfg.JoinAttempts,
-		AdvertiseAddr:    cfg.AdvertiseAddr,
-		OnPeerAddr:       cfg.OnPeerAddr,
-		PrimaryPartition: cfg.PrimaryPartition,
-		FlowWindow:       cfg.FlowWindow,
-		FlowWindowBytes:  cfg.FlowWindowBytes,
-		SlowAfter:        cfg.SlowAfter,
-		SlowPolicy:       cfg.SlowPolicy,
-		SlowGrace:        cfg.SlowGrace,
-		OnFlowOpen:       cfg.OnFlowOpen,
-		OnSlow:           onSlow,
-		AutoHier:         cfg.AutoHier,
-		HierFanOut:       cfg.HierFanOut,
-		HierForm:         cfg.HierForm,
-		Metrics:          cfg.Metrics,
-		Flight:           cfg.Flight,
+	e.stack = core.NewStack(env, cfg.Config, core.Hooks{
 		OnView:           e.onView,
 		OnDeliver:        e.onDeliver,
 		OnEvicted:        e.onEvicted,
@@ -328,8 +232,14 @@ func New(env proto.Env, cfg Config) *Engine {
 		OnState:          e.installState,
 		OnObject:         e.onObject,
 		OnObjectProgress: e.onObjectProgress,
+		OnSlow:           e.onSlow,
 	})
 	return e
+}
+
+// onSlow surfaces slow-flag transitions.
+func (e *Engine) onSlow(peer id.Node, lag uint64, slow bool) {
+	e.emit(Event{Kind: MemberSlow, Node: peer, Lag: lag, Slow: slow, View: e.stack.View()})
 }
 
 // onEvicted surfaces the membership layer removing this node.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"scalamedia/internal/core"
 	"scalamedia/internal/hier"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
@@ -34,12 +35,14 @@ func addSession(s *netsim.Sim, n, contact id.Node) *sessNode {
 	sn := &sessNode{}
 	s.AddNode(n, func(env proto.Env) proto.Handler {
 		sn.eng = New(env, Config{
-			Group:          1,
-			Contact:        contact,
-			HeartbeatEvery: 40 * time.Millisecond,
-			SuspectAfter:   200 * time.Millisecond,
-			FlushTimeout:   300 * time.Millisecond,
-			OnEvent:        func(ev Event) { sn.events = append(sn.events, ev) },
+			Config: core.Config{
+				Group:          1,
+				Contact:        contact,
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   200 * time.Millisecond,
+				FlushTimeout:   300 * time.Millisecond,
+			},
+			OnEvent: func(ev Event) { sn.events = append(sn.events, ev) },
 		})
 		return sn.eng
 	})
@@ -52,15 +55,17 @@ func addAutoSession(s *netsim.Sim, n, contact id.Node) *sessNode {
 	sn := &sessNode{}
 	s.AddNode(n, func(env proto.Env) proto.Handler {
 		sn.eng = New(env, Config{
-			Group:          1,
-			Contact:        contact,
-			AutoHier:       true,
-			HierFanOut:     4,
-			HierForm:       hier.FormConfig{ProbeEvery: 100 * time.Millisecond},
-			HeartbeatEvery: 40 * time.Millisecond,
-			SuspectAfter:   200 * time.Millisecond,
-			FlushTimeout:   300 * time.Millisecond,
-			OnEvent:        func(ev Event) { sn.events = append(sn.events, ev) },
+			Config: core.Config{
+				Group:          1,
+				Contact:        contact,
+				AutoHier:       true,
+				HierFanOut:     4,
+				HierForm:       hier.FormConfig{ProbeEvery: 100 * time.Millisecond},
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   200 * time.Millisecond,
+				FlushTimeout:   300 * time.Millisecond,
+			},
+			OnEvent: func(ev Event) { sn.events = append(sn.events, ev) },
 		})
 		return sn.eng
 	})
@@ -303,11 +308,14 @@ func TestDirectoryTransferredToLateJoiner(t *testing.T) {
 	gate := &gatedHandler{}
 	s.AddNode(3, func(env proto.Env) proto.Handler {
 		c.eng = New(env, Config{
-			Group: 1, Contact: 1,
-			HeartbeatEvery: 40 * time.Millisecond,
-			SuspectAfter:   200 * time.Millisecond,
-			FlushTimeout:   300 * time.Millisecond,
-			OnEvent:        func(ev Event) { c.events = append(c.events, ev) },
+			Config: core.Config{
+				Group:          1,
+				Contact:        1,
+				HeartbeatEvery: 40 * time.Millisecond,
+				SuspectAfter:   200 * time.Millisecond,
+				FlushTimeout:   300 * time.Millisecond,
+			},
+			OnEvent: func(ev Event) { c.events = append(c.events, ev) },
 		})
 		gate.inner = c.eng
 		return gate
@@ -367,5 +375,39 @@ func (g *gatedHandler) OnMessage(from id.Node, msg *wire.Message) {
 func (g *gatedHandler) OnTick(now time.Time) {
 	if g.open {
 		g.inner.OnTick(now)
+	}
+}
+
+// TestMemberSlowWithFlowWindowOnly: a flow window alone turns on slow
+// tracking, and its flag transitions surface as MemberSlow events.
+func TestMemberSlowWithFlowWindowOnly(t *testing.T) {
+	s := netsim.New(netsim.Config{Seed: 86})
+	nodes := make(map[id.Node]*sessNode)
+	for n := id.Node(1); n <= 3; n++ {
+		sn := &sessNode{}
+		nodes[n] = sn
+		contact := id.Node(1)
+		if n == 1 {
+			contact = id.None
+		}
+		s.AddNode(n, func(env proto.Env) proto.Handler {
+			sn.eng = New(env, Config{
+				Config: core.Config{
+					Group: 1, Contact: contact, FlowWindow: 4,
+					SuspectAfter: 10 * time.Second, // the stall below must not evict
+				},
+				OnEvent: func(ev Event) { sn.events = append(sn.events, ev) },
+			})
+			return sn.eng
+		})
+	}
+	s.At(2*time.Second, func() { s.Stall(3) })
+	for i := 0; i < 20; i++ {
+		s.At(2100*time.Millisecond+time.Duration(i)*50*time.Millisecond, func() { nodes[1].eng.Send([]byte("x")) })
+	}
+	s.Run(4 * time.Second)
+	slow := nodes[1].eventsOf(MemberSlow)
+	if len(slow) == 0 || slow[0].Node != 3 || !slow[0].Slow || slow[0].Lag < 4 {
+		t.Fatalf("MemberSlow events %+v, want n3 flagged at the window's lag", slow)
 	}
 }

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"scalamedia/internal/core"
 	"scalamedia/internal/flightrec"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
@@ -74,9 +75,6 @@ type (
 	View = member.View
 	// Ordering selects the multicast delivery discipline.
 	Ordering = rmcast.Ordering
-	// Suppression tunes the SRM-style randomized loss-recovery timers
-	// (request/repair timer constants, local-repair sampling, damping).
-	Suppression = rmcast.Suppression
 	// Event is a session notification.
 	Event = session.Event
 	// EventKind discriminates session notifications.
@@ -214,9 +212,6 @@ type Config struct {
 	JoinBackoffMax time.Duration
 	// Ordering is the session multicast discipline; defaults to Causal.
 	Ordering Ordering
-	// Suppression tunes the SRM-style randomized loss-recovery timers.
-	// The zero value takes the defaults; see rmcast.Suppression.
-	Suppression Suppression
 	// PrimaryPartition applies the membership majority rule: a view
 	// only installs on the side holding a strict majority of the old
 	// view (an even split is won by the side holding the old view's
@@ -405,28 +400,29 @@ func Start(cfg Config) (*Node, error) {
 	}
 	n.runner = noderun.Start(n.ep, func(env proto.Env) proto.Handler {
 		n.sess = session.New(env, session.Config{
-			Group:            cfg.Group,
-			Contact:          cfg.Contact,
-			Ordering:         cfg.Ordering,
-			Suppression:      cfg.Suppression,
-			PrimaryPartition: cfg.PrimaryPartition,
-			AutoHier:         cfg.AutoHier,
-			HierFanOut:       cfg.HierFanOut,
-			HeartbeatEvery:   cfg.HeartbeatEvery,
-			SuspectAfter:     cfg.SuspectAfter,
-			JoinAttempts:     cfg.JoinAttempts,
-			JoinBackoffMax:   cfg.JoinBackoffMax,
-			AdvertiseAddr:    advertise,
-			OnPeerAddr:       onPeerAddr,
-			FlowWindow:       cfg.FlowWindow,
-			FlowWindowBytes:  cfg.FlowWindowBytes,
-			SlowAfter:        cfg.SlowAfter,
-			SlowPolicy:       cfg.SlowPolicy,
-			SlowGrace:        cfg.SlowGrace,
-			OnFlowOpen:       n.flowOpened,
-			Metrics:          n.reg,
-			Flight:           n.flight,
-			OnEvent:          n.onEvent,
+			Config: core.Config{
+				Group:            cfg.Group,
+				Contact:          cfg.Contact,
+				Ordering:         cfg.Ordering,
+				PrimaryPartition: cfg.PrimaryPartition,
+				AutoHier:         cfg.AutoHier,
+				HierFanOut:       cfg.HierFanOut,
+				HeartbeatEvery:   cfg.HeartbeatEvery,
+				SuspectAfter:     cfg.SuspectAfter,
+				JoinAttempts:     cfg.JoinAttempts,
+				JoinBackoffMax:   cfg.JoinBackoffMax,
+				AdvertiseAddr:    advertise,
+				OnPeerAddr:       onPeerAddr,
+				FlowWindow:       cfg.FlowWindow,
+				FlowWindowBytes:  cfg.FlowWindowBytes,
+				SlowAfter:        cfg.SlowAfter,
+				SlowPolicy:       cfg.SlowPolicy,
+				SlowGrace:        cfg.SlowGrace,
+				OnFlowOpen:       n.flowOpened,
+				Metrics:          n.reg,
+				Flight:           n.flight,
+			},
+			OnEvent: n.onEvent,
 		})
 		n.mux = proto.NewMux(n.sess)
 		return n.mux

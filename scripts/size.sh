@@ -1,5 +1,5 @@
 #!/bin/sh
-# size.sh — the five size figures ROADMAP.md tracks, from the files git
+# size.sh — the size figures ROADMAP.md tracks, from the files git
 # tracks (so build output and caches never count). Run from anywhere:
 #
 #   ./scripts/size.sh
@@ -14,11 +14,11 @@ lines() { # lines <git pathspec>...: total lines of the matching tracked files
 	git ls-files -z -- "$@" | xargs -0 cat | wc -l | tr -d ' '
 }
 
-# fields <file>: independently settable fields of the file's `type Config
-# struct`, counting `A, B T` as two.
+# fields <file> [type]: independently settable fields of the file's `type
+# <type> struct` (default Config), counting `A, B T` as two.
 fields() {
-	awk '
-		/^type Config struct \{/ { in_cfg = 1; next }
+	awk -v t="${2:-Config}" '
+		$0 ~ "^type " t " struct \\{" { in_cfg = 1; next }
 		in_cfg && /^}/ { in_cfg = 0 }
 		in_cfg && /^\t[A-Za-z]/ {
 			for (i = 1; i <= NF; i++) { n++; if ($i !~ /,$/) break }
@@ -30,7 +30,19 @@ fields() {
 echo "non-test Go lines (excl. cmd/mmload): $(lines '*.go' ':!*_test.go' ':!cmd/mmload')"
 echo "internal/rmcast/rmcast.go lines:      $(wc -l < internal/rmcast/rmcast.go | tr -d ' ')"
 echo "wire kinds:                           $(awk '/^\tKindData Kind = iota/ { k = 1 } k && /^\tKind[A-Za-z]+/ { n++ } k && /^\)/ { exit } END { print n }' internal/wire/wire.go)"
-for f in internal/rmcast/rmcast.go internal/hier/hier.go internal/core/core.go internal/session/session.go scalamedia.go; do
-	printf 'Config fields, %-29s %s\n' "$f:" "$(fields "$f")"
+# The stack's configs, then the structs nested in or beside them that hold
+# more settable values (core's upcalls, overlay formation, membership,
+# bulk, clock sync). The total counts every field listed.
+total=0
+for spec in internal/rmcast/rmcast.go:Config internal/hier/hier.go:Config \
+	internal/core/core.go:Config internal/core/core.go:Hooks \
+	internal/session/session.go:Config scalamedia.go:Config \
+	internal/hier/form.go:FormConfig internal/member/engine.go:Config \
+	internal/bulk/bulk.go:Config internal/clocksync/clocksync.go:Config; do
+	f=${spec%:*} t=${spec#*:}
+	n=$(fields "$f" "$t")
+	total=$((total + n))
+	printf '%-46s %s\n' "$t fields, $f:" "$n"
 done
+printf '%-46s %s\n' "settable values (all of the above):" "$total"
 echo "test Go lines (excl. cmd/mmload):     $(lines '*_test.go' ':!cmd/mmload')"
