@@ -17,9 +17,11 @@ race:
 chaos:
 	go test -count=1 ./internal/chaos
 
-# Wider sweep for hunting rare schedules; adjust seeds as needed.
+# Wider sweep for hunting rare schedules: 1 000 seeds, ≈ 10 s. Not part of
+# `make check`: seeds 411 and 793 fail it ("no live nodes at end of run",
+# ROADMAP items 1 and 17) until the view-change bugs behind them are fixed.
 chaos-wide:
-	go test -count=1 ./internal/chaos -run TestChaosSweep -chaos.seeds=200
+	go test -count=1 ./internal/chaos -run TestChaosSweep -chaos.seeds=1000
 
 # Short fuzz pass over the wire codec, fragment reassembly and the bulk
 # decoders.

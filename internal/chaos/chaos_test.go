@@ -9,6 +9,7 @@ import (
 	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
 	"scalamedia/internal/rmcast"
+	"scalamedia/internal/wire"
 )
 
 // Sweep controls: -chaos.seeds widens the sweep, -chaos.seed replays one
@@ -201,6 +202,35 @@ func TestChaosSequencerCrash(t *testing.T) {
 				t.Error("no range decisions sent: pipeline not exercised")
 			}
 		})
+	}
+}
+
+// TestChaosTotalOrderControlBudget pins what total order costs in control
+// datagrams per delivery on a crash-free 16-member group over the default
+// lossy link: ordering requests only when an announcement went missing,
+// and announcements, with their answers to those requests, well under one
+// per delivery. Every invariant must hold too.
+func TestChaosTotalOrderControlBudget(t *testing.T) {
+	tr := chaos.Run(chaos.Options{
+		Seed: 1000, Nodes: 16, Ordering: rmcast.Total, Msgs: 1000, Window: 3 * time.Second,
+		Schedule: chaos.Schedule{},
+	})
+	if v := tr.Violations(); len(v) > 0 {
+		t.Fatal(chaos.FailureReport("go test ./internal/chaos -run TestChaosTotalOrderControlBudget", tr.Schedule, v, tr.Flight))
+	}
+	deliveries := 0
+	for _, n := range tr.Order {
+		deliveries += len(tr.Nodes[n].Deliveries)
+	}
+	for _, b := range []struct {
+		kind  wire.Kind
+		limit float64
+	}{{wire.KindNackBatch, 0.05}, {wire.KindOrderRange, 0.6}} {
+		if per := float64(tr.Net.SentByKind[b.kind]) / float64(deliveries); per > b.limit {
+			t.Errorf("%v: %.3f datagrams per delivery, budget %.2f", b.kind, per, b.limit)
+		} else {
+			t.Logf("%v: %.3f datagrams per delivery", b.kind, per)
+		}
 	}
 }
 

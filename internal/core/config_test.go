@@ -291,9 +291,11 @@ func TestEverySettingReachesItsEngine(t *testing.T) {
 			})
 			r.sim.Run(3 * time.Second)
 			g := r.gaps(2*time.Second, 3*time.Second, func(s sent) bool { return s.from == 2 && s.kind == wire.KindNackBatch })
-			// The second request backs off to 2–3 × ResendAfter.
-			if len(g) == 0 || !within(g[0], 200*time.Millisecond, 300*time.Millisecond+tick) {
-				t.Errorf("ordering re-request gaps %v, want the first in [200ms, 300ms]", g)
+			// The first request asks the sequencer; the retry follows
+			// 1–1.5 × ResendAfter later, the next one 2–3 × ResendAfter.
+			if len(g) < 2 || !within(g[0], 100*time.Millisecond, 150*time.Millisecond+tick) ||
+				!within(g[1], 200*time.Millisecond, 300*time.Millisecond+tick) {
+				t.Errorf("ordering re-request gaps %v, want the first in [100ms, 150ms], the second in [200ms, 300ms]", g)
 			}
 		}},
 		{"StabilizeEvery", func(t *testing.T) {

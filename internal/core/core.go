@@ -198,7 +198,6 @@ func NewStack(env proto.Env, cfg Config, h Hooks) *Stack {
 			Members:        []id.Node{env.Self()},
 			FanOut:         cfg.HierFanOut,
 			Form:           cfg.HierForm,
-			ResendAfter:    cfg.ResendAfter,
 			StabilizeEvery: cfg.StabilizeEvery,
 			Metrics:        cfg.Metrics,
 			Flight:         cfg.Flight,

@@ -7,7 +7,9 @@
 //
 // The detector is a proto.Handler: it runs inside a node's event loop and
 // is driven by OnMessage and OnTick. Any protocol traffic from a peer
-// counts as liveness, so a busy sender never needs explicit heartbeats.
+// counts as liveness, so a busy peer is not suspected even when its
+// heartbeats are lost. Heartbeats still go out every HeartbeatEvery,
+// whatever else the node sends.
 package failure
 
 import (

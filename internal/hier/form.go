@@ -618,17 +618,16 @@ func topologyCost(t Topology, dist func(a, b id.Node) time.Duration) time.Durati
 // members greedily join their nearest seed with capacity fanOut, and
 // each cluster's coordinator is its medoid — the member minimizing the
 // summed distance to its cluster mates. Cluster count adapts to the
-// member count (≈ two clusters per fan-out's worth of members), so
-// growth splits clusters and shrinkage merges them.
+// member count (≈ two clusters per fan-out's worth of members, but never
+// fewer than two members per cluster where the fan-out allows two: a
+// one-member cluster has no locality to exploit), so growth splits
+// clusters and shrinkage merges them.
 func formClusters(members []id.Node, fanOut int, dist func(a, b id.Node) time.Duration) (Topology, time.Duration) {
 	n := len(members)
 	if n == 0 {
 		return Topology{}, 0
 	}
-	target := (fanOut + 1) / 2
-	if target < 1 {
-		target = 1
-	}
+	target := max(min(fanOut, 2), (fanOut+1)/2, 1)
 	k := (n + target - 1) / target
 	if k > n {
 		k = n

@@ -219,6 +219,29 @@ func TestFormClustersDegenerate(t *testing.T) {
 	}
 }
 
+// TestFormClustersFanOutTwo: fan-out 2 pairs members up by site instead
+// of leaving every member a cluster of its own.
+func TestFormClustersFanOutTwo(t *testing.T) {
+	pairs := func(a, b id.Node) time.Duration {
+		switch {
+		case a == b:
+			return 0
+		case (a-1)/2 == (b-1)/2:
+			return time.Millisecond
+		}
+		return 15 * time.Millisecond
+	}
+	topo, _ := formClusters(nodeRange(6), 2, pairs)
+	if topo.Size() != 6 || len(topo.Clusters) != 3 {
+		t.Fatalf("fan-out 2 over three two-member sites: %+v", topo)
+	}
+	for _, c := range topo.Clusters {
+		if len(c) != 2 || (c[0]-1)/2 != (c[1]-1)/2 {
+			t.Errorf("cluster %v is not one site", c)
+		}
+	}
+}
+
 // TestTopoBodyRoundTrip pins the control-plane topology codec, including
 // rejection of truncated bodies.
 func TestTopoBodyRoundTrip(t *testing.T) {

@@ -170,9 +170,8 @@ type Config struct {
 	Ordering rmcast.Ordering
 	// OnDeliver receives application messages.
 	OnDeliver func(Delivery)
-	// ResendAfter and StabilizeEvery are forwarded to the constituent
-	// rmcast engines (zero = rmcast defaults).
-	ResendAfter    time.Duration
+	// StabilizeEvery is forwarded to the constituent rmcast engines
+	// (zero = the rmcast default).
 	StabilizeEvery time.Duration
 	// Distance, when non-nil, estimates one-way delay to a peer and is
 	// passed through to the constituent engines to seed suppression
@@ -392,7 +391,6 @@ func New(env proto.Env, cfg Config) (*Engine, error) {
 		Group:          cfg.LocalGroup,
 		Ordering:       cfg.Ordering,
 		OnDeliver:      e.onLocalDeliver,
-		ResendAfter:    cfg.ResendAfter,
 		StabilizeEvery: cfg.StabilizeEvery,
 		Distance:       e.cfg.Distance,
 		Metrics:        cfg.Metrics,
@@ -421,7 +419,6 @@ func (e *Engine) newWide() *rmcast.Engine {
 		Group:          e.cfg.WideGroup,
 		Ordering:       rmcast.FIFO,
 		OnDeliver:      e.onWideDeliver,
-		ResendAfter:    e.cfg.ResendAfter,
 		StabilizeEvery: e.cfg.StabilizeEvery,
 		Distance:       e.cfg.Distance,
 		Metrics:        e.cfg.Metrics,

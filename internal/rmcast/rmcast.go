@@ -36,6 +36,7 @@ package rmcast
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -130,8 +131,11 @@ type Config struct {
 	// OnDeliver receives application messages. Called from the event
 	// loop; must not block.
 	OnDeliver func(Delivery)
-	// ResendAfter is the base interval of total-order slot re-requests.
-	// Defaults to DefaultResendAfter.
+	// ResendAfter is the base interval of total-order slot re-requests:
+	// how long after a request to the sequencer that went unanswered a
+	// member retries to every member, doubling per retry. The first
+	// request waits for no fixed interval but for an overdue
+	// announcement (see scanOrderGaps). Defaults to DefaultResendAfter.
 	ResendAfter time.Duration
 	// StabilizeEvery is the stability gossip period. Defaults to
 	// DefaultStabilizeEvery.
@@ -321,6 +325,7 @@ type orderState struct {
 	logOff     uint32                     // delivery cursor: offset into log[logIdx]
 	delivered  uint64                     // messages delivered in total order
 	waiting    int                        // reliable messages queued undelivered
+	decidedAt  int64                      // when (Unix ns) an announcement last advanced decideNext
 
 	// Sequencer state: seq-runs accumulated since the last flush. Slots
 	// are assigned at flush time (SlotFrom stays unset in assign), so a
@@ -407,7 +412,6 @@ type Engine struct {
 	lastStableTry time.Time // last periodic gossip consideration
 	ackDirty      bool      // local vector changed since it last went out
 	ackMerges     uint8     // merges since the last inline stability collection
-	lastOrderNack time.Time
 
 	// Batched control traffic, flushed per tick.
 	nackQueue map[id.Node][]wire.NackRange // coalesced NACKs per destination
@@ -449,9 +453,12 @@ type Engine struct {
 	minRTT  time.Duration
 
 	// Total-order slot re-request backoff (mirrors the per-sender request
-	// backoff; resets when ordered delivery advances).
+	// backoff; resets when ordered delivery advances), when (Unix ns) the
+	// last request left, and the previous OnTick (see scanOrderGaps).
 	orderNackBackoff uint8
 	orderNackMark    uint64
+	lastOrderNack    int64
+	lastTick         time.Time
 
 	// Flow control: whether the window is currently full (one EvFlowBlock
 	// per fill, one OnFlowOpen per drain), and the payload bytes of own
@@ -826,6 +833,14 @@ func (e *Engine) Flush(proposed member.View) {
 			e.met.flushResends.Inc()
 		}
 	}
+	// The flush-convergence gate waits for every survivor to deliver the
+	// same slot prefix, and the sequencer may be the member that left:
+	// ask every member that stays for ordering state now rather than at
+	// the next retry of scanOrderGaps.
+	if e.ord.waiting > 0 && e.view.Coordinator() != e.env.Self() {
+		e.requestOrder(e.env.Now().UnixNano(), proposed.Members)
+		e.flushNacks()
+	}
 }
 
 // Multicast sends payload to the current view on stream 0. The local
@@ -1189,8 +1204,12 @@ func (e *Engine) onOrderRange(msg *wire.Message) {
 		return
 	}
 	e.decRanges = rs
+	next := e.ord.decideNext
 	for _, r := range rs {
 		e.admitRange(r)
+	}
+	if e.ord.decideNext > next {
+		e.ord.decidedAt = e.env.Now().UnixNano()
 	}
 	e.drainTotal()
 }
@@ -1492,6 +1511,8 @@ func (e *Engine) collectStable() {
 // OnWindow), runs the recovery timers and gossips stability when the
 // local vector warrants it.
 func (e *Engine) OnTick(now time.Time) {
+	prev := e.lastTick
+	e.lastTick = now
 	if e.view.ID == 0 {
 		return
 	}
@@ -1500,7 +1521,7 @@ func (e *Engine) OnTick(now time.Time) {
 	}
 	e.scanGapsSuppressed(now)
 	e.fireRepairs(now)
-	e.scanOrderGaps(now)
+	e.scanOrderGaps(now, prev)
 	e.flushNacks()
 	if now.Sub(e.lastStableTry) >= e.cfg.StabilizeEvery {
 		e.lastStableTry = now
@@ -1618,38 +1639,91 @@ func (e *Engine) flushNacks() {
 	}
 }
 
-// scanOrderGaps requests missing ordering state when reliable messages
-// are queued undelivered. Requests go to every member, not only the
-// sequencer: after a sequencer crash the survivors collectively still
-// know every unit any of them admitted, and whoever knows answers.
-func (e *Engine) scanOrderGaps(now time.Time) {
+// scanOrderGaps requests missing ordering state once a reliable message
+// has waited for its decision longer than an announcement takes to arrive
+// (orderPatience), timed from when the oldest queued message became
+// reliable, or from the last announcement that advanced the decision log
+// if that came later: while decisions keep arriving, a message still
+// waiting is one the sequencer has not received yet, and asking cannot
+// help. The wait is judged as of the previous tick, prev, so the runtime
+// has had a whole tick to hand over what arrived meanwhile: a host that
+// stalled every node at once delays the announcement and this check alike.
+//
+// The first request goes to the sequencer alone. A retry, sent ResendAfter
+// (backed off) later while delivery stays stuck, goes to every member:
+// after a sequencer crash the survivors collectively still know every unit
+// any of them admitted, and whoever knows answers. The sequencer itself
+// never asks: nobody knows more of its own slot space.
+func (e *Engine) scanOrderGaps(now, prev time.Time) {
 	o := &e.ord
-	if o.waiting == 0 {
+	coord := e.view.Coordinator()
+	if o.waiting == 0 || coord == e.env.Self() || prev.IsZero() {
 		return
 	}
 	if o.delivered > e.orderNackMark {
 		e.orderNackBackoff = 0 // delivery advanced since the last request
 	}
-	ival := e.backoffStretch(e.cfg.ResendAfter, e.orderNackBackoff)
-	if e.orderNackBackoff > 0 {
-		ival += time.Duration(e.rng.Int63n(int64(ival)/2 + 1))
-	}
-	if now.Sub(e.lastOrderNack) < ival {
+	ns := now.UnixNano()
+	if e.orderNackBackoff == 0 {
+		since := max(e.oldestQueued(), o.decidedAt, e.lastOrderNack)
+		if prev.UnixNano()-since < int64(e.orderPatience(coord, now.Sub(prev))) {
+			return
+		}
+		e.requestOrder(ns, []id.Node{coord})
 		return
 	}
+	ival := e.backoffStretch(e.cfg.ResendAfter, e.orderNackBackoff-1)
+	ival += time.Duration(e.rng.Int63n(int64(ival)/2 + 1))
+	if ns-e.lastOrderNack >= int64(ival) {
+		e.requestOrder(ns, e.view.Members)
+	}
+}
+
+// requestOrder queues a request for ordering state from slot decideNext
+// upward to every other current-view member among dsts, and backs the
+// next retry off.
+func (e *Engine) requestOrder(now int64, dsts []id.Node) {
+	o := &e.ord
 	e.lastOrderNack = now
 	e.orderNackMark = o.delivered
 	if e.orderNackBackoff < maxBackoffShift {
 		e.orderNackBackoff++
 	}
-	for _, m := range e.view.Members {
-		if m == e.env.Self() {
+	for _, m := range dsts {
+		if m == e.env.Self() || !e.view.Contains(m) {
 			continue
 		}
 		e.queueNack(m, wire.NackRange{Sender: id.None, From: o.decideNext})
 		e.met.nacksSent.Inc()
 		e.rec(flightrec.EvNackSent, uint64(id.None), o.delivered)
 	}
+}
+
+// orderPatience is how long a reliable message waits for its ordering
+// decision before this member asks the sequencer for it: one announcement
+// period (the ordering window under a runtime that drives it, else the
+// tick that closes the window) plus a round trip to the sequencer. By the
+// triangle inequality that covers the sender reaching the sequencer later
+// than it reached this member, so only a lost or stuck announcement waits
+// longer.
+func (e *Engine) orderPatience(coord id.Node, tick time.Duration) time.Duration {
+	period := tick
+	if e.windowed {
+		period = OrderWindow
+	}
+	return period + 2*e.distance(coord)
+}
+
+// oldestQueued returns when (Unix ns) the longest-waiting message queued
+// for total order became reliable here.
+func (e *Engine) oldestQueued() int64 {
+	oldest := int64(math.MaxInt64)
+	for _, st := range e.peers {
+		if st.oqHead < len(st.oq) {
+			oldest = min(oldest, st.oq[st.oqHead].at)
+		}
+	}
+	return oldest
 }
 
 // gossipStability broadcasts this member's ack vector.

@@ -29,6 +29,12 @@ func (n *rmNode) record(d Delivery) {
 
 // buildStatic creates n engines sharing a pre-installed static view.
 func buildStatic(s *netsim.Sim, n int, ord Ordering) map[id.Node]*rmNode {
+	return buildStaticEnv(s, n, ord, func(env proto.Env) proto.Env { return env })
+}
+
+// buildStaticEnv is buildStatic with each engine's environment passed
+// through wrap.
+func buildStaticEnv(s *netsim.Sim, n int, ord Ordering, wrap func(proto.Env) proto.Env) map[id.Node]*rmNode {
 	var members []id.Node
 	for i := 1; i <= n; i++ {
 		members = append(members, id.Node(i))
@@ -38,6 +44,7 @@ func buildStatic(s *netsim.Sim, n int, ord Ordering) map[id.Node]*rmNode {
 	for _, m := range members {
 		m := m
 		s.AddNode(m, func(env proto.Env) proto.Handler {
+			env = wrap(env)
 			rn := &rmNode{env: env}
 			rn.eng = New(env, Config{
 				Group:     1,
