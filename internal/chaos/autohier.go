@@ -9,16 +9,12 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
-	"scalamedia/internal/flightrec"
 	"scalamedia/internal/hier"
 	"scalamedia/internal/id"
 	"scalamedia/internal/netsim"
-	"scalamedia/internal/proto"
-	"scalamedia/internal/rmcast"
 )
 
 // Formation cadence used by the auto-hierarchy scenarios; fast enough
@@ -62,19 +58,14 @@ type TopoInstall struct {
 	Topo   hier.Topology
 }
 
-// AutoHierTrace records a self-organizing hierarchy run.
+// AutoHierTrace records a self-organizing hierarchy run. Sent's origins'
+// crash histories determine the completeness scope.
 type AutoHierTrace struct {
 	Opts     AutoHierOptions
 	Schedule Schedule
-	Order    []id.Node
 	// Installs records every topology installation on every node, in
 	// simulation order — the reshape decision log the invariants audit.
 	Installs []TopoInstall
-	// Deliveries[n] is node n's delivery log in order.
-	Deliveries map[id.Node][]hier.Delivery
-	// Sent[payload] is the origin of each workload message, with the
-	// origin's crash history determining the completeness scope.
-	Sent map[string]id.Node
 	// CrashedEver marks nodes the schedule ever crashed.
 	CrashedEver map[id.Node]bool
 	// Up[n] is node n's liveness at end of run; FinalEpoch and FinalTopo
@@ -82,12 +73,7 @@ type AutoHierTrace struct {
 	Up         map[id.Node]bool
 	FinalEpoch map[id.Node]uint64
 	FinalTopo  map[id.Node]hier.Topology
-	// Flight is the run's shared flight recorder.
-	Flight *flightrec.Recorder
-	// Recovery[n] is node n's end-of-run counter snapshot.
-	Recovery map[id.Node]rmcast.Counters
-	// Net is the simulator's end-of-run datagram statistics.
-	Net netsim.Stats
+	hierRun
 }
 
 func (opts *AutoHierOptions) defaults() {
@@ -102,21 +88,9 @@ func (opts *AutoHierOptions) defaults() {
 	}
 }
 
-// autoHierWindow is the fault window of auto-hierarchy scenarios.
-const autoHierWindow = 4 * time.Second
-
-// siteSize groups consecutive node IDs into latency sites of an
-// AutoHier run.
-const siteSize = 4
-
-// siteDelay is the two-level delay geography the overlay should
-// rediscover: 2ms within a site, 15ms across sites.
-func siteDelay(a, b id.Node) time.Duration {
-	if (int(a)-1)/siteSize == (int(b)-1)/siteSize {
-		return 2 * time.Millisecond
-	}
-	return 15 * time.Millisecond
-}
+// siteDelay is the geography the overlay should rediscover: sites of
+// four consecutive IDs, 15ms apart.
+var siteDelay = Sites(4, 15*time.Millisecond)
 
 // RunAutoHier executes one seeded self-organizing hierarchy scenario:
 // the full generated fault schedule (crashes, partitions, bursts) runs
@@ -128,20 +102,15 @@ func RunAutoHier(opts AutoHierOptions) *AutoHierTrace {
 	opts.defaults()
 	sched := opts.Schedule
 	if sched == nil {
-		sched = Generate(opts.Seed, nodeIDs(opts.Nodes), autoHierWindow)
+		sched = Generate(opts.Seed, NodeIDs(opts.Nodes), hierWindow)
 	}
 	tr := &AutoHierTrace{
 		Opts:        opts,
 		Schedule:    sched,
-		Order:       nodeIDs(opts.Nodes),
-		Deliveries:  make(map[id.Node][]hier.Delivery),
-		Sent:        make(map[string]id.Node),
 		CrashedEver: make(map[id.Node]bool),
 		Up:          make(map[id.Node]bool),
 		FinalEpoch:  make(map[id.Node]uint64),
 		FinalTopo:   make(map[id.Node]hier.Topology),
-		Flight:      flightrec.New(8192),
-		Recovery:    make(map[id.Node]rmcast.Counters),
 	}
 	for _, ev := range sched {
 		if ev.Kind == Crash {
@@ -149,88 +118,34 @@ func RunAutoHier(opts AutoHierOptions) *AutoHierTrace {
 		}
 	}
 
-	// The burst machinery mutates the shared overlay link; the per-pair
-	// site delay stays fixed underneath it.
-	base := netsim.Link{Jitter: time.Millisecond, Loss: 0.02}
-	cur := base
-	sim := netsim.New(netsim.Config{
-		Seed: opts.Seed,
-		Profile: func(from, to id.Node) netsim.Link {
-			l := cur
-			l.Delay = siteDelay(from, to)
-			return l
-		},
-	})
-	if d := opts.LossDomains; d > 0 {
-		sim.SetLossDomains(func(n id.Node) int { return int(n) % d })
+	// Bursts change the shared link; the per-pair site delay stays fixed
+	// underneath it.
+	nc := NetConfig{
+		Seed:        opts.Seed,
+		Link:        netsim.Link{Jitter: time.Millisecond, Loss: 0.02},
+		Sites:       siteDelay,
+		LossDomains: opts.LossDomains,
 	}
-
-	engines := make(map[id.Node]*hier.Engine, opts.Nodes)
-	for _, n := range tr.Order {
-		n := n
+	sim, engines := tr.run(opts.Seed, opts.Nodes, opts.Msgs, sched, nc, func(sim *Net, n id.Node) hier.Config {
 		form := autoHierForm
 		form.OnInstall = func(epoch uint64, leader id.Node, topo hier.Topology) {
 			tr.Installs = append(tr.Installs, TopoInstall{
 				Node: n, At: sim.Elapsed(), Epoch: epoch, Leader: leader, Topo: topo,
 			})
 		}
-		cfg := hier.Config{
-			LocalGroup: 1,
-			WideGroup:  2,
-			AutoHier:   true,
-			Members:    tr.Order,
-			FanOut:     opts.FanOut,
-			Form:       form,
-			Flight:     tr.Flight,
-			OnDeliver: func(d hier.Delivery) {
-				tr.Deliveries[n] = append(tr.Deliveries[n], d)
-			},
-		}
+		cfg := hier.Config{AutoHier: true, Members: tr.Order, FanOut: opts.FanOut, Form: form}
 		if opts.Synthetic {
 			cfg.Distance = func(p id.Node) time.Duration { return siteDelay(n, p) }
 		} else {
 			cfg.ClockGroup = 3
 		}
-		sim.AddNode(n, func(env proto.Env) proto.Handler {
-			eng, err := hier.New(env, cfg)
-			if err != nil {
-				panic(fmt.Sprintf("chaos: hier.New(n%d): %v", n, err))
-			}
-			engines[n] = eng
-			return eng
-		})
-	}
-
-	applyFaults(sim, sched, 0, &cur, base, map[id.Node]time.Duration{})
-	sim.At(autoHierWindow, func() { sim.Heal(); cur = base })
-
-	wl := rand.New(rand.NewSource(opts.Seed + 1))
-	counters := make(map[id.Node]uint64)
-	for i := 0; i < opts.Msgs; i++ {
-		sender := id.Node(1 + wl.Intn(opts.Nodes))
-		at := time.Duration(wl.Int63n(int64(autoHierWindow)))
-		sim.At(at, func() {
-			if !sim.Up(sender) {
-				return
-			}
-			counters[sender]++
-			payload := payloadKey(sender, counters[sender])
-			if err := engines[sender].Multicast(payload); err != nil {
-				counters[sender]--
-				return
-			}
-			tr.Sent[string(payload)] = sender
-		})
-	}
-
-	sim.Run(autoHierWindow + settleWindow)
+		return cfg
+	})
 	for n, eng := range engines {
 		tr.Up[n] = sim.Up(n)
 		tr.FinalEpoch[n] = eng.Epoch()
 		tr.FinalTopo[n] = eng.CurrentTopology()
-		tr.Recovery[n] = eng.Counters()
 	}
-	tr.Net = sim.Stats()
 	return tr
 }
 
@@ -282,7 +197,7 @@ func downFor(intervals map[id.Node][][2]time.Duration, n id.Node, t time.Duratio
 //     window when the tree arrived — dead coordinators must be demoted
 //   - convergence: after the settle, all up nodes agree on one epoch and
 //     one topology, covering exactly the up node set
-//   - no-creation / origin / fifo / no-duplication: per-origin delivery
+//   - no-creation / no-duplication / fifo: per-origin delivery
 //     discipline holds through every reshape
 //   - completeness: messages from never-crashed origins reach every node
 //     that is up at the end of the run
@@ -346,67 +261,12 @@ func (tr *AutoHierTrace) Violations() []string {
 		out = append(out, CheckHierTopology(refTopo, up, tr.Opts.FanOut)...)
 	}
 
-	// Per-origin delivery discipline and scoped completeness.
-	for _, n := range tr.Order {
-		seen := make(map[string]int)
-		lastSeq := make(map[id.Node]uint64)
-		for _, d := range tr.Deliveries[n] {
-			key := string(d.Payload)
-			seen[key]++
-			origin, ok := tr.Sent[key]
-			if !ok {
-				out = append(out, fmt.Sprintf(
-					"no-creation: n%d delivered %s which was never sent",
-					n, payloadName(key)))
-				continue
-			}
-			if origin != d.Origin {
-				out = append(out, fmt.Sprintf(
-					"origin: n%d delivered %s attributed to n%d, sent by n%d",
-					n, payloadName(key), d.Origin, origin))
-			}
-			if d.Seq <= lastSeq[d.Origin] {
-				out = append(out, fmt.Sprintf(
-					"fifo: n%d delivered n%d's seq %d after seq %d",
-					n, d.Origin, d.Seq, lastSeq[d.Origin]))
-			}
-			lastSeq[d.Origin] = d.Seq
-		}
-		for key, count := range seen {
-			if count > 1 {
-				out = append(out, fmt.Sprintf(
-					"no-duplication: n%d delivered %s %d times", n, payloadName(key), count))
-			}
-		}
-		if !tr.Up[n] {
-			continue // a crashed node owes nothing
-		}
-		for key, origin := range tr.Sent {
-			if tr.CrashedEver[origin] {
-				continue // a crashed origin's replay log may be gone
-			}
-			if seen[key] == 0 {
-				out = append(out, fmt.Sprintf(
-					"completeness: n%d never delivered %s (origin n%d never crashed)",
-					n, payloadName(key), origin))
-			}
-		}
-	}
-
-	// No repair storm: clusters reshape, so the scope is the whole group.
-	reqBound, srvBound := repairStormBounds(tr.Opts.Nodes)
-	for _, n := range tr.Order {
-		c := tr.Recovery[n]
-		if c.NacksSent > reqBound {
-			out = append(out, fmt.Sprintf(
-				"no-repair-storm: n%d sent %d recovery requests (bound %d)",
-				n, c.NacksSent, reqBound))
-		}
-		if c.NacksServed > srvBound {
-			out = append(out, fmt.Sprintf(
-				"no-repair-storm: n%d served %d repairs (bound %d)",
-				n, c.NacksServed, srvBound))
-		}
-	}
-	return out
+	// Per-origin delivery discipline through every reshape, and
+	// completeness: an up node owes every message from an origin that
+	// never crashed (a crashed origin's replay log may be gone). Clusters
+	// reshape, so the recovery scope is the whole group.
+	flat := flatTrace(tr.Order, tr.Deliveries, tr.Sent, tr.Recovery, tr.Opts.Nodes)
+	out = append(out, flat.Safety()...)
+	out = append(out, flat.checkComplete("completeness", up, func(o id.Node) bool { return !tr.CrashedEver[o] })...)
+	return append(out, flat.checkNoRepairStorm()...)
 }

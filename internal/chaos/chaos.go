@@ -24,16 +24,27 @@ const (
 	settleWindow = 5 * time.Second
 )
 
-// Protocol timing for chaos runs: compressed relative to the live
-// defaults so a few virtual seconds exercise many protocol rounds.
-const (
-	chaosHeartbeat    = 40 * time.Millisecond
-	chaosSuspectAfter = 200 * time.Millisecond
-	chaosFlushTimeout = 400 * time.Millisecond
-	chaosJoinRetry    = 100 * time.Millisecond
-	chaosResendAfter  = 40 * time.Millisecond
-	chaosStabilize    = 100 * time.Millisecond
-)
+// StackConfig is node n's stack in a scenario's group: node 1 founds the
+// group and every other node joins through it, membership runs the
+// primary-partition rule, and protocol timing is compressed relative to
+// the live defaults so a few virtual seconds exercise many rounds.
+func StackConfig(group id.Group, n id.Node) core.Config {
+	contact := id.Node(1)
+	if n == 1 {
+		contact = id.None
+	}
+	return core.Config{
+		Group:            group,
+		Contact:          contact,
+		PrimaryPartition: true,
+		HeartbeatEvery:   40 * time.Millisecond,
+		SuspectAfter:     200 * time.Millisecond,
+		FlushTimeout:     400 * time.Millisecond,
+		JoinRetry:        100 * time.Millisecond,
+		ResendAfter:      40 * time.Millisecond,
+		StabilizeEvery:   100 * time.Millisecond,
+	}
+}
 
 // workloadStreams is how many stream labels Run's workload cycles over.
 const workloadStreams = 4
@@ -84,6 +95,10 @@ type Options struct {
 	// right after the announcement left. Restart it from the Schedule.
 	CrashOnEcho id.Node
 }
+
+// baseLink is the scenarios' network unless they say otherwise: 2 ms
+// ± 1 ms with 2 % loss.
+var baseLink = netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
 
 // Options.EchoLoad's network and load: a lossless LAN whose round trip
 // fits the 3 ms ordering window several times over, and 40 ms of every
@@ -181,9 +196,9 @@ func payloadKey(sender id.Node, counter uint64) []byte {
 	return buf
 }
 
-// payloadName renders a payload key for failure reports.
+// payloadName renders a payload by its key for failure reports.
 func payloadName(key string) string {
-	if len(key) != 16 {
+	if len(key) < 16 {
 		return fmt.Sprintf("%q", key)
 	}
 	b := []byte(key)
@@ -201,74 +216,39 @@ func Run(opts Options) *Trace {
 	opts.defaults()
 	sched := opts.Schedule
 	if sched == nil {
-		sched = Generate(opts.Seed, nodeIDs(opts.Nodes), opts.Window)
+		sched = Generate(opts.Seed, NodeIDs(opts.Nodes), opts.Window)
 	}
 	tr := &Trace{
 		Opts:     opts,
 		Schedule: sched,
 		Nodes:    make(map[id.Node]*NodeTrace),
+		Order:    NodeIDs(opts.Nodes),
 		Sent:     make(map[string]SentRec),
 		Flight:   flightrec.New(8192),
 	}
 
-	base := netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
+	base := baseLink
 	if opts.EchoLoad {
 		base = echoLAN
 	}
-	cur := base
-	// slowed holds the per-node extra delay SlowLink events impose on
-	// every link touching the node; the profile closure reads it on the
-	// simulation goroutine, like cur.
-	slowed := make(map[id.Node]time.Duration)
-	sim := netsim.New(netsim.Config{
-		Seed:     opts.Seed,
-		Windowed: opts.Windowed,
-		Profile: func(from, to id.Node) netsim.Link {
-			l := cur
-			l.Delay += slowed[from] + slowed[to]
-			return l
-		},
-	})
-	if d := opts.LossDomains; d > 0 {
-		sim.SetLossDomains(func(n id.Node) int { return int(n) % d })
-	}
+	sim := NewNet(NetConfig{Seed: opts.Seed, Link: base, LossDomains: opts.LossDomains, Windowed: opts.Windowed})
 
-	const group = id.Group(7)
 	stacks := make(map[id.Node]*core.Stack, opts.Nodes)
-	for _, n := range nodeIDs(opts.Nodes) {
-		n := n
+	for _, n := range tr.Order {
 		nt := &NodeTrace{Node: n}
 		tr.Nodes[n] = nt
-		tr.Order = append(tr.Order, n)
-		contact := id.Node(1)
-		if n == 1 {
-			contact = id.None
-		}
 		// The node CrashOnEcho names reports into a registry of its own, so
 		// its wrapper can see the echoed-flush counter move.
 		var reg *stats.Registry
 		if n == opts.CrashOnEcho {
 			reg = stats.NewRegistry()
 		}
+		cfg := StackConfig(7, n)
+		cfg.Metrics, cfg.Flight = reg, tr.Flight
+		cfg.Ordering, cfg.FlowWindow = opts.Ordering, opts.FlowWindow
+		cfg.SlowPolicy, cfg.SlowGrace, cfg.SlowAfter = opts.SlowPolicy, opts.SlowGrace, opts.SlowAfter
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
-			st := core.NewStack(env, core.Config{
-				Metrics:          reg,
-				Group:            group,
-				Contact:          contact,
-				Ordering:         opts.Ordering,
-				PrimaryPartition: true,
-				HeartbeatEvery:   chaosHeartbeat,
-				SuspectAfter:     chaosSuspectAfter,
-				FlushTimeout:     chaosFlushTimeout,
-				JoinRetry:        chaosJoinRetry,
-				ResendAfter:      chaosResendAfter,
-				StabilizeEvery:   chaosStabilize,
-				FlowWindow:       opts.FlowWindow,
-				SlowPolicy:       opts.SlowPolicy,
-				SlowGrace:        opts.SlowGrace,
-				SlowAfter:        opts.SlowAfter,
-				Flight:           tr.Flight,
-			}, core.Hooks{
+			st := core.NewStack(env, cfg, core.Hooks{
 				OnView: func(v member.View) {
 					nt.Views = append(nt.Views, ViewRec{View: v, At: sim.Elapsed()})
 				},
@@ -298,17 +278,7 @@ func Run(opts Options) *Trace {
 			overload = true
 		}
 	}
-	applyFaults(sim, sched, joinWindow, &cur, base, slowed)
-	// Safety net: whatever the schedule did, the settle window starts
-	// healed, with clean links, every stall resumed and no slow links.
-	sim.At(joinWindow+opts.Window, func() {
-		sim.Heal()
-		cur = base
-		for _, n := range nodeIDs(opts.Nodes) {
-			sim.Resume(n)
-			delete(slowed, n)
-		}
-	})
+	sim.Faults(sched, joinWindow, joinWindow+opts.Window, tr.Order)
 
 	// Overload runs sample every node's unstable-history length and own
 	// flow occupancy on a fixed cadence, so the bounded-sender-memory
@@ -316,29 +286,15 @@ func Run(opts Options) *Trace {
 	// drained end state. Plain runs skip the samplers to keep their event
 	// interleaving byte-identical to earlier revisions.
 	if overload {
-		end := joinWindow + opts.Window + settleWindow
-		for at := joinWindow; at < end; at += 100 * time.Millisecond {
-			sim.At(at, func() {
-				for n, st := range stacks {
-					if !sim.Up(n) {
-						continue
-					}
-					nt := tr.Nodes[n]
-					if h := st.HistoryLen(); h > nt.HistoryPeak {
-						nt.HistoryPeak = h
-					}
-					if o := st.FlowOccupancy(); o > nt.FlowPeak {
-						nt.FlowPeak = o
-					}
-				}
-			})
-		}
+		sim.SamplePeaks(stacks, joinWindow, joinWindow+opts.Window+settleWindow, func(n id.Node, history, flow int) {
+			nt := tr.Nodes[n]
+			nt.HistoryPeak, nt.FlowPeak = max(nt.HistoryPeak, history), max(nt.FlowPeak, flow)
+		})
 	}
 
 	// Workload: seeded senders spread across the fault window. A send is
 	// recorded only if the stack accepted it; a node that is down, still
 	// joining or evicted skips its slot.
-	wl := rand.New(rand.NewSource(opts.Seed + 1))
 	counters := make(map[id.Node]uint64)
 	send := func(sender id.Node, stream id.Stream) {
 		st := stacks[sender]
@@ -357,17 +313,14 @@ func Run(opts Options) *Trace {
 		}
 		tr.Sent[string(payload)] = SentRec{Sender: sender, PrefixLen: prefix}
 	}
-	for i := 0; i < opts.Msgs; i++ {
-		sender := id.Node(1 + wl.Intn(opts.Nodes))
-		at := joinWindow + time.Duration(wl.Int63n(int64(opts.Window)))
+	seededSends(sim, opts.Seed, opts.Nodes, opts.Msgs, joinWindow, opts.Window, func(i int, sender id.Node) {
 		// The workload cycles through a few stream labels: a label has no
 		// protocol effect, and the fifo invariant checks exactly that.
-		stream := id.Stream(i % workloadStreams)
-		sim.At(at, func() { send(sender, stream) })
-	}
+		send(sender, id.Stream(i%workloadStreams))
+	})
 	for i, at := 0, time.Duration(0); opts.EchoLoad && at < echoBurst; i, at = i+1, at+burstEvery {
 		sim.At(joinWindow+at, func() {
-			for _, n := range nodeIDs(opts.Nodes) {
+			for _, n := range NodeIDs(opts.Nodes) {
 				send(n, id.Stream(i%workloadStreams))
 			}
 		})
@@ -407,51 +360,15 @@ func (h *echoCrash) OnActivationEnd() {
 	}
 }
 
-// applyFaults schedules a fault script on the simulator, offset by off.
-// Bursts mutate the shared link value (and SlowLink the per-node delay
-// overlay) that every scenario's profile closure reads; both run on the
-// simulation goroutine, so no locking is needed.
-func applyFaults(sim *netsim.Sim, sched Schedule, off time.Duration, cur *netsim.Link, base netsim.Link, slowed map[id.Node]time.Duration) {
-	for _, ev := range sched {
-		ev := ev
-		at := off + ev.At
-		switch ev.Kind {
-		case Crash:
-			sim.At(at, func() { sim.Crash(ev.Node) })
-		case Restart:
-			sim.At(at, func() { sim.Restart(ev.Node) })
-		case PartitionSplit:
-			sim.At(at, func() { sim.Partition(ev.Groups...) })
-		case Heal:
-			sim.At(at, func() { sim.Heal() })
-		case LossBurst:
-			sim.At(at, func() { cur.Loss = ev.Loss; cur.Jitter = 4 * time.Millisecond })
-			sim.At(at+ev.Dur, func() { cur.Loss = base.Loss; cur.Jitter = base.Jitter })
-		case DupBurst:
-			sim.At(at, func() { cur.Duplicate = ev.Dup })
-			sim.At(at+ev.Dur, func() { cur.Duplicate = base.Duplicate })
-		case AsymmetricPartition:
-			sim.At(at, func() { sim.BlockDirected(ev.Node, ev.Peer) })
-			sim.At(at+ev.Dur, func() { sim.UnblockDirected(ev.Node, ev.Peer) })
-		case Stall:
-			sim.At(at, func() { sim.Stall(ev.Node) })
-			sim.At(at+ev.Dur, func() { sim.Resume(ev.Node) })
-		case SlowLink:
-			delay := ev.Delay
-			if delay <= 0 {
-				delay = 25 * time.Millisecond
-			}
-			sim.At(at, func() { slowed[ev.Node] = delay })
-			sim.At(at+ev.Dur, func() { delete(slowed, ev.Node) })
-		}
+// seededSends schedules a scenario's workload: msgs sends, each drawn
+// from seed+1 as a sender in 1..nodes, then a time in [off, off+window).
+// Send i runs send at its time; it records the message only if the stack
+// accepts it, numbering each sender's accepted messages from 1.
+func seededSends(sim *Net, seed int64, nodes, msgs int, off, window time.Duration, send func(i int, sender id.Node)) {
+	wl := rand.New(rand.NewSource(seed + 1))
+	for i := 0; i < msgs; i++ {
+		sender := id.Node(1 + wl.Intn(nodes))
+		at := off + time.Duration(wl.Int63n(int64(window)))
+		sim.At(at, func() { send(i, sender) })
 	}
-}
-
-// nodeIDs returns 1..n.
-func nodeIDs(n int) []id.Node {
-	out := make([]id.Node, n)
-	for i := range out {
-		out[i] = id.Node(i + 1)
-	}
-	return out
 }

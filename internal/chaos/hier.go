@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"scalamedia/internal/flightrec"
@@ -37,7 +35,12 @@ type HierTrace struct {
 	Opts     HierOptions
 	Schedule Schedule
 	Topology hier.Topology
-	Order    []id.Node
+	hierRun
+}
+
+// hierRun is the record both hierarchical scenarios keep.
+type hierRun struct {
+	Order []id.Node
 	// Deliveries[n] is node n's delivery log in order.
 	Deliveries map[id.Node][]hier.Delivery
 	// Sent[payload] is the origin of each workload message.
@@ -49,6 +52,41 @@ type HierTrace struct {
 	Recovery map[id.Node]rmcast.Counters
 	// Net is the simulator's end-of-run datagram statistics.
 	Net netsim.Stats
+}
+
+// hierWindow is the fault window of the hierarchical scenarios.
+const hierWindow = 4 * time.Second
+
+// run executes a hierarchical scenario over nodes 1..nodes: engines
+// configured per node by cfg on nc's network, the fault schedule and
+// msgs seeded sends across hierWindow, then the settle. It returns the
+// simulator and engines for the caller's end-of-run state.
+func (r *hierRun) run(seed int64, nodes, msgs int, sched Schedule, nc NetConfig,
+	cfg func(sim *Net, n id.Node) hier.Config) (*Net, map[id.Node]*hier.Engine) {
+	r.Order = NodeIDs(nodes)
+	r.Deliveries = make(map[id.Node][]hier.Delivery)
+	r.Sent = make(map[string]id.Node)
+	r.Flight = flightrec.New(8192)
+	r.Recovery = make(map[id.Node]rmcast.Counters)
+	sim := NewNet(nc)
+	engines := make(map[id.Node]*hier.Engine, nodes)
+	for _, n := range r.Order {
+		c := cfg(sim, n)
+		c.Flight = r.Flight
+		c.OnDeliver = func(d hier.Delivery) { r.Deliveries[n] = append(r.Deliveries[n], d) }
+		sim.AddNode(n, func(env proto.Env) proto.Handler {
+			engines[n] = NewHier(env, n, c)
+			return engines[n]
+		})
+	}
+	sim.Faults(sched, 0, hierWindow, r.Order)
+	seededSends(sim, seed, nodes, msgs, 0, hierWindow, hierSend(sim, engines, r.Sent))
+	sim.Run(hierWindow + settleWindow)
+	for n, eng := range engines {
+		r.Recovery[n] = eng.Counters()
+	}
+	r.Net = sim.Stats()
+	return sim, engines
 }
 
 // RunHier executes one seeded hierarchical scenario: a clustered group on
@@ -64,151 +102,79 @@ func RunHier(opts HierOptions) *HierTrace {
 	if opts.Msgs <= 0 {
 		opts.Msgs = 40
 	}
-	const window = 4 * time.Second
 	sched := opts.Schedule
 	if sched == nil {
-		sched = Generate(opts.Seed, nodeIDs(opts.Nodes), window)
+		sched = Generate(opts.Seed, NodeIDs(opts.Nodes), hierWindow)
 	}
-	sched = sched.TransientOnly()
-
-	topo := hier.Cluster(nodeIDs(opts.Nodes), hierClusterSize)
 	tr := &HierTrace{
-		Opts:       opts,
-		Schedule:   sched,
-		Topology:   topo,
-		Order:      nodeIDs(opts.Nodes),
-		Deliveries: make(map[id.Node][]hier.Delivery),
-		Sent:       make(map[string]id.Node),
-		Flight:     flightrec.New(8192),
-		Recovery:   make(map[id.Node]rmcast.Counters),
+		Opts:     opts,
+		Schedule: sched.TransientOnly(),
+		Topology: hier.Cluster(NodeIDs(opts.Nodes), hierClusterSize),
 	}
-
-	base := netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
-	cur := base
-	sim := netsim.New(netsim.Config{
-		Seed:    opts.Seed,
-		Profile: func(_, _ id.Node) netsim.Link { return cur },
-	})
-	if d := opts.LossDomains; d > 0 {
-		sim.SetLossDomains(func(n id.Node) int { return int(n) % d })
-	}
-
-	engines := make(map[id.Node]*hier.Engine, opts.Nodes)
-	for _, n := range tr.Order {
-		n := n
-		sim.AddNode(n, func(env proto.Env) proto.Handler {
-			eng, err := hier.New(env, hier.Config{
-				LocalGroup: 1,
-				WideGroup:  2,
-				Topology:   topo,
-				Flight:     tr.Flight,
-				OnDeliver: func(d hier.Delivery) {
-					tr.Deliveries[n] = append(tr.Deliveries[n], d)
-				},
-			})
-			if err != nil {
-				panic(fmt.Sprintf("chaos: hier.New(n%d): %v", n, err))
-			}
-			engines[n] = eng
-			return eng
-		})
-	}
-
-	applyFaults(sim, sched, 0, &cur, base, map[id.Node]time.Duration{})
-	sim.At(window, func() { sim.Heal(); cur = base })
-
-	wl := rand.New(rand.NewSource(opts.Seed + 1))
-	counters := make(map[id.Node]uint64)
-	for i := 0; i < opts.Msgs; i++ {
-		sender := id.Node(1 + wl.Intn(opts.Nodes))
-		at := time.Duration(wl.Int63n(int64(window)))
-		sim.At(at, func() {
-			counters[sender]++
-			payload := payloadKey(sender, counters[sender])
-			if err := engines[sender].Multicast(payload); err != nil {
-				counters[sender]--
-				return
-			}
-			tr.Sent[string(payload)] = sender
-		})
-	}
-
-	sim.Run(window + settleWindow)
-	for n, eng := range engines {
-		tr.Recovery[n] = eng.Counters()
-	}
-	tr.Net = sim.Stats()
+	tr.run(opts.Seed, opts.Nodes, opts.Msgs, tr.Schedule,
+		NetConfig{Seed: opts.Seed, Link: baseLink, LossDomains: opts.LossDomains},
+		func(*Net, id.Node) hier.Config { return hier.Config{Topology: tr.Topology} })
 	return tr
 }
 
-// Violations checks the hierarchical invariants: relay completeness
-// (every node delivers every sent message exactly once — the message
-// crossed its origin cluster, the relay group and every other cluster),
-// correct origin attribution, and per-origin FIFO via the origin sequence
-// numbers the envelope carries end to end.
+// hierSend is the hierarchical scenarios' workload step: an up sender
+// multicasts its next keyed payload, recorded in sent if accepted.
+func hierSend(sim *Net, engines map[id.Node]*hier.Engine, sent map[string]id.Node) func(int, id.Node) {
+	counters := make(map[id.Node]uint64)
+	return func(_ int, sender id.Node) {
+		if !sim.Up(sender) {
+			return
+		}
+		counters[sender]++
+		payload := payloadKey(sender, counters[sender])
+		if err := engines[sender].Multicast(payload); err != nil {
+			counters[sender]--
+			return
+		}
+		sent[string(payload)] = sender
+	}
+}
+
+// Violations checks the hierarchical invariants on the deliveries seen
+// as a flat trace: no-creation (origin attribution included),
+// no-duplication, per-origin FIFO via the origin sequence numbers the
+// envelope carries end to end, and relay completeness — every node
+// delivers every sent message, which crossed its origin cluster, the
+// relay group and every other cluster. Recovery stays bounded per node;
+// requests and repairs are scoped to clusters (or the relay set), so the
+// ceiling uses the larger of the two scopes, not the full group.
 func (tr *HierTrace) Violations() []string {
-	var out []string
+	scope := max(hierClusterSize, len(tr.Topology.Relays()))
+	flat := flatTrace(tr.Order, tr.Deliveries, tr.Sent, tr.Recovery, scope)
+	out := append(flat.Safety(), flat.checkComplete("relay-completeness", tr.Order, func(id.Node) bool { return true })...)
+	out = append(out, flat.checkNoRepairStorm()...)
 	if len(tr.Sent) == 0 {
 		out = append(out, "progress: workload sent nothing")
 	}
-	for _, n := range tr.Order {
-		seen := make(map[string]int)
-		lastSeq := make(map[id.Node]uint64)
-		for _, d := range tr.Deliveries[n] {
-			key := string(d.Payload)
-			seen[key]++
-			origin, ok := tr.Sent[key]
-			if !ok {
-				out = append(out, fmt.Sprintf(
-					"no-creation: n%d delivered %s which was never sent",
-					n, payloadName(key)))
-				continue
-			}
-			if origin != d.Origin {
-				out = append(out, fmt.Sprintf(
-					"origin: n%d delivered %s attributed to n%d, sent by n%d",
-					n, payloadName(key), d.Origin, origin))
-			}
-			if d.Seq <= lastSeq[d.Origin] {
-				out = append(out, fmt.Sprintf(
-					"fifo: n%d delivered n%d's seq %d after seq %d",
-					n, d.Origin, d.Seq, lastSeq[d.Origin]))
-			}
-			lastSeq[d.Origin] = d.Seq
-		}
-		for key, count := range seen {
-			if count > 1 {
-				out = append(out, fmt.Sprintf(
-					"no-duplication: n%d delivered %s %d times", n, payloadName(key), count))
-			}
-		}
-		for key := range tr.Sent {
-			if seen[key] == 0 {
-				out = append(out, fmt.Sprintf(
-					"relay-completeness: n%d never delivered %s", n, payloadName(key)))
-			}
-		}
-	}
-	// No repair storm: recovery stays bounded per node. Requests and
-	// repairs are scoped to clusters (or the relay set), so the per-node
-	// ceiling uses the larger of the two scopes, not the full group.
-	scope := hierClusterSize
-	if relays := len(tr.Topology.Relays()); relays > scope {
-		scope = relays
-	}
-	reqBound, srvBound := repairStormBounds(scope)
-	for _, n := range tr.Order {
-		c := tr.Recovery[n]
-		if c.NacksSent > reqBound {
-			out = append(out, fmt.Sprintf(
-				"no-repair-storm: n%d sent %d recovery requests (bound %d)",
-				n, c.NacksSent, reqBound))
-		}
-		if c.NacksServed > srvBound {
-			out = append(out, fmt.Sprintf(
-				"no-repair-storm: n%d served %d repairs (bound %d)",
-				n, c.NacksServed, srvBound))
-		}
-	}
 	return out
+}
+
+// flatTrace views hierarchical deliveries as a flat run's trace, each
+// origin a sender and all in one view, so the catalogue's checks apply;
+// nodes scales the recovery bound.
+func flatTrace(order []id.Node, dl map[id.Node][]hier.Delivery, sent map[string]id.Node,
+	recovery map[id.Node]rmcast.Counters, nodes int) *Trace {
+	tr := &Trace{
+		Opts:  Options{Nodes: nodes, Ordering: rmcast.FIFO},
+		Order: order,
+		Nodes: make(map[id.Node]*NodeTrace, len(order)),
+		Sent:  make(map[string]SentRec, len(sent)),
+	}
+	for key, origin := range sent {
+		tr.Sent[key] = SentRec{Sender: origin}
+	}
+	for _, n := range order {
+		nt := &NodeTrace{Node: n, Recovery: recovery[n]}
+		for _, d := range dl[n] {
+			nt.Deliveries = append(nt.Deliveries, Delivery{
+				Delivery: rmcast.Delivery{Sender: d.Origin, Seq: d.Seq, Payload: d.Payload}})
+		}
+		tr.Nodes[n] = nt
+	}
+	return tr
 }

@@ -47,17 +47,7 @@ import (
 //     wedge the group; after the eviction the window reopens and the
 //     majority of the offered workload still gets through
 func (tr *Trace) Violations() []string {
-	var out []string
-	out = append(out, tr.checkProgress()...)
-	out = append(out, tr.checkNoCreation()...)
-	out = append(out, tr.checkNoDuplication()...)
-	out = append(out, tr.checkFIFO()...)
-	if tr.Opts.Ordering == rmcast.Causal {
-		out = append(out, tr.checkCausal()...)
-	}
-	if tr.Opts.Ordering == rmcast.Total {
-		out = append(out, tr.checkTotalPrefix()...)
-	}
+	out := append(tr.checkProgress(), tr.Safety()...)
 	if tr.Opts.Ordering != rmcast.Unordered {
 		out = append(out, tr.checkVSAgreement()...)
 	}
@@ -69,6 +59,21 @@ func (tr *Trace) Violations() []string {
 	out = append(out, tr.checkBoundedSenderMemory()...)
 	out = append(out, tr.checkNoFalseSlowEviction()...)
 	out = append(out, tr.checkThroughputFloor()...)
+	return out
+}
+
+// Safety runs the catalogue's delivery-safety checks, the ones every run
+// must pass whatever its faults, load or measurements: no-creation,
+// no-duplication, fifo, and causal or total for those orderings.
+func (tr *Trace) Safety() []string {
+	out := append(tr.checkNoCreation(), tr.checkNoDuplication()...)
+	out = append(out, tr.checkFIFO()...)
+	switch tr.Opts.Ordering {
+	case rmcast.Causal:
+		out = append(out, tr.checkCausal()...)
+	case rmcast.Total:
+		out = append(out, tr.checkTotalPrefix()...)
+	}
 	return out
 }
 
@@ -206,15 +211,14 @@ func (tr *Trace) checkCausal() []string {
 	return out
 }
 
-// checkTotalPrefix verifies total-order agreement with virtual-synchrony
-// scope: two nodes that made the same transition out of a view (or both
-// finished the run live in it) must have delivery sequences in that view
-// that are prefixes of one another. A member partitioned away and evicted
-// carries no agreement promise for deliveries it made alone on the
-// minority side — it never rejoined the primary's history.
-func (tr *Trace) checkTotalPrefix() []string {
-	var out []string
-	type transition struct{ from, to id.View }
+// transition is one view change a node made, or with to zero the end of
+// the run in a live node's final view.
+type transition struct{ from, to id.View }
+
+// transitions groups the nodes, in trace order, by the view transitions
+// they made; the live nodes also share their final view's transition to
+// the end of the run.
+func (tr *Trace) transitions() map[transition][]id.Node {
 	groups := make(map[transition][]id.Node)
 	for _, n := range tr.Order {
 		nt := tr.Nodes[n]
@@ -228,6 +232,18 @@ func (tr *Trace) checkTotalPrefix() []string {
 			groups[transition{from: v}] = append(groups[transition{from: v}], n)
 		}
 	}
+	return groups
+}
+
+// checkTotalPrefix verifies total-order agreement with virtual-synchrony
+// scope: two nodes that made the same transition out of a view (or both
+// finished the run live in it) must have delivery sequences in that view
+// that are prefixes of one another. A member partitioned away and evicted
+// carries no agreement promise for deliveries it made alone on the
+// minority side — it never rejoined the primary's history.
+func (tr *Trace) checkTotalPrefix() []string {
+	var out []string
+	groups := tr.transitions()
 	seqs := make(map[id.Node]map[id.View][]string)
 	for _, n := range tr.Order {
 		seqs[n] = make(map[id.View][]string)
@@ -247,15 +263,10 @@ func (tr *Trace) checkTotalPrefix() []string {
 	})
 	for _, t := range ts {
 		nodes := groups[t]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 		for i, a := range nodes {
 			for _, b := range nodes[i+1:] {
 				sa, sb := seqs[a][t.from], seqs[b][t.from]
-				limit := len(sa)
-				if len(sb) < limit {
-					limit = len(sb)
-				}
-				for k := 0; k < limit; k++ {
+				for k := 0; k < min(len(sa), len(sb)); k++ {
 					if sa[k] != sb[k] {
 						out = append(out, fmt.Sprintf(
 							"total: n%d and n%d diverge at position %d of view %d (%s vs %s)",
@@ -286,44 +297,13 @@ func (nt *NodeTrace) deliveredIn(v id.View) map[string]bool {
 // there (the run ends quiescent, so those sets are complete).
 func (tr *Trace) checkVSAgreement() []string {
 	var out []string
-	type transition struct{ from, to id.View }
-	sets := make(map[transition]map[id.Node]map[string]bool)
-	for _, n := range tr.Order {
-		nt := tr.Nodes[n]
-		for i := 0; i+1 < len(nt.Views); i++ {
-			t := transition{from: nt.Views[i].View.ID, to: nt.Views[i+1].View.ID}
-			if sets[t] == nil {
-				sets[t] = make(map[id.Node]map[string]bool)
-			}
-			sets[t][n] = nt.deliveredIn(t.from)
-		}
-	}
-	// Live final-view members: treat "final view -> end of run" as a
-	// shared transition too.
-	final := transition{}
-	for _, n := range tr.live() {
-		nt := tr.Nodes[n]
-		if nt.FinalView.ID == 0 {
-			continue
-		}
-		final = transition{from: nt.FinalView.ID, to: 0}
-		if sets[final] == nil {
-			sets[final] = make(map[id.Node]map[string]bool)
-		}
-		sets[final][n] = nt.deliveredIn(nt.FinalView.ID)
-	}
-	for t, perNode := range sets {
-		var nodes []id.Node
-		for n := range perNode {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for i := 1; i < len(nodes); i++ {
-			a, b := nodes[0], nodes[i]
-			if diff := setDiff(perNode[a], perNode[b]); diff != "" {
+	for t, nodes := range tr.transitions() {
+		ref := tr.Nodes[nodes[0]].deliveredIn(t.from)
+		for _, b := range nodes[1:] {
+			if diff := setDiff(ref, tr.Nodes[b].deliveredIn(t.from)); diff != "" {
 				out = append(out, fmt.Sprintf(
 					"vs-agreement: n%d and n%d disagree on view %d deliveries (transition to %d): %s",
-					a, b, t.from, t.to, diff))
+					nodes[0], b, t.from, t.to, diff))
 			}
 		}
 	}
@@ -456,7 +436,6 @@ func (tr *Trace) checkValidity() []string {
 	if !tr.canProgress() {
 		return nil // wedged minority: sends legitimately stay frozen
 	}
-	var out []string
 	live := tr.live()
 	good := make(map[id.Node]bool)
 	for _, n := range live {
@@ -465,24 +444,28 @@ func (tr *Trace) checkValidity() []string {
 			good[n] = true
 		}
 	}
-	for _, n := range live {
+	return tr.checkComplete("validity", live, func(s id.Node) bool { return good[s] })
+}
+
+// checkComplete reports, as the named invariant, every payload from a
+// sender good admits that one of nodes never delivered.
+func (tr *Trace) checkComplete(name string, nodes []id.Node, good func(sender id.Node) bool) []string {
+	var out []string
+	for _, n := range nodes {
 		have := make(map[string]bool)
 		for _, d := range tr.Nodes[n].Deliveries {
 			have[string(d.Payload)] = true
 		}
 		for key, rec := range tr.Sent {
-			if good[rec.Sender] && !have[key] {
-				out = append(out, fmt.Sprintf(
-					"validity: n%d never delivered %s from stable sender n%d",
-					n, payloadName(key), rec.Sender))
+			if good(rec.Sender) && !have[key] {
+				out = append(out, fmt.Sprintf("%s: n%d never delivered %s from n%d",
+					name, n, payloadName(key), rec.Sender))
 			}
 		}
 	}
 	return out
 }
 
-// checkGCDrain verifies stability garbage collection: once the run is
-// quiescent, no live member holds unstable history.
 // repairStormBounds returns the per-node ceilings for recovery request
 // and repair events over one chaos run. They are loose by design — an
 // order of magnitude above what healthy backoff, suppression and damping
@@ -512,6 +495,8 @@ func (tr *Trace) checkNoRepairStorm() []string {
 	return out
 }
 
+// checkGCDrain verifies stability garbage collection: once the run is
+// quiescent, no live member holds unstable history.
 func (tr *Trace) checkGCDrain() []string {
 	if !tr.canProgress() {
 		return nil // a wedged minority's frozen history never drains
@@ -526,19 +511,23 @@ func (tr *Trace) checkGCDrain() []string {
 	return out
 }
 
-// stallOnly reports whether the schedule's only membership-threatening
-// faults are stalls and slow links: no crash, restart, partition or
-// asymmetric block anywhere. The slow-receiver invariants quantify only
-// over such runs, where any eviction is attributable to slow-member
-// policy rather than to legitimate failure handling.
+// stallOnly reports whether some node stalled and the schedule's only
+// membership-threatening faults are stalls and slow links: no crash,
+// restart, partition or asymmetric block anywhere. The slow-receiver
+// invariants quantify only over such runs, where any eviction is
+// attributable to slow-member policy rather than to legitimate failure
+// handling.
 func (tr *Trace) stallOnly() bool {
+	stalled := false
 	for _, ev := range tr.Schedule {
 		switch ev.Kind {
 		case Crash, Restart, PartitionSplit, AsymmetricPartition:
 			return false
+		case Stall:
+			stalled = true
 		}
 	}
-	return true
+	return stalled
 }
 
 // checkBoundedSenderMemory verifies the flow-control contract on runs
@@ -570,15 +559,6 @@ func (tr *Trace) checkBoundedSenderMemory() []string {
 // be evicted at all.
 func (tr *Trace) checkNoFalseSlowEviction() []string {
 	if !tr.stallOnly() {
-		return nil
-	}
-	stalled := false
-	for _, n := range tr.Order {
-		if tr.Nodes[n].StalledEver {
-			stalled = true
-		}
-	}
-	if !stalled {
 		return nil
 	}
 	grace := tr.Opts.SlowGrace
@@ -616,15 +596,6 @@ func (tr *Trace) checkNoFalseSlowEviction() []string {
 // contract, so no floor applies.)
 func (tr *Trace) checkThroughputFloor() []string {
 	if tr.Opts.FlowWindow <= 0 || tr.Opts.SlowPolicy != member.EvictSlow || !tr.stallOnly() {
-		return nil
-	}
-	stalled := false
-	for _, n := range tr.Order {
-		if tr.Nodes[n].StalledEver {
-			stalled = true
-		}
-	}
-	if !stalled {
 		return nil
 	}
 	if floor := tr.Opts.Msgs / 2; len(tr.Sent) < floor {
@@ -685,15 +656,13 @@ func CheckHierTopology(topo hier.Topology, members []id.Node, fanOut int) []stri
 		}
 		coords[r] = i
 	}
-	for _, m := range members {
-		if _, ok := seen[m]; !ok {
-			out = append(out, fmt.Sprintf("hier-form: n%d missing from every cluster", m))
-		}
-	}
 	if members != nil {
 		want := make(map[id.Node]bool, len(members))
 		for _, m := range members {
 			want[m] = true
+			if _, ok := seen[m]; !ok {
+				out = append(out, fmt.Sprintf("hier-form: n%d missing from every cluster", m))
+			}
 		}
 		for m := range seen {
 			if !want[m] {

@@ -52,6 +52,27 @@ type SkewSample struct {
 	Skew time.Duration
 }
 
+// MsyncOptions parameterizes a media-synchronization run.
+type MsyncOptions struct {
+	// Seed fixes all randomness.
+	Seed int64
+	// Drift is how much later the video pipeline runs per second of
+	// stream. Zero draws it from the seed: 10–60ms per second.
+	Drift time.Duration
+	// Duration is the length of both streams. Defaults to 12s.
+	Duration time.Duration
+	// Link, when set, replaces the lossy link and its seeded loss bursts
+	// with this fixed link.
+	Link netsim.Link
+	// Unsynced runs the controller without its steering: the skew is
+	// measured, never corrected.
+	Unsynced bool
+	// SampleEvery, when set, samples the skew on the receiver's tick at
+	// that period instead of at every controller check, so that an
+	// unsynced run has samples too.
+	SampleEvery time.Duration
+}
+
 // MsyncTrace records a media-synchronization scenario run.
 type MsyncTrace struct {
 	Seed        int64
@@ -63,24 +84,29 @@ type MsyncTrace struct {
 }
 
 // RunMsync executes one seeded inter-media synchronization scenario: an
-// audio stream (master) and a video stream whose pipeline drifts by a
-// seeded 10–60ms per second, over a lossy jittery link with seeded loss
-// bursts, with the msync controller steering the playout points. The
-// trace records every skew sample for the bounded-skew invariant.
-func RunMsync(seed int64) *MsyncTrace {
-	rng := rand.New(rand.NewSource(seed))
+// audio stream (master) and a video stream whose pipeline drifts, by
+// default a seeded 10–60ms per second over a lossy jittery link with
+// seeded loss bursts, with the msync controller steering the playout
+// points. The trace records every skew sample for the bounded-skew
+// invariant.
+func RunMsync(o MsyncOptions) *MsyncTrace {
+	if o.Duration <= 0 {
+		o.Duration = msyncDuration
+	}
+	rng := rand.New(rand.NewSource(o.Seed))
 	tr := &MsyncTrace{
-		Seed:        seed,
-		DriftPerSec: 10*time.Millisecond + time.Duration(rng.Int63n(int64(50*time.Millisecond))),
+		Seed:        o.Seed,
+		DriftPerSec: o.Drift,
 		Flight:      flightrec.New(8192),
 	}
-
-	base := netsim.Link{Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.01}
-	cur := base
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: func(_, _ id.Node) netsim.Link { return cur },
-	})
+	if o.Drift == 0 {
+		tr.DriftPerSec = 10*time.Millisecond + time.Duration(rng.Int63n(int64(50*time.Millisecond)))
+	}
+	bursty := o.Link == netsim.Link{}
+	if bursty {
+		o.Link = netsim.Link{Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Loss: 0.01}
+	}
+	sim := NewNet(NetConfig{Seed: o.Seed, Link: o.Link})
 
 	audioSpec := media.TelephoneAudio(1, "mic")
 	videoSpec := media.PALVideo(2, "cam")
@@ -94,64 +120,67 @@ func RunMsync(seed int64) *MsyncTrace {
 		return proto.NewMux()
 	})
 
-	var ctl *msync.Controller
+	tick := &syncTick{steer: !o.Unsynced, every: o.SampleEvery, sample: func(skew time.Duration) {
+		tr.Samples = append(tr.Samples, SkewSample{At: sim.Elapsed(), Skew: skew})
+	}}
 	sim.AddNode(2, func(env proto.Env) proto.Handler {
 		audioRecv := rtx.NewReceiver(env, rtx.Config{
 			Group: 1, Stream: 1, Spec: audioSpec,
 			Mode: rtx.Adaptive, PlayoutDelay: 40 * time.Millisecond,
 			Flight: tr.Flight,
-			OnPlay: func(f media.Frame, at time.Time) { ctl.ObserveMaster(f, at) },
+			OnPlay: func(f media.Frame, at time.Time) { tick.ctl.ObserveMaster(f, at) },
 		})
 		videoRecv := rtx.NewReceiver(env, rtx.Config{
 			Group: 1, Stream: 2, Spec: videoSpec,
 			Mode: rtx.Adaptive, PlayoutDelay: 40 * time.Millisecond,
 			Flight: tr.Flight,
-			OnPlay: func(f media.Frame, at time.Time) { ctl.ObserveSlave(0, f, at) },
+			OnPlay: func(f media.Frame, at time.Time) { tick.ctl.ObserveSlave(0, f, at) },
 		})
-		ctl = msync.New(msync.Config{
+		cfg := msync.Config{
 			MaxSkew:    msyncMaxSkew,
 			MaxStep:    msyncMaxStep,
 			CheckEvery: msyncCheck,
 			Flight:     tr.Flight,
-			OnSkew: func(_ int, skew time.Duration, at time.Time) {
-				tr.Samples = append(tr.Samples, SkewSample{At: sim.Elapsed(), Skew: skew})
-			},
-		}, audioRecv, videoRecv)
-		return proto.NewMux(audioRecv, videoRecv, ctlTicker{ctl})
+		}
+		if tick.every == 0 {
+			cfg.OnSkew = func(_ int, skew time.Duration, _ time.Time) { tick.sample(skew) }
+		}
+		tick.ctl = msync.New(cfg, audioRecv, videoRecv)
+		return proto.NewMux(audioRecv, videoRecv, tick)
 	})
 
 	// Seeded loss/jitter bursts across the run.
-	for at := time.Duration(rng.Int63n(int64(2 * time.Second))); at < msyncDuration; {
+	for at := time.Duration(rng.Int63n(int64(2 * time.Second))); bursty && at < o.Duration; {
 		dur := 200*time.Millisecond + time.Duration(rng.Int63n(int64(600*time.Millisecond)))
-		loss := 0.05 + 0.15*rng.Float64()
-		sim.At(at, func() { cur.Loss = loss; cur.Jitter = 8 * time.Millisecond })
-		sim.At(at+dur, func() { cur = base })
+		burst := o.Link
+		burst.Loss = 0.05 + 0.15*rng.Float64()
+		burst.Jitter = 8 * time.Millisecond
+		sim.At(at, func() { sim.cur = burst })
+		sim.At(at+dur, func() { sim.cur = sim.base })
 		at += dur + 500*time.Millisecond + time.Duration(rng.Int63n(int64(1500*time.Millisecond)))
 	}
 
 	// Media sources: audio on time, video drifting ever later.
-	audioSrc := media.NewCBR(audioSpec, 160, int(msyncDuration/(20*time.Millisecond)))
+	audioSrc := media.NewCBR(audioSpec, 160, int(o.Duration/(20*time.Millisecond)))
 	for {
 		f, ok := audioSrc.Next()
 		if !ok {
 			break
 		}
-		frame := f
-		sim.At(10*time.Millisecond+frame.Capture, func() { audioSend.Send(frame) })
+		sim.At(10*time.Millisecond+f.Capture, func() { audioSend.Send(f) })
 	}
-	videoSrc := media.NewCBR(videoSpec, 2000, int(msyncDuration/(40*time.Millisecond)))
+	videoSrc := media.NewCBR(videoSpec, 2000, int(o.Duration/(40*time.Millisecond)))
 	for {
 		f, ok := videoSrc.Next()
 		if !ok {
 			break
 		}
-		frame := f
-		lag := time.Duration(float64(tr.DriftPerSec) * frame.Capture.Seconds())
-		sim.At(10*time.Millisecond+frame.Capture+lag, func() { videoSend.Send(frame) })
+		lag := time.Duration(float64(tr.DriftPerSec) * f.Capture.Seconds())
+		sim.At(10*time.Millisecond+f.Capture+lag, func() { videoSend.Send(f) })
 	}
 
-	sim.Run(msyncDuration + time.Second)
-	tr.Corrections = ctl.Corrections()
+	sim.Run(o.Duration + time.Second)
+	tr.Corrections = tick.ctl.Corrections()
 	return tr
 }
 
@@ -201,8 +230,27 @@ func (tr *MsyncTrace) Violations() []string {
 	return out
 }
 
-// ctlTicker adapts an msync.Controller to proto.Handler.
-type ctlTicker struct{ ctl *msync.Controller }
+// syncTick is the receiver's tick handler: the controller's check when
+// it steers, then the skew sample every period when one is set.
+type syncTick struct {
+	ctl    *msync.Controller
+	steer  bool
+	every  time.Duration
+	last   time.Time
+	sample func(skew time.Duration)
+}
 
-func (c ctlTicker) OnMessage(id.Node, *wire.Message) {}
-func (c ctlTicker) OnTick(now time.Time)             { c.ctl.OnTick(now) }
+func (t *syncTick) OnMessage(id.Node, *wire.Message) {}
+
+func (t *syncTick) OnTick(now time.Time) {
+	if t.steer {
+		t.ctl.OnTick(now)
+	}
+	if t.every == 0 || now.Sub(t.last) < t.every {
+		return
+	}
+	t.last = now
+	if skew, ok := t.ctl.Skew(0); ok {
+		t.sample(skew)
+	}
+}

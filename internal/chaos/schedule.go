@@ -1,12 +1,16 @@
 // Package chaos is a seeded, deterministic fault-schedule engine for the
-// protocol stack. It runs multi-node scenarios on the internal/netsim
-// virtual clock, applies scripted and randomized fault events — node
-// crash/restart, network partition/heal, loss bursts, message duplication
-// — and records every delivery, view install and eviction into a trace
-// that a library of invariant checkers inspects afterwards: virtual
-// synchrony agreement, FIFO/causal/total ordering safety, no-duplication,
-// no-creation, validity, view-convergence liveness, stability garbage
-// collection, hierarchical relay completeness and bounded media skew.
+// protocol stack, and the one group builder every simulation in the repo
+// goes through. NewNet builds the simulated network — link, site delays,
+// loss domains — and applies scripted and randomized fault events to it:
+// node crash/restart, network partition/heal, loss bursts, message
+// duplication, stalls and slow links. The scenario runners (Run, RunHier,
+// RunAutoHier, RunSession, RunMsync) and RunGroup, the measured group run
+// under the experiments and cmd/mmsim, record every delivery, view
+// install and eviction into a trace that a library of invariant checkers
+// inspects afterwards: virtual synchrony agreement, FIFO/causal/total
+// ordering safety, no-duplication, no-creation, validity,
+// view-convergence liveness, stability garbage collection, hierarchical
+// relay completeness and bounded media skew.
 //
 // Every run is (seed, schedule)-reproducible: the schedule is either
 // passed in or generated from the seed, all randomness inside the

@@ -6,12 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"scalamedia/internal/core"
 	"scalamedia/internal/flightrec"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/member"
-	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
 	"scalamedia/internal/session"
 )
@@ -63,53 +61,29 @@ func RunSession(opts SessionOptions) *SessionTrace {
 	const window = 4 * time.Second
 	sched := opts.Schedule
 	if sched == nil {
-		sched = Generate(opts.Seed, nodeIDs(opts.Nodes), window)
+		sched = Generate(opts.Seed, NodeIDs(opts.Nodes), window)
 	}
 	tr := &SessionTrace{
 		Opts:      opts,
 		Schedule:  sched,
-		Order:     nodeIDs(opts.Nodes),
+		Order:     NodeIDs(opts.Nodes),
 		Nodes:     make(map[id.Node]*SessionNode),
 		Announced: make(map[id.Stream]id.Node),
 		Withdrawn: make(map[id.Stream]bool),
 		Flight:    flightrec.New(8192),
 	}
 
-	base := netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.02}
-	cur := base
-	slowed := make(map[id.Node]time.Duration)
-	sim := netsim.New(netsim.Config{
-		Seed: opts.Seed,
-		Profile: func(from, to id.Node) netsim.Link {
-			l := cur
-			l.Delay += slowed[from] + slowed[to]
-			return l
-		},
-	})
+	sim := NewNet(NetConfig{Seed: opts.Seed, Link: baseLink})
 
 	engines := make(map[id.Node]*session.Engine, opts.Nodes)
 	for _, n := range tr.Order {
-		n := n
 		sn := &SessionNode{Node: n}
 		tr.Nodes[n] = sn
-		contact := id.Node(1)
-		if n == 1 {
-			contact = id.None
-		}
+		cfg := StackConfig(9, n)
+		cfg.Flight = tr.Flight
 		sim.AddNode(n, func(env proto.Env) proto.Handler {
 			eng := session.New(env, session.Config{
-				Config: core.Config{
-					Group:            id.Group(9),
-					Contact:          contact,
-					PrimaryPartition: true,
-					HeartbeatEvery:   chaosHeartbeat,
-					SuspectAfter:     chaosSuspectAfter,
-					FlushTimeout:     chaosFlushTimeout,
-					JoinRetry:        chaosJoinRetry,
-					ResendAfter:      chaosResendAfter,
-					StabilizeEvery:   chaosStabilize,
-					Flight:           tr.Flight,
-				},
+				Config: cfg,
 				OnEvent: func(ev session.Event) {
 					sn.Events = append(sn.Events, ev)
 					if ev.Kind == session.SelfEvicted {
@@ -122,15 +96,7 @@ func RunSession(opts SessionOptions) *SessionTrace {
 		})
 	}
 
-	applyFaults(sim, sched, joinWindow, &cur, base, slowed)
-	sim.At(joinWindow+window, func() {
-		sim.Heal()
-		cur = base
-		for _, n := range tr.Order {
-			sim.Resume(n)
-			delete(slowed, n)
-		}
-	})
+	sim.Faults(sched, joinWindow, joinWindow+window, tr.Order)
 
 	// Workload: seeded announces and withdrawals. Stream IDs encode the
 	// owner so concurrent announcers never collide.
@@ -194,16 +160,6 @@ func (tr *SessionTrace) live() []id.Node {
 	return out
 }
 
-// crashedEver reports whether the schedule ever crashed n.
-func (tr *SessionTrace) crashedEver(n id.Node) bool {
-	for _, ev := range tr.Schedule {
-		if ev.Kind == Crash && ev.Node == n {
-			return true
-		}
-	}
-	return false
-}
-
 // Violations checks the session-layer invariants: view convergence among
 // live participants, identical stream directories everywhere, directory
 // entries owned only by final-view members, stable announcements present
@@ -216,6 +172,12 @@ func (tr *SessionTrace) Violations() []string {
 		return []string{"view-convergence: no live nodes at end of run"}
 	}
 	ref := tr.Nodes[live[0]]
+	crashed := make(map[id.Node]bool)
+	for _, ev := range tr.Schedule {
+		if ev.Kind == Crash {
+			crashed[ev.Node] = true
+		}
+	}
 	for _, n := range live[1:] {
 		sn := tr.Nodes[n]
 		if !sn.FinalView.Equal(ref.FinalView) {
@@ -261,7 +223,7 @@ func (tr *SessionTrace) Violations() []string {
 		}
 		for sid, owner := range tr.Announced {
 			osn := tr.Nodes[owner]
-			stable := !tr.crashedEver(owner) && !osn.Evicted && sn.FinalView.Contains(owner)
+			stable := !crashed[owner] && !osn.Evicted && sn.FinalView.Contains(owner)
 			if stable && !tr.Withdrawn[sid] && !have[sid] {
 				out = append(out, fmt.Sprintf(
 					"directory-validity: n%d is missing stream %d from stable owner n%d",

@@ -2,10 +2,12 @@ package chaos_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"scalamedia/internal/chaos"
+	"scalamedia/internal/flightrec"
 	"scalamedia/internal/member"
 	"scalamedia/internal/rmcast"
 )
@@ -179,5 +181,35 @@ func TestChaosSessionStall(t *testing.T) {
 				t.Error("session layer evicted the stalled participant")
 			}
 		})
+	}
+}
+
+// TestHierRunnersHonourSlowLink checks that the hierarchical runners
+// apply a SlowLink event: delaying every link of one node must change the
+// run against the same seed without it, and the catalogue must still
+// hold.
+func TestHierRunnersHonourSlowLink(t *testing.T) {
+	slow := chaos.Schedule{
+		{At: 500 * time.Millisecond, Kind: chaos.SlowLink, Node: 1, Delay: 30 * time.Millisecond, Dur: 2 * time.Second},
+	}
+	runs := map[string]func(chaos.Schedule) (*flightrec.Recorder, []string){
+		"RunHier": func(s chaos.Schedule) (*flightrec.Recorder, []string) {
+			tr := chaos.RunHier(chaos.HierOptions{Seed: 5, Schedule: s})
+			return tr.Flight, tr.Violations()
+		},
+		"RunAutoHier": func(s chaos.Schedule) (*flightrec.Recorder, []string) {
+			tr := chaos.RunAutoHier(chaos.AutoHierOptions{Seed: 5, Schedule: s})
+			return tr.Flight, tr.Violations()
+		},
+	}
+	for name, run := range runs {
+		plain, _ := run(chaos.Schedule{})
+		slowed, v := run(slow)
+		if len(v) > 0 {
+			t.Errorf("%s with a slow link: %v", name, v)
+		}
+		if reflect.DeepEqual(plain.Dump(), slowed.Dump()) {
+			t.Errorf("%s ignored the SlowLink event: identical timelines", name)
+		}
 	}
 }

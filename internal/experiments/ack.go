@@ -80,6 +80,11 @@ func (e *AckEngine) SetView(v member.View) {
 	e.peers = make(map[id.Node]*ackPeer)
 }
 
+// MulticastStream is Multicast: the baseline carries no stream labels.
+func (e *AckEngine) MulticastStream(_ id.Stream, payload []byte) error {
+	return e.Multicast(payload)
+}
+
 // Multicast sends payload to the current view and tracks it until every
 // member acknowledges.
 func (e *AckEngine) Multicast(payload []byte) error {

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"scalamedia/internal/bulk"
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
-	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
 	"scalamedia/internal/workload"
 )
@@ -41,17 +41,9 @@ type bulkDistResult struct {
 // designated relay dies while the scatter is still in flight, taking its
 // striped symbol share with it — the repair rotation has to cover.
 func runBulkDissemination(n, objBytes int, seed int64, crash bool) bulkDistResult {
-	link := lanLink(t9Loss)
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: func(_, _ id.Node) netsim.Link { return link },
-	})
-	sim.SetLossDomains(func(m id.Node) int { return int(m) % t9Domains })
+	sim := chaos.NewNet(chaos.NetConfig{Seed: seed, Link: lanLink(t9Loss), LossDomains: t9Domains})
 
-	var members []id.Node
-	for i := 1; i <= n; i++ {
-		members = append(members, id.Node(i))
-	}
+	members := chaos.NodeIDs(n)
 	engines := make(map[id.Node]*bulk.Engine, n)
 	for _, m := range members {
 		sim.AddNode(m, func(env proto.Env) proto.Handler {

@@ -1,10 +1,12 @@
 // Package experiments contains the reconstructed evaluation of the paper:
-// one runner per table (T1-T7) and figure (F1-F6) listed in DESIGN.md.
-// Every runner builds a deterministic discrete-event simulation
-// (internal/netsim), drives the real protocol engines through a scripted
-// workload, and returns the table rows or figure series the paper-style
-// write-up quotes. cmd/mmbench prints them; bench_test.go wraps them as
-// testing.B benchmarks.
+// the tables (T1-T10), figures (F1-F6) and ablations (A1-A3) listed in
+// DESIGN.md. Each is a set of run parameters plus a renderer: the runs
+// build their simulations through internal/chaos's group builder (NewNet,
+// and RunGroup for the flat and hierarchical groups, whose deliveries
+// must pass the chaos safety checks), drive the real protocol engines
+// through a seeded workload, and return the table rows or figure series
+// the paper-style write-up quotes. cmd/mmbench prints them; bench_test.go
+// wraps them as testing.B benchmarks.
 package experiments
 
 import (

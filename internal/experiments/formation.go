@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/hier"
 	"scalamedia/internal/id"
-	"scalamedia/internal/netsim"
 	"scalamedia/internal/proto"
 	"scalamedia/internal/wire"
 )
@@ -37,12 +37,7 @@ type formationResult struct {
 // static baseline so their tree costs are directly comparable: 2ms within
 // a site of siteSize consecutive IDs, 20ms across sites.
 func siteDist(siteSize int) func(a, b id.Node) time.Duration {
-	return func(a, b id.Node) time.Duration {
-		if (int(a)-1)/siteSize == (int(b)-1)/siteSize {
-			return 2 * time.Millisecond
-		}
-		return 20 * time.Millisecond
-	}
+	return chaos.Sites(siteSize, 20*time.Millisecond)
 }
 
 // treeCost prices a dissemination tree the way the formation layer does:
@@ -73,28 +68,17 @@ func treeCost(t hier.Topology, dist func(a, b id.Node) time.Duration) time.Durat
 // control datagrams spent getting there.
 func runFormation(p formationParams) formationResult {
 	dist := siteDist(p.siteSize)
-	sim := netsim.New(netsim.Config{
-		Seed: p.seed,
-		Profile: func(from, to id.Node) netsim.Link {
-			return netsim.Link{Delay: dist(from, to)}
-		},
-	})
-	members := make([]id.Node, p.n)
-	for i := range members {
-		members[i] = id.Node(i + 1)
-	}
+	sim := chaos.NewNet(chaos.NetConfig{Seed: p.seed, Sites: dist})
+	members := chaos.NodeIDs(p.n)
 	var lastInstall time.Time
 	engines := make(map[id.Node]*hier.Engine, p.n)
 	for _, m := range members {
-		m := m
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng, err := hier.New(env, hier.Config{
-				LocalGroup: 1,
-				WideGroup:  2,
-				AutoHier:   true,
-				Members:    members,
-				FanOut:     p.fanOut,
-				Distance:   func(q id.Node) time.Duration { return dist(m, q) },
+			engines[m] = chaos.NewHier(env, m, hier.Config{
+				AutoHier: true,
+				Members:  members,
+				FanOut:   p.fanOut,
+				Distance: func(q id.Node) time.Duration { return dist(m, q) },
 				Form: hier.FormConfig{
 					ReportEvery:   p.report,
 					AnnounceEvery: p.announce,
@@ -105,11 +89,7 @@ func runFormation(p formationParams) formationResult {
 					},
 				},
 			})
-			if err != nil {
-				panic("formation: " + err.Error())
-			}
-			engines[m] = eng
-			return eng
+			return engines[m]
 		})
 	}
 	base := sim.Now()
@@ -120,21 +100,15 @@ func runFormation(p formationParams) formationResult {
 	if !lastInstall.IsZero() {
 		formedAt = lastInstall.Sub(base)
 	}
-	res := formationResult{
-		FormedAt:  formedAt,
-		Rounds:    ref.Epoch(),
-		TreeCost:  treeCost(ref.CurrentTopology(), dist),
-		Ctl:       sim.Stats().SentByKind[wire.KindHierCtl],
-		Converged: true,
-	}
 	topo := ref.CurrentTopology()
-	if topo.Size() != p.n {
-		res.Converged = false
-	}
-	for _, c := range topo.Clusters {
-		if len(c) > p.fanOut {
-			res.Converged = false
-		}
+	res := formationResult{
+		FormedAt: formedAt,
+		Rounds:   ref.Epoch(),
+		TreeCost: treeCost(topo, dist),
+		Ctl:      sim.Stats().SentByKind[wire.KindHierCtl],
+		// Converged: one well-formed tree over every member within the
+		// fan-out bound, at one epoch everywhere.
+		Converged: len(chaos.CheckHierTopology(topo, members, p.fanOut)) == 0,
 	}
 	for _, eng := range engines {
 		if eng.Epoch() != ref.Epoch() {
@@ -148,12 +122,8 @@ func runFormation(p formationParams) formationResult {
 // partitions the ID space into siteSize-node clusters up front, so there
 // is no formation time, no reshape round, and no control traffic.
 func staticBaseline(n, siteSize int) formationResult {
-	members := make([]id.Node, n)
-	for i := range members {
-		members[i] = id.Node(i + 1)
-	}
 	return formationResult{
-		TreeCost:  treeCost(hier.Cluster(members, siteSize), siteDist(siteSize)),
+		TreeCost:  treeCost(hier.Cluster(chaos.NodeIDs(n), siteSize), siteDist(siteSize)),
 		Converged: true,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
 	"scalamedia/internal/member"
 	"scalamedia/internal/netsim"
@@ -21,7 +22,7 @@ type viewChangeResult struct {
 // runViewChange boots an n-member group, crashes one member and measures
 // how long each survivor takes to install a view excluding it.
 func runViewChange(n int, crashCoordinator bool, seed int64) viewChangeResult {
-	sim := netsim.New(netsim.Config{Seed: seed})
+	sim := chaos.NewNet(chaos.NetConfig{Seed: seed, Link: netsim.Link{Delay: time.Millisecond}})
 
 	type obs struct {
 		eng        *member.Engine

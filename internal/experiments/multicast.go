@@ -2,128 +2,84 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
+	"scalamedia/internal/chaos"
+	"scalamedia/internal/hier"
 	"scalamedia/internal/id"
-	"scalamedia/internal/member"
 	"scalamedia/internal/netsim"
-	"scalamedia/internal/proto"
 	"scalamedia/internal/rmcast"
-	"scalamedia/internal/stats"
-	"scalamedia/internal/workload"
 )
 
-// flatResult aggregates one flat-group multicast run.
-type flatResult struct {
-	Latencies *stats.Histogram // per-delivery latency, milliseconds
-	Net       netsim.Stats
-	Wall      time.Duration
-	Delivered int
-	Expected  int
-	// Requests is the loss-recovery request events the engines sent
-	// (rmcast.Counters.NacksSent summed; runFlat only).
-	Requests uint64
-}
-
-// flatParams parameterizes runFlat.
-type flatParams struct {
-	n        int
-	ordering rmcast.Ordering
+// groupParams parameterizes one measured group run.
+type groupParams struct {
+	n int
+	// cluster, when set, runs the static hierarchy with clusters of that
+	// size instead of one flat group; ack runs the flat group on the
+	// positive-acknowledgment baseline engine instead of rmcast.
+	cluster  int
+	ack      bool
+	ordering rmcast.Ordering // defaults to FIFO
 	senders  int
 	perSend  int
 	gap      time.Duration
 	link     netsim.Link
-	payload  int
-	seed     int64
+	// domains groups receivers into correlated loss domains, as T7 does.
+	domains int
+	// stabilize is the engines' stability gossip period (0 = default).
+	stabilize time.Duration
+	payload   int
 	// streams spreads each sender's messages round-robin over that many
 	// stream labels; zero keeps every message on stream 0.
 	streams int
+	tail    time.Duration // after the last send; defaults to 5s
+	seed    int64
 }
 
-// runFlat drives one flat reliable-multicast group through a Poisson-ish
-// message workload and measures delivery latency at every member.
-func runFlat(p flatParams) flatResult {
+// runGroup drives one group through a Poisson message workload and
+// measures delivery latency at every member. Flat senders are the lowest
+// IDs; hierarchical ones are spread across clusters. A run whose
+// deliveries break no-creation, no-duplication or its ordering panics:
+// the tables report only runs the chaos checkers pass.
+func runGroup(p groupParams) *chaos.GroupResult {
 	if p.senders <= 0 || p.senders > p.n {
 		p.senders = p.n
 	}
-	if p.payload <= 0 {
-		p.payload = 64
+	if p.ordering == 0 {
+		p.ordering = rmcast.FIFO
 	}
-	sim := netsim.New(netsim.Config{
-		Seed:    p.seed,
-		Profile: func(_, _ id.Node) netsim.Link { return p.link },
-	})
-
-	var members []id.Node
-	for i := 1; i <= p.n; i++ {
-		members = append(members, id.Node(i))
+	if p.tail == 0 {
+		p.tail = 5 * time.Second
 	}
-	view := member.NewView(1, members)
-
-	type sendKey struct {
-		sender id.Node
-		seq    uint64
-	}
-	sentAt := make(map[sendKey]time.Time)
-	lat := &stats.Histogram{}
-	delivered := 0
-
-	engines := make(map[id.Node]*rmcast.Engine, p.n)
-	for _, m := range members {
-		m := m
-		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng := rmcast.New(env, rmcast.Config{
-				Group:    1,
-				Ordering: p.ordering,
-				OnDeliver: func(d rmcast.Delivery) {
-					delivered++
-					if t0, ok := sentAt[sendKey{d.Sender, d.Seq}]; ok {
-						lat.ObserveDuration(env.Now().Sub(t0))
-					}
-				},
-			})
-			eng.SetView(view)
-			engines[m] = eng
-			return eng
-		})
-	}
-
-	payload := workload.New(p.seed + 7).Payload(p.payload)
-	var lastSend time.Duration
-	for s := 0; s < p.senders; s++ {
-		sender := members[s]
-		arrivals := workload.Arrivals(p.seed+int64(s)*31, p.gap, 10*time.Millisecond, p.perSend)
-		for _, at := range arrivals {
-			at := at
-			if at > lastSend {
-				lastSend = at
-			}
-			sim.At(at, func() {
-				eng := engines[sender]
-				seq := eng.Counters().Sent + 1
-				sentAt[sendKey{sender, seq}] = sim.Now()
-				stream := id.Stream(0)
-				if p.streams > 1 {
-					stream = id.Stream(seq % uint64(p.streams))
-				}
-				_ = eng.MulticastStream(stream, payload)
-			})
+	senders := chaos.NodeIDs(p.senders)
+	cfg := rmcast.Config{Group: 1, Ordering: p.ordering, StabilizeEvery: p.stabilize}
+	var newEngine chaos.NewEngine
+	switch {
+	case p.cluster > 0:
+		newEngine = chaos.HierGroup(p.n, p.cluster, hier.Config{Ordering: p.ordering, StabilizeEvery: p.stabilize})
+		for s := range senders {
+			senders[s] = id.Node((s*p.cluster+1)%p.n + 1)
 		}
+	case p.ack:
+		newEngine = chaos.FlatGroup(p.n, cfg, NewAck)
+	default:
+		newEngine = chaos.FlatGroup(p.n, cfg, rmcast.New)
 	}
-
-	start := time.Now()
-	sim.Run(lastSend + 5*time.Second)
-	wall := time.Since(start)
-
-	r := flatResult{
-		Latencies: lat,
-		Net:       sim.Stats(),
-		Wall:      wall,
-		Delivered: delivered,
-		Expected:  p.senders * p.perSend * p.n,
-	}
-	for _, eng := range engines {
-		r.Requests += eng.Counters().NacksSent
+	r := chaos.RunGroup(chaos.GroupOptions{
+		Net:       chaos.NetConfig{Seed: p.seed, Link: p.link, LossDomains: p.domains},
+		Nodes:     p.n,
+		Ordering:  p.ordering,
+		New:       newEngine,
+		Senders:   senders,
+		PerSender: p.perSend,
+		Gap:       p.gap,
+		Payload:   p.payload,
+		Streams:   p.streams,
+		Tail:      p.tail,
+	})
+	if v := r.Safety(); len(v) > 0 {
+		panic(fmt.Sprintf("experiments: seed %d broke delivery safety:\n%s", p.seed, strings.Join(v, "\n")))
 	}
 	return r
 }
@@ -155,13 +111,13 @@ func T1LatencyVsGroupSize(o Options) Table {
 		row := []string{fmt.Sprintf("%d", n)}
 		total := 0
 		for _, ord := range allOrderings {
-			r := runFlat(flatParams{
+			r := runGroup(groupParams{
 				n: n, ordering: ord, senders: 4, perSend: per,
 				gap: 5 * time.Millisecond, link: lanLink(0),
 				seed: o.seed(100 + int64(n)),
 			})
 			row = append(row, fmt.Sprintf("%s / %s",
-				msf(r.Latencies.Mean()), msf(r.Latencies.Percentile(99))))
+				msf(r.Latency.Mean()), msf(r.Latency.Percentile(99))))
 			total += r.Delivered
 		}
 		row = append(row, fmt.Sprintf("%d", total))
@@ -189,7 +145,7 @@ func T2ThroughputVsGroupSize(o Options) Table {
 	for _, n := range sizes {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, ord := range allOrderings {
-			r := runFlat(flatParams{
+			r := runGroup(groupParams{
 				n: n, ordering: ord, senders: 4, perSend: per,
 				gap: 2 * time.Millisecond, link: lanLink(0),
 				seed: o.seed(200 + int64(n)),
@@ -224,17 +180,17 @@ func T2TotalOrderThroughput(o Options) Table {
 			n, streams),
 		Columns: []string{"topology", "dlv/s", "delivered"},
 	}
-	row := func(name string, r flatResult) {
+	row := func(name string, r *chaos.GroupResult) {
 		t.Rows = append(t.Rows, []string{name,
 			fmt.Sprintf("%.0f", float64(r.Delivered)/r.Wall.Seconds()),
 			fmt.Sprintf("%d/%d", r.Delivered, r.Expected)})
 	}
-	row("flat (total)", runFlat(flatParams{
+	row("flat (total)", runGroup(groupParams{
 		n: n, ordering: rmcast.Total, senders: senders, perSend: per,
 		gap: gap, link: lanLink(0), seed: o.seed(251), streams: streams,
 	}))
-	row("hier (fifo/origin)", runHier(hierParams{
-		n: n, clusterSize: 8, senders: senders, perSend: per,
+	row("hier (fifo/origin)", runGroup(groupParams{
+		n: n, cluster: 8, senders: senders, perSend: per,
 		gap: gap, link: lanLink(0), seed: o.seed(255),
 	}))
 	return t
@@ -255,12 +211,12 @@ func F1LatencyCDF(o Options) Figure {
 		YLabel: "fraction delivered",
 	}
 	for _, loss := range losses {
-		r := runFlat(flatParams{
+		r := runGroup(groupParams{
 			n: n, ordering: rmcast.Causal, senders: 4, perSend: per,
 			gap: 5 * time.Millisecond, link: lanLink(loss),
 			seed: o.seed(300),
 		})
-		cdf := r.Latencies.CDF(20)
+		cdf := r.Latency.CDF(20)
 		s := Series{Name: fmt.Sprintf("loss=%.0f%%", loss*100)}
 		for _, pt := range cdf {
 			s.X = append(s.X, pt.Value)
@@ -288,13 +244,13 @@ func F2LatencyVsLoss(o Options) Figure {
 	for _, ord := range allOrderings {
 		s := Series{Name: ord.String()}
 		for _, loss := range losses {
-			r := runFlat(flatParams{
+			r := runGroup(groupParams{
 				n: n, ordering: ord, senders: 4, perSend: per,
 				gap: 5 * time.Millisecond, link: lanLink(loss),
 				seed: o.seed(400),
 			})
 			s.X = append(s.X, loss)
-			s.Y = append(s.Y, r.Latencies.Mean())
+			s.Y = append(s.Y, r.Latency.Mean())
 		}
 		f.Series = append(f.Series, s)
 	}
@@ -318,7 +274,7 @@ func F6ThroughputVsSize(o Options) Figure {
 	s := Series{Name: "fifo"}
 	lat := Series{Name: "mean latency (ms)"}
 	for _, size := range sizes {
-		r := runFlat(flatParams{
+		r := runGroup(groupParams{
 			n: n, ordering: rmcast.FIFO, senders: 4, perSend: per,
 			gap: 5 * time.Millisecond, link: lanLink(0),
 			payload: size, seed: o.seed(600),
@@ -327,7 +283,7 @@ func F6ThroughputVsSize(o Options) Figure {
 		s.X = append(s.X, float64(size))
 		s.Y = append(s.Y, mb)
 		lat.X = append(lat.X, float64(size))
-		lat.Y = append(lat.Y, r.Latencies.Mean())
+		lat.Y = append(lat.Y, r.Latency.Mean())
 	}
 	f.Series = []Series{s, lat}
 	return f

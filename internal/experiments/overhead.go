@@ -4,115 +4,21 @@ import (
 	"fmt"
 	"time"
 
-	"scalamedia/internal/hier"
-	"scalamedia/internal/id"
-	"scalamedia/internal/netsim"
-	"scalamedia/internal/proto"
-	"scalamedia/internal/rmcast"
-	"scalamedia/internal/stats"
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/wire"
-	"scalamedia/internal/workload"
 )
 
-// hierParams parameterizes runHier.
-type hierParams struct {
-	n           int
-	clusterSize int
-	senders     int
-	perSend     int
-	gap         time.Duration
-	link        netsim.Link
-	payload     int
-	seed        int64
-}
-
-// runHier drives one hierarchical group through the same workload shape
-// as runFlat and measures the same quantities.
-func runHier(p hierParams) flatResult {
-	if p.senders <= 0 || p.senders > p.n {
-		p.senders = p.n
-	}
-	if p.payload <= 0 {
-		p.payload = 64
-	}
-	sim := netsim.New(netsim.Config{
-		Seed:    p.seed,
-		Profile: func(_, _ id.Node) netsim.Link { return p.link },
-	})
-
-	var members []id.Node
-	for i := 1; i <= p.n; i++ {
-		members = append(members, id.Node(i))
-	}
-	topo := hier.Cluster(members, p.clusterSize)
-
-	type sendKey struct {
-		origin id.Node
-		seq    uint64
-	}
-	sentAt := make(map[sendKey]time.Time)
-	lat := &stats.Histogram{}
-	delivered := 0
-	sent := make(map[id.Node]uint64)
-
-	engines := make(map[id.Node]*hier.Engine, p.n)
-	for _, m := range members {
-		m := m
-		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng, err := hier.New(env, hier.Config{
-				LocalGroup: 1,
-				WideGroup:  2,
-				Topology:   topo,
-				OnDeliver: func(d hier.Delivery) {
-					delivered++
-					if t0, ok := sentAt[sendKey{d.Origin, d.Seq}]; ok {
-						lat.ObserveDuration(env.Now().Sub(t0))
-					}
-				},
-			})
-			if err != nil {
-				panic(err) // static topology always contains m
-			}
-			engines[m] = eng
-			return eng
-		})
-	}
-
-	payload := workload.New(p.seed + 7).Payload(p.payload)
-	var lastSend time.Duration
-	for s := 0; s < p.senders; s++ {
-		// Spread senders across clusters.
-		sender := members[(s*p.clusterSize+1)%p.n]
-		arrivals := workload.Arrivals(p.seed+int64(s)*31, p.gap, 10*time.Millisecond, p.perSend)
-		for _, at := range arrivals {
-			at := at
-			if at > lastSend {
-				lastSend = at
-			}
-			sim.At(at, func() {
-				sent[sender]++
-				sentAt[sendKey{sender, sent[sender]}] = sim.Now()
-				_ = engines[sender].Multicast(payload)
-			})
-		}
-	}
-
-	start := time.Now()
-	sim.Run(lastSend + 5*time.Second)
-	wall := time.Since(start)
-
-	return flatResult{
-		Latencies: lat,
-		Net:       sim.Stats(),
-		Wall:      wall,
-		Delivered: delivered,
-		Expected:  p.senders * p.perSend * p.n,
-	}
+// flatAndHier runs p on one flat group and on the hierarchy with clusters
+// of the given size.
+func flatAndHier(p groupParams, cluster int) (flat, hr *chaos.GroupResult) {
+	flat = runGroup(p)
+	p.cluster = cluster
+	return flat, runGroup(p)
 }
 
 // controlShare computes control datagrams (everything except the payload
 // data/retransmission kinds) per delivered application message.
-func controlShare(r flatResult) (perDelivery float64, totalPerDelivery float64) {
+func controlShare(r *chaos.GroupResult) (perDelivery float64, totalPerDelivery float64) {
 	if r.Delivered == 0 {
 		return 0, 0
 	}
@@ -139,16 +45,10 @@ func T3ControlOverhead(o Options) Table {
 			"flat total/dlv", "hier total/dlv"},
 	}
 	for _, n := range sizes {
-		flat := runFlat(flatParams{
-			n: n, ordering: rmcast.FIFO, senders: 4, perSend: per,
-			gap: 10 * time.Millisecond, link: lanLink(0.01),
-			seed: o.seed(700 + int64(n)),
-		})
-		hr := runHier(hierParams{
-			n: n, clusterSize: cluster, senders: 4, perSend: per,
-			gap: 10 * time.Millisecond, link: lanLink(0.01),
-			seed: o.seed(700 + int64(n)),
-		})
+		flat, hr := flatAndHier(groupParams{
+			n: n, senders: 4, perSend: per,
+			gap: 10 * time.Millisecond, link: lanLink(0.01), seed: o.seed(700 + int64(n)),
+		}, cluster)
 		fc, ft := controlShare(flat)
 		hc, ht := controlShare(hr)
 		t.Rows = append(t.Rows, []string{
@@ -180,20 +80,14 @@ func F5Scalability(o Options) Figure {
 	flatCtl := Series{Name: "flat ctl/dlv"}
 	hierCtl := Series{Name: "hier ctl/dlv"}
 	for _, n := range sizes {
-		flat := runFlat(flatParams{
-			n: n, ordering: rmcast.FIFO, senders: 4, perSend: per,
-			gap: 10 * time.Millisecond, link: lanLink(0.01),
-			seed: o.seed(800 + int64(n)),
-		})
-		hr := runHier(hierParams{
-			n: n, clusterSize: cluster, senders: 4, perSend: per,
-			gap: 10 * time.Millisecond, link: lanLink(0.01),
-			seed: o.seed(800 + int64(n)),
-		})
+		flat, hr := flatAndHier(groupParams{
+			n: n, senders: 4, perSend: per,
+			gap: 10 * time.Millisecond, link: lanLink(0.01), seed: o.seed(800 + int64(n)),
+		}, cluster)
 		flatS.X = append(flatS.X, float64(n))
-		flatS.Y = append(flatS.Y, flat.Latencies.Mean())
+		flatS.Y = append(flatS.Y, flat.Latency.Mean())
 		hierS.X = append(hierS.X, float64(n))
-		hierS.Y = append(hierS.Y, hr.Latencies.Mean())
+		hierS.Y = append(hierS.Y, hr.Latency.Mean())
 		fc, _ := controlShare(flat)
 		hc, _ := controlShare(hr)
 		flatCtl.X = append(flatCtl.X, float64(n))
@@ -218,22 +112,16 @@ func T6EndToEnd(o Options) Table {
 		Columns: []string{"organization", "mean lat (ms)", "p99 lat (ms)",
 			"delivery rate", "ctl/dlv", "total dgrams/dlv"},
 	}
-	flat := runFlat(flatParams{
-		n: n, ordering: rmcast.FIFO, senders: 6, perSend: per,
-		gap: 20 * time.Millisecond, link: lanLink(0.01),
-		seed: o.seed(900),
-	})
-	hr := runHier(hierParams{
-		n: n, clusterSize: cluster, senders: 6, perSend: per,
-		gap: 20 * time.Millisecond, link: lanLink(0.01),
-		seed: o.seed(900),
-	})
-	add := func(name string, r flatResult) {
+	flat, hr := flatAndHier(groupParams{
+		n: n, senders: 6, perSend: per,
+		gap: 20 * time.Millisecond, link: lanLink(0.01), seed: o.seed(900),
+	}, cluster)
+	add := func(name string, r *chaos.GroupResult) {
 		ctl, tot := controlShare(r)
 		t.Rows = append(t.Rows, []string{
 			name,
-			msf(r.Latencies.Mean()),
-			msf(r.Latencies.Percentile(99)),
+			msf(r.Latency.Mean()),
+			msf(r.Latency.Percentile(99)),
 			fmt.Sprintf("%.3f", float64(r.Delivered)/float64(r.Expected)),
 			ratio(ctl), ratio(tot),
 		})
@@ -260,14 +148,14 @@ func AblationClusterSize(o Options) Table {
 		Columns: []string{"cluster", "mean lat (ms)", "ctl/dlv", "total/dlv"},
 	}
 	for _, c := range clusters {
-		r := runHier(hierParams{
-			n: n, clusterSize: c, senders: 4, perSend: per,
+		r := runGroup(groupParams{
+			n: n, cluster: c, senders: 4, perSend: per,
 			gap: 10 * time.Millisecond, link: lanLink(0.01),
 			seed: o.seed(950),
 		})
 		ctl, tot := controlShare(r)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", c), msf(r.Latencies.Mean()), ratio(ctl), ratio(tot),
+			fmt.Sprintf("%d", c), msf(r.Latency.Mean()), ratio(ctl), ratio(tot),
 		})
 	}
 	return t

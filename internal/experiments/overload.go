@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/core"
 	"scalamedia/internal/id"
 	"scalamedia/internal/member"
@@ -52,38 +53,20 @@ type overloadResult struct {
 // eight senders that retry rejected sends, so backpressure defers rather
 // than drops offered load.
 func runOverload(p overloadParams) overloadResult {
-	sim := netsim.New(netsim.Config{
+	sim := chaos.NewNet(chaos.NetConfig{
 		Seed: p.seed,
-		Profile: func(_, _ id.Node) netsim.Link {
-			return netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.01}
-		},
+		Link: netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond, Loss: 0.01},
 	})
 
 	stalled := id.Node(p.n)
 	res := overloadResult{}
 	stacks := make(map[id.Node]*core.Stack, p.n)
-	for i := 1; i <= p.n; i++ {
-		m := id.Node(i)
-		contact := id.Node(1)
-		if m == 1 {
-			contact = id.None
-		}
+	for _, m := range chaos.NodeIDs(p.n) {
 		isCoord := m == id.Node(1)
+		cfg := chaos.StackConfig(1, m)
+		cfg.FlowWindow, cfg.SlowPolicy, cfg.SlowGrace = p.flowWindow, p.policy, p.grace
 		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			st := core.NewStack(env, core.Config{
-				Group:            1,
-				Contact:          contact,
-				PrimaryPartition: true,
-				HeartbeatEvery:   40 * time.Millisecond,
-				SuspectAfter:     200 * time.Millisecond,
-				FlushTimeout:     400 * time.Millisecond,
-				JoinRetry:        100 * time.Millisecond,
-				ResendAfter:      40 * time.Millisecond,
-				StabilizeEvery:   100 * time.Millisecond,
-				FlowWindow:       p.flowWindow,
-				SlowPolicy:       p.policy,
-				SlowGrace:        p.grace,
-			}, core.Hooks{
+			st := core.NewStack(env, cfg, core.Hooks{
 				OnView: func(v member.View) {
 					// Views during join warmup exclude the last joiner too;
 					// only a post-stall view without the stalled member is an
@@ -142,21 +125,9 @@ func runOverload(p overloadParams) overloadResult {
 	// Sample unstable history and flow occupancy through the fault and
 	// settle windows, so peaks survive the final drain.
 	total := end + 5*time.Second
-	for at := warmup; at < total; at += 100 * time.Millisecond {
-		sim.At(at, func() {
-			for m, st := range stacks {
-				if !sim.Up(m) {
-					continue
-				}
-				if h := st.HistoryLen(); h > res.historyPeak {
-					res.historyPeak = h
-				}
-				if o := st.FlowOccupancy(); o > res.flowPeak {
-					res.flowPeak = o
-				}
-			}
-		})
-	}
+	sim.SamplePeaks(stacks, warmup, total, func(_ id.Node, history, flow int) {
+		res.historyPeak, res.flowPeak = max(res.historyPeak, history), max(res.flowPeak, flow)
+	})
 
 	sim.Run(total)
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/id"
 	"scalamedia/internal/media"
 	"scalamedia/internal/netsim"
@@ -11,63 +12,59 @@ import (
 	"scalamedia/internal/rtx"
 )
 
-// mediaAudioSpec returns the standard telephone audio spec used by the
-// media ablations.
-func mediaAudioSpec() media.StreamSpec { return media.TelephoneAudio(1, "mic") }
-
-// mediaCBR returns a CBR voice-packet source of count packets.
-func mediaCBR(spec media.StreamSpec, count int) media.Source {
-	return media.NewCBR(spec, 160, count)
-}
-
 // playoutResult summarizes one media playout run.
 type playoutResult struct {
 	stats rtx.Stats
 	sent  int
 }
 
+// runMedia streams telephone audio from src across link into one
+// receiver configured by rc, the sender protecting blocks of rc.FECBlock
+// frames when it is set, and returns what the receiver played.
+func runMedia(link netsim.Link, src func(media.StreamSpec) media.Source, rc rtx.Config, seed int64) playoutResult {
+	spec := media.TelephoneAudio(1, "mic")
+	rc.Group, rc.Stream, rc.Spec = 1, spec.ID, spec
+	net := chaos.NewNet(chaos.NetConfig{Seed: seed, Link: link})
+	var sender *rtx.Sender
+	var recv *rtx.Receiver
+	net.AddNode(1, func(env proto.Env) proto.Handler {
+		sender = rtx.NewSender(env, 1, spec)
+		sender.SetPeers([]id.Node{2})
+		if rc.FECBlock > 0 {
+			_ = sender.SetFEC(rc.FECBlock)
+		}
+		return proto.NewMux()
+	})
+	net.AddNode(2, func(env proto.Env) proto.Handler {
+		recv = rtx.NewReceiver(env, rc)
+		return recv
+	})
+	frames := src(spec)
+	var last time.Duration
+	sent := 0
+	for {
+		f, ok := frames.Next()
+		if !ok {
+			break
+		}
+		sent++
+		at := 10*time.Millisecond + f.Capture
+		last = max(last, at)
+		net.At(at, func() { sender.Send(f) })
+	}
+	net.Run(last + 2*time.Second)
+	return playoutResult{stats: recv.Stats(), sent: sent}
+}
+
 // runPlayout streams a talkspurt voice source across a jittery link into
 // one receiver with the given playout policy.
 func runPlayout(jitter time.Duration, mode rtx.PlayoutMode, fixedDelay time.Duration,
 	safety float64, packets int, seed int64) playoutResult {
-
-	spec := media.TelephoneAudio(1, "mic")
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: netsim.LANProfile(2*time.Millisecond, jitter, 0),
-	})
-	var sender *rtx.Sender
-	var recv *rtx.Receiver
-	sim.AddNode(1, func(env proto.Env) proto.Handler {
-		sender = rtx.NewSender(env, 1, spec)
-		sender.SetPeers([]id.Node{2})
-		return proto.NewMux()
-	})
-	sim.AddNode(2, func(env proto.Env) proto.Handler {
-		recv = rtx.NewReceiver(env, rtx.Config{
-			Group: 1, Stream: 1, Spec: spec,
-			Mode: mode, PlayoutDelay: fixedDelay, SafetyFactor: safety,
-		})
-		return recv
-	})
-	src := media.NewVoice(spec, 160, packets, time.Second, 1350*time.Millisecond, seed+3)
-	var last time.Duration
-	sent := 0
-	for {
-		f, ok := src.Next()
-		if !ok {
-			break
-		}
-		frame := f
-		sent++
-		at := 10*time.Millisecond + frame.Capture
-		if at > last {
-			last = at
-		}
-		sim.At(at, func() { sender.Send(frame) })
+	voice := func(spec media.StreamSpec) media.Source {
+		return media.NewVoice(spec, 160, packets, time.Second, 1350*time.Millisecond, seed+3)
 	}
-	sim.Run(last + 2*time.Second)
-	return playoutResult{stats: recv.Stats(), sent: sent}
+	return runMedia(netsim.Link{Delay: 2 * time.Millisecond, Jitter: jitter}, voice,
+		rtx.Config{Mode: mode, PlayoutDelay: fixedDelay, SafetyFactor: safety}, seed)
 }
 
 // lateFraction is the share of arrived frames that missed playout.

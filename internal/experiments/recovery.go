@@ -4,14 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"scalamedia/internal/hier"
-	"scalamedia/internal/id"
-	"scalamedia/internal/member"
-	"scalamedia/internal/netsim"
-	"scalamedia/internal/proto"
-	"scalamedia/internal/rmcast"
 	"scalamedia/internal/wire"
-	"scalamedia/internal/workload"
 )
 
 // recoveryResult aggregates one loss-recovery run: the engine-level
@@ -51,136 +44,24 @@ const (
 	t7Stabilize = 700 * time.Millisecond
 )
 
-func t7Domain(n id.Node) int { return int(n) % t7Domains }
-
-// runFlatRecovery drives one flat FIFO group over a lossy LAN with
-// correlated loss domains and tallies recovery traffic.
-func runFlatRecovery(n int, seed int64) recoveryResult {
-	link := lanLink(t7Loss)
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: func(_, _ id.Node) netsim.Link { return link },
+// runRecovery drives one FIFO group — flat, or in clusters of the given
+// size — over a lossy LAN with correlated loss domains and tallies
+// recovery traffic. The hierarchy scopes recovery to clusters (and the
+// relay group), so no request or repair crosses a cluster boundary.
+func runRecovery(n, cluster int, seed int64) recoveryResult {
+	g := runGroup(groupParams{
+		n: n, cluster: cluster, senders: t7Senders, perSend: t7PerSend,
+		gap: t7Gap, link: lanLink(t7Loss), domains: t7Domains,
+		stabilize: t7Stabilize, tail: t7Tail, seed: seed,
 	})
-	sim.SetLossDomains(t7Domain)
-
-	var members []id.Node
-	for i := 1; i <= n; i++ {
-		members = append(members, id.Node(i))
-	}
-	view := member.NewView(1, members)
-
-	delivered := 0
-	engines := make(map[id.Node]*rmcast.Engine, n)
-	for _, m := range members {
-		m := m
-		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng := rmcast.New(env, rmcast.Config{
-				Group:          1,
-				Ordering:       rmcast.FIFO,
-				StabilizeEvery: t7Stabilize,
-				OnDeliver:      func(rmcast.Delivery) { delivered++ },
-			})
-			eng.SetView(view)
-			engines[m] = eng
-			return eng
-		})
-	}
-
-	payload := workload.New(seed + 7).Payload(64)
-	var lastSend time.Duration
-	for s := 0; s < t7Senders && s < n; s++ {
-		sender := members[s]
-		arrivals := workload.Arrivals(seed+int64(s)*31, t7Gap, 10*time.Millisecond, t7PerSend)
-		for _, at := range arrivals {
-			if at > lastSend {
-				lastSend = at
-			}
-			sim.At(at, func() { _ = engines[sender].Multicast(payload) })
-		}
-	}
-
-	start := time.Now()
-	sim.Run(lastSend + t7Tail)
-
 	r := recoveryResult{
-		Delivered: delivered,
-		Expected:  min(t7Senders, n) * t7PerSend * n,
-		LostData:  sim.Stats().DroppedByKind[wire.KindData],
-		Wall:      time.Since(start),
+		Delivered: g.Delivered,
+		Expected:  g.Expected,
+		LostData:  g.Net.DroppedByKind[wire.KindData] + g.Net.DroppedByKind[wire.KindRelay],
+		Wall:      g.Wall,
 	}
-	for _, eng := range engines {
-		c := eng.Counters()
-		r.Requests += c.NacksSent
-		r.Repairs += c.NacksServed
-		r.Suppressed += c.NacksSuppressed
-		r.LocalRepairs += c.LocalRepairs
-	}
-	return r
-}
-
-// runHierRecovery is runFlatRecovery over the hierarchical organization:
-// recovery is scoped to clusters (and the relay group), so no request or
-// repair crosses a cluster boundary.
-func runHierRecovery(n, cluster int, seed int64) recoveryResult {
-	link := lanLink(t7Loss)
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: func(_, _ id.Node) netsim.Link { return link },
-	})
-	sim.SetLossDomains(t7Domain)
-
-	var members []id.Node
-	for i := 1; i <= n; i++ {
-		members = append(members, id.Node(i))
-	}
-	topo := hier.Cluster(members, cluster)
-
-	delivered := 0
-	engines := make(map[id.Node]*hier.Engine, n)
-	for _, m := range members {
-		m := m
-		sim.AddNode(m, func(env proto.Env) proto.Handler {
-			eng, err := hier.New(env, hier.Config{
-				LocalGroup:     1,
-				WideGroup:      2,
-				Topology:       topo,
-				StabilizeEvery: t7Stabilize,
-				OnDeliver:      func(hier.Delivery) { delivered++ },
-			})
-			if err != nil {
-				panic(err) // static topology always contains m
-			}
-			engines[m] = eng
-			return eng
-		})
-	}
-
-	payload := workload.New(seed + 7).Payload(64)
-	var lastSend time.Duration
-	for s := 0; s < t7Senders && s < n; s++ {
-		// Spread senders across clusters, as runHier does.
-		sender := members[(s*cluster+1)%n]
-		arrivals := workload.Arrivals(seed+int64(s)*31, t7Gap, 10*time.Millisecond, t7PerSend)
-		for _, at := range arrivals {
-			if at > lastSend {
-				lastSend = at
-			}
-			sim.At(at, func() { _ = engines[sender].Multicast(payload) })
-		}
-	}
-
-	start := time.Now()
-	sim.Run(lastSend + t7Tail)
-
-	st := sim.Stats()
-	r := recoveryResult{
-		Delivered: delivered,
-		Expected:  min(t7Senders, n) * t7PerSend * n,
-		LostData:  st.DroppedByKind[wire.KindData] + st.DroppedByKind[wire.KindRelay],
-		Wall:      time.Since(start),
-	}
-	for _, eng := range engines {
-		c := eng.Counters()
+	for _, nt := range g.Nodes {
+		c := nt.Recovery
 		r.Requests += c.NacksSent
 		r.Repairs += c.NacksServed
 		r.Suppressed += c.NacksSuppressed
@@ -235,8 +116,8 @@ func T7RecoveryOverhead(o Options) Table {
 	for _, n := range sizes {
 		seed := o.seed(1800 + int64(n))
 		t.Rows = append(t.Rows, t7Row(n, fmt.Sprintf("hier(c=%d)", cluster),
-			runHierRecovery(n, cluster, seed)))
-		t.Rows = append(t.Rows, t7Row(n, "suppressed", runFlatRecovery(n, seed)))
+			runRecovery(n, cluster, seed)))
+		t.Rows = append(t.Rows, t7Row(n, "suppressed", runRecovery(n, 0, seed)))
 	}
 	return t
 }

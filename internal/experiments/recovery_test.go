@@ -5,7 +5,7 @@ import (
 )
 
 // t7FlatBaseline holds, per group size, what the per-receiver NACK
-// scheduler measured on runFlatRecovery's workload at seed 1800+n before
+// scheduler measured on runRecovery's flat workload at seed 1800+n before
 // it was deleted from the engine (commit 386e799): lost data datagrams
 // and request events, every cell at full delivery. The seeded simulator
 // makes the figures exact, so the tests compare against them instead of
@@ -54,7 +54,7 @@ func TestT7Smoke256(t *testing.T) {
 	const n = 256
 	seed := int64(1800 + n)
 	flat := t7FlatBaseline[n]
-	sup := runFlatRecovery(n, seed)
+	sup := runRecovery(n, 0, seed)
 	t.Logf("flat (recorded): lost=%.0f requests=%.0f; sup: lost=%d requests=%d wall=%v",
 		flat.lost, flat.requests, sup.LostData, sup.Requests, sup.Wall)
 	if sup.Delivered != sup.Expected {
@@ -81,7 +81,7 @@ func TestT7SuppressionAtScale(t *testing.T) {
 	const n = 1024
 	seed := int64(1800 + n)
 	flat := t7FlatBaseline[n]
-	sup := runFlatRecovery(n, seed)
+	sup := runRecovery(n, 0, seed)
 	t.Logf("flat (recorded): lost=%.0f requests=%.0f", flat.lost, flat.requests)
 	t.Logf("sup:  lost=%d requests=%d repairs=%d suppressed=%d local=%d delivered=%d/%d wall=%v",
 		sup.LostData, sup.Requests, sup.Repairs, sup.Suppressed, sup.LocalRepairs,

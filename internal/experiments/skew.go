@@ -4,110 +4,31 @@ import (
 	"fmt"
 	"time"
 
-	"scalamedia/internal/id"
-	"scalamedia/internal/media"
-	"scalamedia/internal/msync"
+	"scalamedia/internal/chaos"
 	"scalamedia/internal/netsim"
-	"scalamedia/internal/proto"
-	"scalamedia/internal/rtx"
-	"scalamedia/internal/wire"
 )
 
-// ctlTicker adapts an msync.Controller to proto.Handler.
-type ctlTicker struct{ ctl *msync.Controller }
-
-func (c ctlTicker) OnMessage(id.Node, *wire.Message) {}
-func (c ctlTicker) OnTick(now time.Time)             { c.ctl.OnTick(now) }
-
-// skewSampler records uncorrected skew for the no-sync baseline.
-type skewSampler struct {
-	ctl   *msync.Controller
-	start time.Time
-	out   *Series
-	last  time.Time
-}
-
-func (s *skewSampler) OnMessage(id.Node, *wire.Message) {}
-func (s *skewSampler) OnTick(now time.Time) {
-	if now.Sub(s.last) < 100*time.Millisecond {
-		return
-	}
-	s.last = now
-	if skew, ok := s.ctl.Skew(0); ok {
-		s.out.X = append(s.out.X, now.Sub(s.start).Seconds())
-		s.out.Y = append(s.out.Y, float64(skew)/float64(time.Millisecond))
-	}
-}
-
 // runSkew streams synchronized audio+video with a drifting video pipeline
-// and returns the skew trace, with or without the sync controller.
+// over a quiet LAN and returns the skew sampled every 100ms, with or
+// without the sync controller steering.
 func runSkew(withSync bool, driftPerSec time.Duration, dur time.Duration, seed int64) Series {
-	audioSpec := media.TelephoneAudio(1, "mic")
-	videoSpec := media.PALVideo(2, "cam")
-	sim := netsim.New(netsim.Config{
-		Seed:    seed,
-		Profile: netsim.LANProfile(2*time.Millisecond, time.Millisecond, 0),
+	tr := chaos.RunMsync(chaos.MsyncOptions{
+		Seed:        seed,
+		Drift:       driftPerSec,
+		Duration:    dur,
+		Link:        netsim.Link{Delay: 2 * time.Millisecond, Jitter: time.Millisecond},
+		Unsynced:    !withSync,
+		SampleEvery: 100 * time.Millisecond,
 	})
-
-	var audioSend, videoSend *rtx.Sender
-	sim.AddNode(1, func(env proto.Env) proto.Handler {
-		audioSend = rtx.NewSender(env, 1, audioSpec)
-		audioSend.SetPeers([]id.Node{2})
-		videoSend = rtx.NewSender(env, 1, videoSpec)
-		videoSend.SetPeers([]id.Node{2})
-		return proto.NewMux()
-	})
-
 	name := "no-sync"
 	if withSync {
 		name = "sync"
 	}
 	out := Series{Name: fmt.Sprintf("%s drift=%v/s", name, driftPerSec)}
-	var ctl *msync.Controller
-	sim.AddNode(2, func(env proto.Env) proto.Handler {
-		audioRecv := rtx.NewReceiver(env, rtx.Config{
-			Group: 1, Stream: 1, Spec: audioSpec,
-			Mode: rtx.Adaptive, PlayoutDelay: 40 * time.Millisecond,
-			OnPlay: func(f media.Frame, at time.Time) { ctl.ObserveMaster(f, at) },
-		})
-		videoRecv := rtx.NewReceiver(env, rtx.Config{
-			Group: 1, Stream: 2, Spec: videoSpec,
-			Mode: rtx.Adaptive, PlayoutDelay: 40 * time.Millisecond,
-			OnPlay: func(f media.Frame, at time.Time) { ctl.ObserveSlave(0, f, at) },
-		})
-		ctl = msync.New(msync.Config{
-			MaxSkew:    40 * time.Millisecond,
-			MaxStep:    20 * time.Millisecond,
-			CheckEvery: 50 * time.Millisecond,
-		}, audioRecv, videoRecv)
-		mux := proto.NewMux(audioRecv, videoRecv)
-		if withSync {
-			mux.Add(ctlTicker{ctl})
-		}
-		mux.Add(&skewSampler{ctl: ctl, start: sim.Now(), out: &out})
-		return mux
-	})
-
-	audioSrc := media.NewCBR(audioSpec, 160, int(dur/(20*time.Millisecond)))
-	for {
-		f, ok := audioSrc.Next()
-		if !ok {
-			break
-		}
-		frame := f
-		sim.At(10*time.Millisecond+frame.Capture, func() { audioSend.Send(frame) })
+	for _, s := range tr.Samples {
+		out.X = append(out.X, s.At.Seconds())
+		out.Y = append(out.Y, float64(s.Skew)/float64(time.Millisecond))
 	}
-	videoSrc := media.NewCBR(videoSpec, 2000, int(dur/(40*time.Millisecond)))
-	for {
-		f, ok := videoSrc.Next()
-		if !ok {
-			break
-		}
-		frame := f
-		lag := time.Duration(float64(driftPerSec) * frame.Capture.Seconds())
-		sim.At(10*time.Millisecond+frame.Capture+lag, func() { videoSend.Send(frame) })
-	}
-	sim.Run(dur + time.Second)
 	return out
 }
 

@@ -35,7 +35,7 @@ func TestMsyncChaos(t *testing.T) {
 }
 
 func runMsyncChaos(t *testing.T, seed int64) {
-	tr := chaos.RunMsync(seed)
+	tr := chaos.RunMsync(chaos.MsyncOptions{Seed: seed})
 	if v := tr.Violations(); len(v) > 0 {
 		t.Error(chaos.FailureReport(
 			fmt.Sprintf("go test ./internal/msync -run TestMsyncChaos -msync.chaos.seed=%d", seed),

@@ -28,6 +28,9 @@ fields() {
 }
 
 echo "non-test Go lines (excl. cmd/mmload): $(lines '*.go' ':!*_test.go' ':!cmd/mmload')"
+# The simulation harness: the experiments, the chaos scenarios and the
+# group builder they share, and mmsim's front end over it.
+echo "harness non-test lines (experiments, chaos, mmsim): $(lines 'internal/experiments/*.go' 'internal/chaos/*.go' 'cmd/mmsim/*.go' ':!*_test.go')"
 echo "internal/rmcast/rmcast.go lines:      $(wc -l < internal/rmcast/rmcast.go | tr -d ' ')"
 echo "wire kinds:                           $(awk '/^\tKindData Kind = iota/ { k = 1 } k && /^\tKind[A-Za-z]+/ { n++ } k && /^\)/ { exit } END { print n }' internal/wire/wire.go)"
 # The stack's configs, then the structs nested in or beside them that hold
