@@ -38,6 +38,20 @@ func TestA2NackVsAckShape(t *testing.T) {
 	}
 }
 
+// TestA2DeterministicAcrossRuns: the ACK baseline retransmits in sequence
+// order, so two A2 runs with one seed print the same table.
+func TestA2DeterministicAcrossRuns(t *testing.T) {
+	a, b := AblationNackVsAck(quick), AblationNackVsAck(quick)
+	for i := range a.Rows {
+		for j := range a.Rows[i] {
+			if a.Rows[i][j] != b.Rows[i][j] {
+				t.Fatalf("A2 cell [%d][%d] (%s) differs between two runs: %q vs %q",
+					i, j, a.Columns[j], a.Rows[i][j], b.Rows[i][j])
+			}
+		}
+	}
+}
+
 func TestA3FECShape(t *testing.T) {
 	tab := AblationFEC(quick)
 	for _, row := range tab.Rows {

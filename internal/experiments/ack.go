@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"scalamedia/internal/id"
@@ -223,15 +224,21 @@ func (e *AckEngine) onAck(from id.Node, upTo uint64) {
 }
 
 // OnTick retransmits timed-out messages to the members that have not
-// acknowledged them.
+// acknowledged them, in sequence order so a seeded run sends the same
+// datagrams every time.
 func (e *AckEngine) OnTick(now time.Time) {
 	if e.view.ID == 0 {
 		return
 	}
-	for _, pend := range e.unacked {
-		if now.Sub(pend.sentAt) < e.cfg.ResendAfter {
-			continue
+	var due []uint64
+	for seq, pend := range e.unacked {
+		if now.Sub(pend.sentAt) >= e.cfg.ResendAfter {
+			due = append(due, seq)
 		}
+	}
+	slices.Sort(due)
+	for _, seq := range due {
+		pend := e.unacked[seq]
 		pend.sentAt = now
 		for _, m := range e.view.Members {
 			if pend.acked[m] {

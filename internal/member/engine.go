@@ -155,13 +155,13 @@ type Config struct {
 	// EvictSlow policy slates it for eviction. Defaults to
 	// DefaultSlowGrace. Ignored under ThrottleToSlowest.
 	SlowGrace time.Duration
-	// StabilityVector, when set, supplies the multicast layer's delivery
-	// state: per-sender contiguously delivered counts plus the count of
-	// totally-ordered slots delivered. FlushOK messages then carry it,
-	// and a coordinator withholds ViewCommit until every surviving
-	// member reports matching state — true virtual-synchrony agreement
-	// instead of the best-effort one-shot flush. Optional.
-	StabilityVector func() (acks []wire.AckEntry, orderedSlots uint64)
+	// StabilityVector, when set, appends the multicast layer's delivery
+	// state to dst: per-sender contiguously delivered counts plus the
+	// count of totally-ordered slots delivered. FlushOK messages then
+	// carry it, and a coordinator withholds ViewCommit until every
+	// surviving member reports matching state — true virtual-synchrony
+	// agreement instead of the best-effort one-shot flush. Optional.
+	StabilityVector func(dst []wire.AckEntry) (acks []wire.AckEntry, orderedSlots uint64)
 }
 
 // pendingJoinState is the coordinator's bookkeeping for one admission in
@@ -251,10 +251,17 @@ type Engine struct {
 
 	// Member-side state: the highest proposal accepted but not yet
 	// committed, retained so duplicate proposes re-ack idempotently;
-	// acceptedFrom is its proposer, the target for periodic re-acks.
+	// acceptedFrom is its proposer, the target for re-acks.
 	accepted     View
 	acceptedFrom id.Node
 	lastReflush  time.Time
+
+	// reported is the delivery state (Config.StabilityVector) this node
+	// last put in a FlushOK or judged its own proposal by, and vecBuf the
+	// scratch row the current state is read into (see deliveryMoved).
+	reported      []wire.AckEntry
+	reportedSlots uint64
+	vecBuf        []wire.AckEntry
 }
 
 type proposalState struct {
@@ -513,25 +520,33 @@ func (e *Engine) OnTick(now time.Time) {
 		e.proposal = nil
 	}
 
-	// A member holding an accepted-but-uncommitted proposal re-flushes
-	// and re-acknowledges periodically: the flush retransmissions, the
-	// FlushOK and the ViewCommit are all best-effort datagrams, and a
-	// lost one must not strand the view change or the coordinator's
-	// flush-convergence gate. The re-ack also goes to the current
-	// coordinator when that is a different node — if the original
-	// proposer died, the surviving coordinator learns from the ack's
-	// future view number that a view change was abandoned midway and
-	// must be re-driven (see onFlushOK).
-	if e.accepted.ID > e.view.ID && e.acceptedFrom != id.None &&
-		now.Sub(e.lastReflush) >= e.cfg.JoinRetry {
-		e.lastReflush = now
-		e.flushFor(e.accepted)
-		if e.acceptedFrom != e.env.Self() {
+	// A member holding an accepted-but-uncommitted proposal re-acks as
+	// soon as a flush repair changes its delivery state: the coordinator
+	// commits only once every survivor reports the same state, so the ack
+	// that says so ends the view change. Multicasts are frozen during the
+	// flush, so these re-acks are bounded by the repairs that arrive. A
+	// coordinator with its own proposal out judges its state below
+	// instead. Every JoinRetry the member also re-flushes and re-acks:
+	// the flush retransmissions, the FlushOK and the ViewCommit are all
+	// best-effort datagrams, and a lost one must not strand the view
+	// change or the coordinator's flush-convergence gate. The periodic
+	// re-ack also goes to the current coordinator when that is a
+	// different node — if the original proposer died, the surviving
+	// coordinator learns from the ack's future view number that a view
+	// change was abandoned midway and must be re-driven (see onFlushOK).
+	if e.accepted.ID > e.view.ID && e.acceptedFrom != id.None {
+		if now.Sub(e.lastReflush) >= e.cfg.JoinRetry {
+			e.lastReflush = now
+			e.flushFor(e.accepted)
+			if e.acceptedFrom != e.env.Self() {
+				e.sendFlushOK(e.acceptedFrom, e.accepted.ID)
+			}
+			if coord := e.coordinator(); coord != id.None &&
+				coord != e.acceptedFrom && coord != e.env.Self() {
+				e.sendFlushOK(coord, e.accepted.ID)
+			}
+		} else if e.acceptedFrom != e.env.Self() && e.proposal == nil && e.deliveryMoved() {
 			e.sendFlushOK(e.acceptedFrom, e.accepted.ID)
-		}
-		if coord := e.coordinator(); coord != id.None &&
-			coord != e.acceptedFrom && coord != e.env.Self() {
-			e.sendFlushOK(coord, e.accepted.ID)
 		}
 	}
 
@@ -551,11 +566,15 @@ func (e *Engine) OnTick(now time.Time) {
 	if e.proposal != nil {
 		// The coordinator re-sends the proposal to members yet to ack,
 		// re-flushes like any member while its proposal is out, and
-		// re-evaluates the gate against its own fresh state.
+		// re-evaluates the gate against its own fresh state — at once
+		// when a flush repair changed that state, since its own row may
+		// be the one the gate waits for.
 		if now.Sub(e.lastReflush) >= e.cfg.JoinRetry {
 			e.lastReflush = now
 			e.sendProposal(e.proposal)
 			e.flushFor(e.proposal.view)
+			e.maybeCommit()
+		} else if e.deliveryMoved() {
 			e.maybeCommit()
 		}
 		if e.proposal != nil {
@@ -948,11 +967,27 @@ func (e *Engine) sendFlushOK(to id.Node, vid id.View) {
 		Sender: e.acceptedFrom,
 	}
 	if e.cfg.StabilityVector != nil {
-		acks, slots := e.cfg.StabilityVector()
-		msg.Body = wire.AppendAckVector(nil, acks)
-		msg.Aux = slots
+		e.deliveryMoved()
+		msg.Body = wire.AppendAckVector(nil, e.reported)
+		msg.Aux = e.reportedSlots
 	}
 	e.env.Send(to, msg)
+}
+
+// deliveryMoved reads this node's delivery state into reported and says
+// whether it differs from the state reported before. Once the two rows
+// have grown to the group's size it allocates nothing.
+func (e *Engine) deliveryMoved() bool {
+	if e.cfg.StabilityVector == nil {
+		return false
+	}
+	cur, slots := e.cfg.StabilityVector(e.vecBuf[:0])
+	if slots == e.reportedSlots && slices.Equal(cur, e.reported) {
+		e.vecBuf = cur
+		return false
+	}
+	e.vecBuf, e.reported, e.reportedSlots = e.reported, cur, slots
+	return true
 }
 
 // onFlushOK records a member's flush acknowledgment.
@@ -1193,10 +1228,12 @@ func (e *Engine) maybeCommit() {
 // same totally-ordered slot prefix. Committing earlier could install a
 // view in which one survivor delivered a message another never saw — the
 // virtual-synchrony agreement violation the flush exists to prevent.
-// Joiners are skipped: they carry no old-view state. Convergence is
-// guaranteed to make progress because survivors re-flush and re-ack
-// periodically until the commit arrives, and a survivor that stops
-// responding is evicted from the proposal at the flush deadline.
+// Joiners are skipped: they carry no old-view state. Convergence makes
+// progress in the round in which the survivors converge: a survivor
+// re-acks on the tick a flush repair changes its state, and the
+// coordinator re-judges on the tick its own state changes (OnTick). The
+// periodic re-flush and re-ack cover lost datagrams, and a survivor that
+// stops responding is evicted from the proposal at the flush deadline.
 func (e *Engine) flushConverged(p *proposalState) bool {
 	rows := make(map[id.Node]map[id.Node]uint64)
 	slots := make(map[id.Node]uint64)
@@ -1205,12 +1242,12 @@ func (e *Engine) flushConverged(p *proposalState) bool {
 			continue // joiner: no old-view state to reconcile
 		}
 		if m == e.env.Self() {
-			selfAcks, selfSlots := e.cfg.StabilityVector()
-			row := make(map[id.Node]uint64, len(selfAcks))
-			for _, a := range selfAcks {
+			e.deliveryMoved()
+			row := make(map[id.Node]uint64, len(e.reported))
+			for _, a := range e.reported {
 				row[a.Sender] = a.Seq
 			}
-			rows[m], slots[m] = row, selfSlots
+			rows[m], slots[m] = row, e.reportedSlots
 			continue
 		}
 		st, ok := p.vectors[m]

@@ -691,11 +691,12 @@ func (e *Engine) drainForViewChange() {
 // multicasts are sent in the next view; SetView lifts the freeze.
 func (e *Engine) Freeze() { e.frozen = true }
 
-// StabilityVector returns this member's delivery state for the membership
-// layer's flush-convergence gate: the per-sender contiguously delivered
-// counts and, under total ordering, the number of slots delivered.
-func (e *Engine) StabilityVector() ([]wire.AckEntry, uint64) {
-	return e.ackVector(), e.ord.delivered
+// StabilityVector appends this member's delivery state for the membership
+// layer's flush-convergence gate to dst: the per-sender contiguously
+// delivered counts and, under total ordering, the number of slots
+// delivered. A caller that reuses dst reads it without allocating.
+func (e *Engine) StabilityVector(dst []wire.AckEntry) ([]wire.AckEntry, uint64) {
+	return e.appendAckRows(dst), e.ord.delivered
 }
 
 // HistoryLen returns the number of delivered-but-unstable messages held,
@@ -1426,12 +1427,6 @@ func (e *Engine) mergeAckRow(from id.Node, acks []wire.AckEntry) {
 		e.ackMerges = 0
 		e.collectStable()
 	}
-}
-
-// ackVector builds this member's stability row in a fresh slice; see
-// appendAckRows.
-func (e *Engine) ackVector() []wire.AckEntry {
-	return e.appendAckRows(make([]wire.AckEntry, 0, len(e.peers)))
 }
 
 // appendAckRows appends this member's stability row to dst: for every

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -487,12 +488,20 @@ func (e *Engine) onView(v member.View) {
 	}
 }
 
+// dropStreamsOf withdraws a departed member's streams, emitting one
+// StreamWithdrawn per stream in stream-ID order.
 func (e *Engine) dropStreamsOf(n id.Node, v member.View) {
+	var gone []id.Stream
 	for sid, a := range e.directory {
 		if a.Owner == n {
-			delete(e.directory, sid)
-			e.emit(Event{Kind: StreamWithdrawn, Node: n, Stream: a, View: v})
+			gone = append(gone, sid)
 		}
+	}
+	slices.Sort(gone)
+	for _, sid := range gone {
+		a := e.directory[sid]
+		delete(e.directory, sid)
+		e.emit(Event{Kind: StreamWithdrawn, Node: n, Stream: a, View: v})
 	}
 }
 

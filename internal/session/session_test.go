@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -273,6 +274,35 @@ func TestCrashWithdrawsStreams(t *testing.T) {
 	}
 	if !sawLeft || !sawWithdrawn {
 		t.Fatalf("events missing: left=%t withdrawn=%t", sawLeft, sawWithdrawn)
+	}
+}
+
+// TestDepartureWithdrawsInStreamOrder: when an owner of several streams
+// departs, the application sees one StreamWithdrawn per stream, in
+// stream-ID order, whatever order the directory map yields.
+func TestDepartureWithdrawsInStreamOrder(t *testing.T) {
+	s := netsim.New(netsim.Config{Seed: 75})
+	a := addSession(s, 1, id.None)
+	b := addSession(s, 2, 1)
+	ids := []id.Stream{9, 3, 14, 7, 1, 12, 5, 2, 11, 8}
+	s.At(3*time.Second, func() {
+		for _, sid := range ids {
+			if err := b.eng.Announce(media.PALVideo(sid, "cam"), 250000); err != nil {
+				t.Errorf("announce %d: %v", sid, err)
+			}
+		}
+	})
+	s.At(4*time.Second, func() { s.Crash(2) })
+	s.Run(10 * time.Second)
+
+	var got []id.Stream
+	for _, ev := range a.eventsOf(StreamWithdrawn) {
+		got = append(got, ev.Stream.Spec.ID)
+	}
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("StreamWithdrawn events for streams %v, want %v", got, want)
 	}
 }
 

@@ -81,6 +81,14 @@ go test -count=1 -run 'TestTotalOrderSmoke16' ./internal/experiments
 echo "==> total-order idle latency smoke"
 go test -count=1 -run 'TestTotalOrderIdleLatency' ./internal/rmcast
 
+# View-change smoke: a 16-member total-order group loses its coordinator,
+# which is also its sequencer, while every member multicasts. In the
+# median of twelve seeds every survivor installs the view without it
+# within SuspectAfter + 60 ms of the crash (detection plus one flush
+# round), and in every seed within one JoinRetry more (virtual time).
+echo "==> view change in one flush round (n=16, coordinator crash)"
+go test -count=1 -run 'TestChaosViewChangeOneFlushRound' ./internal/chaos
+
 echo "==> /metrics endpoint smoke test"
 go test -count=1 -run 'TestMetricsEndpoint' .
 
